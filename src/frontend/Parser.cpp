@@ -42,6 +42,20 @@ bool Parser::expect(TokenKind Kind, const char *Context) {
   return false;
 }
 
+/// Keywords that open a top-level declaration; error recovery never
+/// skips past one at nesting depth 0.
+static bool isDeclarationKeyword(TokenKind Kind) {
+  switch (Kind) {
+  case TokenKind::KwProcess:
+  case TokenKind::KwChannel:
+  case TokenKind::KwType:
+  case TokenKind::KwInterface:
+    return true;
+  default:
+    return false;
+  }
+}
+
 /// Skips ahead to a statement/declaration boundary after a parse error.
 void Parser::skipToSync() {
   unsigned Depth = 0;
@@ -61,14 +75,9 @@ void Parser::skipToSync() {
         return;
       --Depth;
       break;
-    case TokenKind::KwProcess:
-    case TokenKind::KwChannel:
-    case TokenKind::KwType:
-    case TokenKind::KwInterface:
-      if (Depth == 0)
-        return;
-      break;
     default:
+      if (Depth == 0 && isDeclarationKeyword(tok().Kind))
+        return;
       break;
     }
     advance();
@@ -430,6 +439,12 @@ Stmt *Parser::parseBlock() {
     Stmt *S = parseStmt();
     if (!S) {
       skipToSync();
+      // skipToSync stops *before* a depth-0 declaration keyword. Such a
+      // keyword cannot start a statement, so the block is unterminated:
+      // end it here and let the top level resume at the declaration
+      // (retrying would stop at the same token forever).
+      if (isDeclarationKeyword(tok().Kind))
+        break;
       continue;
     }
     Body.push_back(S);

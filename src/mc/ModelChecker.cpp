@@ -63,8 +63,9 @@ private:
     return mc_detail::verifyMachineOptions(Options);
   }
 
-  bool checkState(Machine &M, McResult &Result) {
-    return mc_detail::checkStateViolation(M, Options, Result);
+  bool checkState(Machine &M, McResult &Result,
+                  std::optional<size_t> Reached = std::nullopt) {
+    return mc_detail::checkStateViolation(M, Options, Result, Reached);
   }
 
   bool checkDeadlock(Machine &M, const std::vector<Move> &Moves,
@@ -75,8 +76,8 @@ private:
   //===--- Exhaustive / bit-state DFS --------------------------------------===//
 
   /// One DFS level. Frames do not carry machine snapshots: the state of
-  /// a frame is re-derived on demand from the nearest checkpoint by
-  /// replaying the Taken moves of the frames in between.
+  /// a frame is re-derived on demand from the nearest checkpoint
+  /// (mc_detail::CheckpointStack).
   struct Frame {
     Move Taken; ///< Move that produced this frame's state (root: unused).
     std::vector<Move> Moves;
@@ -91,12 +92,6 @@ private:
     /// Visited-set key of this frame's state; only populated under
     /// --por, where it backs the on-stack set for the cycle proviso.
     std::string StateKey;
-  };
-
-  /// Sparse snapshot: a full machine state every SnapshotStride levels.
-  struct Checkpoint {
-    size_t Depth; ///< Frame index the snapshot corresponds to.
-    Machine::Snapshot Snap;
   };
 
   /// Emits each move of the counterexample exactly once: the Taken move
@@ -120,7 +115,6 @@ private:
     // same counters the result reports, so --progress cannot perturb the
     // search.
     obs::SearchProgress *Prog = Options.Progress;
-    const unsigned Stride = std::max(1u, Options.SnapshotStride);
     VisitedSet Visited =
         Options.Mode == SearchMode::BitState
             ? VisitedSet::bitState(clampedBitStateBits(Options.BitStateBits))
@@ -140,24 +134,32 @@ private:
     std::string Control;
     std::string Key;
     std::vector<std::string> Blobs;
+    size_t NumObjects = 0;
 
-    // Builds the visited-set key for the current machine state: the flat
-    // canonical vector, or control bytes + interned component indices.
-    auto makeKey = [&](Machine &M) -> const std::string & {
-      if (!UseCollapse) {
-        M.serializeState(Raw);
+    // Serializes the current machine state into the scratch buffers: the
+    // flat canonical vector, or control bytes + object blobs. Returns the
+    // number of heap objects reached, which the leak check reuses.
+    auto serialize = [&](Machine &M) -> size_t {
+      NumObjects = UseCollapse ? M.serializeComponents(Control, Blobs)
+                               : M.serializeState(Raw);
+      return NumObjects;
+    };
+    // The visited-set key of the last serialized state (COLLAPSE: control
+    // bytes + interned component indices).
+    auto key = [&]() -> const std::string & {
+      if (!UseCollapse)
         return Raw;
-      }
-      size_t NumObjects = M.serializeComponents(Control, Blobs);
       Key = Control;
       for (size_t I = 0; I != NumObjects; ++I)
         appendVarint(Key, Compressor.intern(Blobs[I]));
       return Key;
     };
 
+    mc_detail::CheckpointStack Checkpoints(Options.SnapshotStride);
     auto finalize = [&](McResult &R) {
       R.ComponentTableBytes = Compressor.tableBytes();
       R.MemoryBytes = Visited.bytes() + Compressor.tableBytes();
+      R.CheckpointBytes = Checkpoints.peakBytes();
     };
 
     // --por: ample-set selection from the static independence analysis.
@@ -192,16 +194,15 @@ private:
     Machine M(Module, machineOptions());
     M.setEnvModel(Options.Env);
     M.start();
-    M.serializeState(Raw);
-    Result.StateVectorBytes = Raw.size();
+    Result.StateVectorBytes = M.serializeState().size();
     ++Result.StatesExplored;
-    if (checkState(M, Result)) {
+    if (checkState(M, Result, serialize(M))) {
       finalize(Result);
       return Result;
     }
     std::string RootKeyCopy;
     {
-      const std::string &RootKey = makeKey(M);
+      const std::string &RootKey = key();
       Result.CompressedStateBytes = RootKey.size();
       Visited.insert(RootKey);
       if (Por)
@@ -210,7 +211,6 @@ private:
     ++Result.StatesStored;
 
     std::vector<Frame> Stack;
-    std::vector<Checkpoint> Checkpoints;
     // Frame index whose state the machine currently holds; SIZE_MAX when
     // the machine sits in a state that is not on the stack.
     constexpr size_t Dirty = SIZE_MAX;
@@ -234,25 +234,18 @@ private:
       // restore resumes from exactly the state the first child departed
       // from (enumeration probes perturb generation counters, which is
       // canonically invisible but must be replayed consistently).
-      Checkpoints.push_back({0, M.snapshot()});
+      Checkpoints.framePushed(M, 0, Stack.back().Moves.size(),
+                              Visited.bytes());
       MachineAt = 0;
       Result.MaxDepthReached = 1;
     }
 
-    // Restores the machine to the state of the top frame: nearest
-    // checkpoint + replay of the Taken moves above it.
+    // Restores the machine to the state of the top frame.
     auto restoreToTop = [&]() {
       size_t Target = Stack.size() - 1;
       if (MachineAt == Target)
         return;
-      const Checkpoint &C = Checkpoints.back();
-      assert(C.Depth <= Target && "checkpoint deeper than target frame");
-      M.restore(C.Snap);
-      for (size_t I = C.Depth + 1; I <= Target; ++I) {
-        assert(!M.error() && "replayed a previously clean path into error");
-        M.applyMove(Stack[I].Taken);
-        ++Result.ReplayedMoves;
-      }
+      Result.ReplayedMoves += Checkpoints.restore(M, Stack, Target);
       MachineAt = Target;
     };
 
@@ -262,9 +255,7 @@ private:
         if (Por)
           OnStack.erase(Top.StateKey);
         Stack.pop_back();
-        while (!Checkpoints.empty() &&
-               Checkpoints.back().Depth >= Stack.size())
-          Checkpoints.pop_back();
+        Checkpoints.popTo(Stack.size());
         if (MachineAt != Dirty && MachineAt >= Stack.size())
           MachineAt = Dirty;
         continue;
@@ -287,14 +278,14 @@ private:
                                 std::memory_order_relaxed);
         Prog->FrontierDepth.store(Stack.size(), std::memory_order_relaxed);
       }
-      if (checkState(M, Result)) {
+      if (checkState(M, Result, serialize(M))) {
         buildTrace(Stack, &Chosen, Result);
         finalize(Result);
         return Result;
       }
       std::string ChildKeyCopy;
       {
-        const std::string &ChildKey = makeKey(M);
+        const std::string &ChildKey = key();
         if (Por)
           ChildKeyCopy = ChildKey;
         if (!Visited.insert(ChildKey)) {
@@ -354,8 +345,8 @@ private:
       }
       Stack.push_back(std::move(Next));
       MachineAt = Stack.size() - 1;
-      if (MachineAt % Stride == 0)
-        Checkpoints.push_back({MachineAt, M.snapshot()});
+      Checkpoints.framePushed(M, MachineAt, Stack.back().Moves.size(),
+                              Visited.bytes());
       Result.MaxDepthReached = std::max(
           Result.MaxDepthReached, static_cast<unsigned>(Stack.size()));
     }
@@ -500,8 +491,10 @@ std::string McResult::report() const {
     OS << "partial-order reduction: " << PorReducedStates
        << " state(s) expanded with an ample subset, " << PorFullStates
        << " fully, " << PorProvisoUpgrades << " proviso upgrade(s)\n";
-  if (ReplayedMoves)
-    OS << ReplayedMoves << " moves replayed (checkpoint restore)\n";
+  if (ReplayedMoves || CheckpointBytes)
+    OS << ReplayedMoves << " moves replayed (checkpoint restore), "
+       << (CheckpointBytes / 1024.0 / 1024.0)
+       << " Mbyte peak checkpoint snapshots\n";
   if (JobsUsed > 1) {
     OS << JobsUsed << " workers (";
     for (size_t I = 0; I != WorkerExplored.size(); ++I)
@@ -553,6 +546,7 @@ std::string McResult::json() const {
            JsonValue::integer(CompressedStateBytes));
   Root.set("memory_bytes", JsonValue::integer(MemoryBytes));
   Root.set("replayed_moves", JsonValue::integer(ReplayedMoves));
+  Root.set("checkpoint_bytes", JsonValue::integer(CheckpointBytes));
   Root.set("seconds", JsonValue::number(Seconds));
   Root.set("jobs", JsonValue::integer(JobsUsed));
   if (PorReducedStates || PorFullStates || PorProvisoUpgrades) {

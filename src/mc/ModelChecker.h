@@ -64,11 +64,13 @@ struct McOptions {
   /// component indices. No effect on hash/bit-state storage, which never
   /// stores vectors.
   bool Collapse = true;
-  /// DFS keeps one full Machine::Snapshot every SnapshotStride levels
-  /// and re-derives intermediate states by replaying moves from the
-  /// nearest checkpoint. 1 = checkpoint every level (fastest backtrack,
-  /// most memory).
-  unsigned SnapshotStride = 16;
+  /// DFS checkpoint policy. The DFS re-derives a frame's state by
+  /// replaying moves from the nearest Machine::Snapshot below it.
+  /// 0 (auto) checkpoints every frame with more than one move while the
+  /// live checkpoint bytes stay within the visited set's bytes, and every
+  /// 16th level beyond that. N > 0 checkpoints exactly every N-th level
+  /// (1 = every level: fastest backtrack, most memory).
+  unsigned SnapshotStride = 0;
   /// log2 of the bit-state table size (BitState mode); clamped to
   /// [MinBitStateBits, MaxBitStateBits].
   unsigned BitStateBits = 24;
@@ -141,6 +143,9 @@ struct McResult {
   size_t ComponentTableBytes = 0;  ///< COLLAPSE component-table memory.
   size_t MemoryBytes = 0;        ///< Visited set + component table memory.
   uint64_t ReplayedMoves = 0;    ///< Moves re-applied restoring checkpoints.
+  /// Peak live bytes of DFS checkpoint snapshots (summed over workers'
+  /// peaks for the parallel engine): the memory side of ReplayedMoves.
+  size_t CheckpointBytes = 0;
   double Seconds = 0.0;
 
   // Parallel-search accounting (JobsUsed == 1 for the sequential engine).

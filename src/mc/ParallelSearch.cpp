@@ -172,6 +172,7 @@ struct WorkerStats {
   uint64_t Stored = 0;
   uint64_t Transitions = 0;
   uint64_t Replayed = 0;
+  size_t CheckpointBytes = 0; ///< Peak live checkpoint bytes.
   uint64_t Items = 0; ///< Work items popped (own pushes + steals).
   size_t MaxDepthReached = 0;
   bool DepthTruncated = false;
@@ -192,11 +193,23 @@ struct WorkerCtx {
   std::string Control;
   std::string Key;
   std::vector<std::string> Blobs;
+  size_t NumObjects = 0;
+  /// The current work item's DFS checkpoints.
+  CheckpointStack Checkpoints;
+  /// This worker's share of the visited set's bytes, the budget for its
+  /// dense checkpoints; refreshed as the set grows.
+  size_t CheckpointBudget = 0;
 
-  WorkerCtx(const ModuleIR &Module, const MachineOptions &MO,
-            const EnvModel *Env)
-      : M(Module, MO) {
-    M.setEnvModel(Env);
+  WorkerCtx(const ModuleIR &Module, const McOptions &Options,
+            const MachineOptions &MO)
+      : M(Module, MO), Checkpoints(Options.SnapshotStride) {
+    M.setEnvModel(Options.Env);
+  }
+
+  /// Final counters of this worker.
+  WorkerStats stats() {
+    Stats.CheckpointBytes = Checkpoints.peakBytes();
+    return Stats;
   }
 };
 
@@ -209,7 +222,6 @@ public:
   ParallelDfs(const ModuleIR &Module, const McOptions &Options, unsigned Jobs)
       : Module(Module), Options(Options), Jobs(Jobs),
         MO(verifyMachineOptions(Options)),
-        Stride(std::max(1u, Options.SnapshotStride)),
         UseCollapse(Options.Collapse &&
                     Options.Mode != SearchMode::BitState &&
                     Options.Visited == VisitedKind::Exact),
@@ -236,16 +248,22 @@ private:
                                              VisitedKind::Hash128);
   }
 
-  /// Visited-set key of W's current machine state: the flat canonical
-  /// vector, or control bytes + interned component indices (COLLAPSE).
-  std::string_view makeKey(WorkerCtx &W) {
-    if (!UseCollapse) {
-      W.M.serializeState(W.Raw);
+  /// Serializes W's current machine state into its scratch buffers (the
+  /// flat canonical vector, or control bytes + object blobs). Returns the
+  /// number of heap objects reached, which the leak check reuses.
+  size_t serialize(WorkerCtx &W) {
+    W.NumObjects = UseCollapse ? W.M.serializeComponents(W.Control, W.Blobs)
+                               : W.M.serializeState(W.Raw);
+    return W.NumObjects;
+  }
+
+  /// Visited-set key of W's last serialized state (COLLAPSE: control
+  /// bytes + interned component indices).
+  std::string_view key(WorkerCtx &W) {
+    if (!UseCollapse)
       return W.Raw;
-    }
-    size_t NumObjects = W.M.serializeComponents(W.Control, W.Blobs);
     W.Key = W.Control;
-    for (size_t I = 0; I != NumObjects; ++I)
+    for (size_t I = 0; I != W.NumObjects; ++I)
       appendVarint(W.Key, Compressor.intern(W.Blobs[I]));
     return W.Key;
   }
@@ -260,7 +278,6 @@ private:
   const McOptions &Options;
   const unsigned Jobs;
   const MachineOptions MO;
-  const unsigned Stride;
   const bool UseCollapse;
 
   WorkQueue Queue;
@@ -288,11 +305,6 @@ struct Frame {
   bool Upgraded = false;
 };
 
-struct Checkpoint {
-  size_t Depth;
-  Machine::Snapshot Snap;
-};
-
 void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
                               ConcurrentVisitedSet &Visited,
                               bool AllowOffload, bool Shuffle,
@@ -302,9 +314,13 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
   const size_t BaseDepth = Item.Path.size();
 
   std::vector<Frame> Stack;
-  std::vector<Checkpoint> Checkpoints;
+  CheckpointStack &Checkpoints = W.Checkpoints;
+  Checkpoints.popTo(0); // A stopped item may have left checkpoints behind.
   constexpr size_t Dirty = SIZE_MAX;
   size_t MachineAt = Dirty;
+  // Cooperative workers share one visited set, so each budgets its
+  // checkpoints against its share of it; a swarm worker owns its set.
+  const size_t Sharers = AllowOffload ? Jobs : 1;
 
   // Builds the move path / index path from the item prefix plus the
   // local stack (and optionally the final move).
@@ -363,7 +379,8 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
     }
     selectAmple(Root);
     Stack.push_back(std::move(Root));
-    Checkpoints.push_back({0, M.snapshot()});
+    Checkpoints.framePushed(M, 0, Stack.back().Moves.size(),
+                            W.CheckpointBudget);
     MachineAt = 0;
     W.Stats.MaxDepthReached =
         std::max(W.Stats.MaxDepthReached, BaseDepth + 1);
@@ -373,14 +390,7 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
     size_t Target = Stack.size() - 1;
     if (MachineAt == Target)
       return;
-    const Checkpoint &C = Checkpoints.back();
-    assert(C.Depth <= Target && "checkpoint deeper than target frame");
-    M.restore(C.Snap);
-    for (size_t I = C.Depth + 1; I <= Target; ++I) {
-      assert(!M.error() && "replayed a previously clean path into error");
-      M.applyMove(Stack[I].Taken);
-      ++W.Stats.Replayed;
-    }
+    W.Stats.Replayed += Checkpoints.restore(M, Stack, Target);
     MachineAt = Target;
   };
 
@@ -403,9 +413,7 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
     Frame &Top = Stack.back();
     if (Top.NextMove >= (Top.Upgraded ? Top.Moves.size() : Top.AmpleCount)) {
       Stack.pop_back();
-      while (!Checkpoints.empty() &&
-             Checkpoints.back().Depth >= Stack.size())
-        Checkpoints.pop_back();
+      Checkpoints.popTo(Stack.size());
       if (MachineAt != Dirty && MachineAt >= Stack.size())
         MachineAt = Dirty;
       continue;
@@ -439,12 +447,12 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
     }
     {
       McResult V;
-      if (checkStateViolation(M, Options, V)) {
+      if (checkStateViolation(M, Options, V, serialize(W))) {
         reportViolation(V, &Chosen, ChosenIndex);
         return;
       }
     }
-    std::string_view Key = makeKey(W);
+    std::string_view Key = key(W);
     if (!Visited.insert(Key)) {
       // Cycle proviso (C3): the successor was already inserted —
       // possibly by another worker, which only makes the upgrade more
@@ -457,6 +465,8 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
       continue;
     }
     ++W.Stats.Stored;
+    if (W.Stats.Stored % 256 == 0)
+      W.CheckpointBudget = Visited.bytes() / Sharers;
     if (obs::SearchProgress *Prog = Options.Progress;
         Prog && W.Wid < obs::kMaxProgressWorkers) {
       Prog->PerWorker[W.Wid].Stored.store(W.Stats.Stored,
@@ -504,15 +514,15 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
     selectAmple(Next);
     Stack.push_back(std::move(Next));
     MachineAt = Stack.size() - 1;
-    if (MachineAt % Stride == 0)
-      Checkpoints.push_back({MachineAt, M.snapshot()});
+    Checkpoints.framePushed(M, MachineAt, Stack.back().Moves.size(),
+                            W.CheckpointBudget);
     W.Stats.MaxDepthReached =
         std::max(W.Stats.MaxDepthReached, BaseDepth + Stack.size());
   }
 }
 
 void ParallelDfs::workerMain(unsigned Wid, ConcurrentVisitedSet &Visited) {
-  WorkerCtx W(Module, MO, Options.Env);
+  WorkerCtx W(Module, Options, MO);
   W.Wid = Wid;
   WorkItem Item;
   while (Queue.pop(Item)) {
@@ -525,7 +535,7 @@ void ParallelDfs::workerMain(unsigned Wid, ConcurrentVisitedSet &Visited) {
                 /*Shuffle=*/false, /*UnionTable=*/nullptr);
     Queue.taskDone();
   }
-  Done[Wid] = W.Stats;
+  Done[Wid] = W.stats();
 }
 
 void ParallelDfs::aggregate(McResult &Result,
@@ -536,6 +546,7 @@ void ParallelDfs::aggregate(McResult &Result,
     Result.StatesStored += S.Stored;
     Result.Transitions += S.Transitions;
     Result.ReplayedMoves += S.Replayed;
+    Result.CheckpointBytes += S.CheckpointBytes;
     Result.DepthTruncated |= S.DepthTruncated;
     Result.MaxDepthReached = std::max(
         Result.MaxDepthReached, static_cast<unsigned>(S.MaxDepthReached));
@@ -553,19 +564,18 @@ McResult ParallelDfs::run() {
 
   // Root state: counted and checked on the calling thread, exactly like
   // the sequential engine, then handed to the workers as the first item.
-  WorkerCtx Root(Module, MO, Options.Env);
+  WorkerCtx Root(Module, Options, MO);
   Machine &M = Root.M;
   M.start();
-  M.serializeState(Root.Raw);
-  Result.StateVectorBytes = Root.Raw.size();
+  Result.StateVectorBytes = M.serializeState().size();
   ++Result.StatesExplored;
   GlobalExplored.store(1, std::memory_order_relaxed);
-  if (checkStateViolation(M, Options, Result)) {
+  if (checkStateViolation(M, Options, Result, serialize(Root))) {
     Result.MemoryBytes = Visited.bytes();
     return Result;
   }
   {
-    std::string_view RootKey = makeKey(Root);
+    std::string_view RootKey = key(Root);
     Result.CompressedStateBytes = RootKey.size();
     Visited.insert(RootKey);
   }
@@ -620,19 +630,18 @@ McResult ParallelDfs::runSwarm() {
   // coverage (and matches the table the sequential engine would use).
   ConcurrentVisitedSet UnionTable = ConcurrentVisitedSet::bitState(Bits, 0);
 
-  WorkerCtx Root(Module, MO, Options.Env);
+  WorkerCtx Root(Module, Options, MO);
   Machine &M = Root.M;
   M.start();
-  M.serializeState(Root.Raw);
-  Result.StateVectorBytes = Root.Raw.size();
+  Result.StateVectorBytes = M.serializeState().size();
   ++Result.StatesExplored;
   GlobalExplored.store(1, std::memory_order_relaxed);
-  if (checkStateViolation(M, Options, Result)) {
+  if (checkStateViolation(M, Options, Result, serialize(Root))) {
     Result.MemoryBytes = UnionTable.bytes();
     return Result;
   }
   {
-    std::string_view RootKey = makeKey(Root);
+    std::string_view RootKey = key(Root);
     Result.CompressedStateBytes = RootKey.size();
     UnionTable.insert(RootKey);
   }
@@ -655,19 +664,20 @@ McResult ParallelDfs::runSwarm() {
           Wid == 0 ? 0
                    : mix64(Options.Seed ^ (0x9e3779b97f4a7c15ULL * Wid));
       ConcurrentVisitedSet Own = ConcurrentVisitedSet::bitState(Bits, BitSeed);
-      WorkerCtx W(Module, MO, Options.Env);
+      WorkerCtx W(Module, Options, MO);
       W.Wid = Wid;
       W.Stats.Items = 1; // Each swarm worker runs exactly the root item.
       W.Rng.seed(mix64(Options.Seed + Wid));
       // Insert the root into the private table so the collision
       // behavior matches a standalone search with this seed.
       W.M.restore(RootSnap);
-      Own.insert(makeKey(W));
+      serialize(W);
+      Own.insert(key(W));
       WorkItem RootItem;
       RootItem.Snap = RootSnap;
       processItem(W, RootItem, Own, /*AllowOffload=*/false,
                   /*Shuffle=*/Wid != 0, &UnionTable);
-      Done[Wid] = W.Stats;
+      Done[Wid] = W.stats();
     });
   }
   for (std::thread &T : Threads)

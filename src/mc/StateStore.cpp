@@ -8,6 +8,7 @@
 
 #include "support/StringExtras.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace esp;
@@ -15,6 +16,30 @@ using namespace esp;
 // The second FNV seed shared by the 128-bit and bit-state hashing (the
 // sequential and parallel backends must agree on it bit-for-bit).
 static constexpr uint64_t SecondHashSeed = 0x9e3779b97f4a7c15ULL;
+
+/// Estimated memory of one stored exact-mode key: its bytes plus the
+/// string and hash-node overhead. Summed at insert, so bytes() is O(1).
+static size_t exactKeyBytes(std::string_view Key) {
+  return Key.size() + sizeof(std::string) + 16;
+}
+
+//===----------------------------------------------------------------------===//
+// FingerprintSet
+//===----------------------------------------------------------------------===//
+
+void FingerprintSet::grow() {
+  std::vector<uint64_t> Old = std::move(Slots);
+  Slots.assign(std::max<size_t>(16, 2 * Old.size()), 0);
+  const size_t Mask = Slots.size() - 1;
+  for (uint64_t Fp : Old) {
+    if (Fp == 0)
+      continue;
+    size_t I = Fp & Mask;
+    while (Slots[I] != 0)
+      I = (I + 1) & Mask;
+    Slots[I] = Fp;
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // StateCompressor
@@ -57,11 +82,12 @@ bool VisitedSet::insert(std::string_view Key) {
     // std::string; only a genuinely new key allocates.
     if (ExactKeys.find(Key) == ExactKeys.end()) {
       ExactKeys.emplace(Key);
+      ExactKeyBytes += exactKeyBytes(Key);
       New = true;
     }
     break;
   case Impl::Hash64:
-    New = Fp64.insert(mix64(fnv1aHash(Key.data(), Key.size()))).second;
+    New = Fp64.insert(mix64(fnv1aHash(Key.data(), Key.size())));
     break;
   case Impl::Hash128: {
     Fp128 F;
@@ -90,15 +116,10 @@ bool VisitedSet::insert(std::string_view Key) {
 
 size_t VisitedSet::bytes() const {
   switch (Kind) {
-  case Impl::Exact: {
-    size_t Bytes = ExactKeys.bucket_count() * sizeof(void *);
-    for (const std::string &Key : ExactKeys)
-      Bytes += Key.size() + sizeof(std::string) + 16; // Node overhead.
-    return Bytes;
-  }
+  case Impl::Exact:
+    return ExactKeys.bucket_count() * sizeof(void *) + ExactKeyBytes;
   case Impl::Hash64:
-    return Fp64.size() * (sizeof(uint64_t) + 16) +
-           Fp64.bucket_count() * sizeof(void *);
+    return Fp64.bytes();
   case Impl::Hash128:
     return Fp128Set.size() * (sizeof(Fp128) + 16) +
            Fp128Set.bucket_count() * sizeof(void *);
@@ -218,13 +239,14 @@ bool ConcurrentVisitedSet::insert(std::string_view Key) {
     std::lock_guard<std::mutex> Lock(S.M);
     if (S.ExactKeys.find(Key) == S.ExactKeys.end()) {
       S.ExactKeys.emplace(Key);
+      S.ExactKeyBytes += exactKeyBytes(Key);
       New = true;
     }
     break;
   }
   case Impl::Hash64: {
     std::lock_guard<std::mutex> Lock(S.M);
-    New = S.Fp64.insert(Fp).second;
+    New = S.Fp64.insert(Fp);
     break;
   }
   case Impl::Hash128: {
@@ -252,13 +274,10 @@ size_t ConcurrentVisitedSet::bytes() const {
     std::lock_guard<std::mutex> Lock(S.M);
     switch (Kind) {
     case Impl::Exact:
-      Total += S.ExactKeys.bucket_count() * sizeof(void *);
-      for (const std::string &Key : S.ExactKeys)
-        Total += Key.size() + sizeof(std::string) + 16; // Node overhead.
+      Total += S.ExactKeys.bucket_count() * sizeof(void *) + S.ExactKeyBytes;
       break;
     case Impl::Hash64:
-      Total += S.Fp64.size() * (sizeof(uint64_t) + 16) +
-               S.Fp64.bucket_count() * sizeof(void *);
+      Total += S.Fp64.bytes();
       break;
     case Impl::Hash128:
       Total += S.Fp128Set.size() * (sizeof(VisitedSet::Fp128) + 16) +

@@ -76,6 +76,46 @@ private:
   size_t Bytes = 0;
 };
 
+/// Open-addressing set of 64-bit fingerprints: linear probing in a
+/// power-of-two table kept at most half full, 8 bytes per slot. Hash
+/// compaction's fingerprints are already well mixed, so a slot index is
+/// just their low bits. Slot value 0 marks an empty slot; a zero
+/// fingerprint is tracked by a flag instead, so membership is exact.
+class FingerprintSet {
+public:
+  /// Inserts \p Fp; true when it was not present before.
+  bool insert(uint64_t Fp) {
+    if (Fp == 0) {
+      bool New = !HasZero;
+      HasZero = true;
+      Count += New;
+      return New;
+    }
+    if (2 * (Count + 1) > Slots.size())
+      grow();
+    const size_t Mask = Slots.size() - 1;
+    for (size_t I = Fp & Mask;; I = (I + 1) & Mask) {
+      if (Slots[I] == Fp)
+        return false;
+      if (Slots[I] == 0) {
+        Slots[I] = Fp;
+        ++Count;
+        return true;
+      }
+    }
+  }
+
+  size_t size() const { return Count; }
+  size_t bytes() const { return Slots.size() * sizeof(uint64_t); }
+
+private:
+  void grow();
+
+  std::vector<uint64_t> Slots;
+  size_t Count = 0;
+  bool HasZero = false;
+};
+
 /// Visited-state set. `insert` returns true when the key was new; a
 /// false return in the lossy backends (hash-compaction fingerprint
 /// collision, bit-state saturation) can prune an unvisited state — the
@@ -99,7 +139,7 @@ public:
   /// States recorded via insert() returning true.
   uint64_t size() const { return Stored; }
 
-  /// Estimated memory held by the set.
+  /// Estimated memory held by the set; O(1).
   size_t bytes() const;
 
 private:
@@ -123,7 +163,8 @@ private:
   uint64_t Stored = 0;
   std::unordered_set<std::string, TransparentStringHash, std::equal_to<>>
       ExactKeys;
-  std::unordered_set<uint64_t> Fp64;
+  size_t ExactKeyBytes = 0; ///< Key and node bytes of ExactKeys.
+  FingerprintSet Fp64;
   std::unordered_set<Fp128, Fp128Hash> Fp128Set;
   std::vector<uint8_t> BitTable;
   uint64_t BitMask = 0;
@@ -206,7 +247,8 @@ private:
     std::mutex M;
     std::unordered_set<std::string, TransparentStringHash, std::equal_to<>>
         ExactKeys;
-    std::unordered_set<uint64_t> Fp64;
+    size_t ExactKeyBytes = 0; ///< Key and node bytes of ExactKeys.
+    FingerprintSet Fp64;
     std::unordered_set<VisitedSet::Fp128, VisitedSet::Fp128Hash> Fp128Set;
   };
 

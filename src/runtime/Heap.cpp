@@ -47,6 +47,16 @@ void Heap::reset() {
   HighWater = 0;
 }
 
+size_t Heap::bytes() const {
+  // A copy allocates exactly size() elements per vector; freed slots have
+  // cleared element lists.
+  size_t Bytes = sizeof(Heap) +
+                 Objects.size() * (sizeof(HeapObject) + sizeof(uint32_t));
+  for (const HeapObject &Obj : Objects)
+    Bytes += Obj.Elems.size() * sizeof(Value);
+  return Bytes;
+}
+
 HeapStatus Heap::unlink(const Value &V) {
   // Iterative recursive-unlink to avoid unbounded native recursion on
   // deep object graphs. The scratch worklist is a member so steady-state

@@ -204,6 +204,10 @@ public:
   /// All live object indices (for leak sweeps and serialization).
   const std::vector<HeapObject> &objects() const { return Objects; }
 
+  /// Estimated memory held by a copy of this heap (object table, element
+  /// storage, free-list links).
+  size_t bytes() const;
+
 private:
   static constexpr uint32_t kNoFree = UINT32_MAX;
 

@@ -13,7 +13,6 @@
 #include <bit>
 #include <cassert>
 #include <sstream>
-#include <unordered_map>
 
 using namespace esp;
 
@@ -122,6 +121,36 @@ void Machine::reset() {
   ReadyQueue.clear();
   Current = -1;
   PollRotor = 0;
+}
+
+void Machine::setEnvModel(const EnvModel *Model) {
+  // Channels with more variants than this keep an empty disc table; the
+  // bounded models the checker uses stay far below it.
+  constexpr unsigned MaxTabulatedVariants = 4096;
+  Env = Model;
+  EnvTab.reset();
+  if (!Env)
+    return;
+  EnvTab = std::make_unique<EnvTables>();
+  EnvTab->Channels.resize(Module.Prog->Channels.size());
+  Heap Scratch;
+  for (const std::unique_ptr<ChannelDecl> &Chan : Module.Prog->Channels) {
+    EnvChannel &EC = EnvTab->Channels[Chan->Id];
+    EC.Decl = Chan.get();
+    EC.NumVariants = Env->numVariants(Chan.get());
+    if (EC.NumVariants == 0)
+      continue;
+    EnvTab->SendChannels.push_back(Chan->Id);
+    if (EC.NumVariants > MaxTabulatedVariants)
+      continue;
+    EC.Discs.reserve(EC.NumVariants);
+    for (unsigned Variant = 0; Variant != EC.NumVariants; ++Variant) {
+      Value V = Env->makeVariant(Chan.get(), Variant, Scratch);
+      EC.Discs.push_back(discOfValue(Scratch, V));
+      if (V.isRef())
+        Scratch.unlink(V);
+    }
+  }
 }
 
 void Machine::bindWriter(const std::string &InterfaceName,
@@ -911,10 +940,13 @@ bool Machine::matchValues(unsigned ReaderIndex, uint32_t PatIndex,
 
 Machine::MsgDisc
 Machine::discOfValues(const std::vector<Value> &Values) const {
-  MsgDisc D;
   if (Values.size() != 1)
-    return D;
-  const Value &V = Values[0];
+    return MsgDisc();
+  return discOfValue(H, Values[0]);
+}
+
+Machine::MsgDisc Machine::discOfValue(const Heap &H, const Value &V) {
+  MsgDisc D;
   if (V.isRef()) {
     const HeapObject *Obj = H.deref(V);
     if (Obj && Obj->ObjType->isUnion()) {
@@ -1570,7 +1602,9 @@ std::vector<Move> Machine::enumerateMovesImpl() {
         }
       }
       // Environment receive.
-      if (Env && Env->numVariants(WCase.Src->Channel) == 0 &&
+      const bool EnvDrives =
+          Env && EnvTab->Channels[WCase.ChanId].NumVariants != 0;
+      if (Env && !EnvDrives &&
           WCase.Src->Channel->Role == ChannelRole::ExternalReader) {
         Move M;
         M.K = Move::Kind::EnvRecv;
@@ -1583,8 +1617,7 @@ std::vector<Move> Machine::enumerateMovesImpl() {
       // channel it does not drive and no other process can ever read
       // (the precomputed static-reader masks answer that in O(words)).
       if (Env && WCase.Src->Channel->Role != ChannelRole::ExternalReader &&
-          Env->numVariants(WCase.Src->Channel) == 0 &&
-          MatchingReaderOwner < 0) {
+          !EnvDrives && MatchingReaderOwner < 0) {
         bool AnyInternalReader = false;
         const ChannelInfo &CInfo = CP.Channels[WCase.ChanId];
         for (unsigned Word = 0; Word != CP.MaskWords; ++Word) {
@@ -1609,53 +1642,71 @@ std::vector<Move> Machine::enumerateMovesImpl() {
   }
 
   // Environment sends (per channel, skipped once that channel's finite
-  // workload budget is spent).
-  if (Env) {
-    for (const std::unique_ptr<ChannelDecl> &Chan : Module.Prog->Channels) {
-      if (Options.EnvSendBudget != 0 &&
-          EnvSends[Chan->Id] >= Options.EnvSendBudget)
-        continue;
-      unsigned NumVariants = Env->numVariants(Chan.get());
-      for (unsigned Variant = 0; Variant != NumVariants; ++Variant) {
-        Value V = Env->makeVariant(Chan.get(), Variant, H);
-        std::vector<Value> Values = {V};
-        MsgDisc D = discOfValues(Values);
-        const uint64_t *Mask = inWait(Chan->Id);
-        for (unsigned Word = 0; Word != CP.MaskWords; ++Word) {
-          for (uint64_t Bits = Mask[Word]; Bits; Bits &= Bits - 1) {
-            unsigned R =
-                Word * 64 + static_cast<unsigned>(std::countr_zero(Bits));
-            if (Procs[R].St != ProcState::Status::Blocked)
-              continue;
-            const CInst &RI = CP.Procs[R].Insts[Procs[R].PC];
-            for (size_t RC = 0, NR = RI.Cases.size(); RC != NR; ++RC) {
-              const CCase &RCase = RI.Cases[RC];
-              if (!RCase.IsIn || RCase.ChanId != Chan->Id ||
-                  !Procs[R].CaseEnabled[RC])
-                continue;
-              if (discRejects(RCase.Disc, D))
-                continue;
-              if (!matchValues(R, RCase.Pat, Values, MatchMode::Try)) {
-                if (Error)
-                  return Moves;
-                continue;
-              }
-              Move M;
-              M.K = Move::Kind::EnvSend;
-              M.Channel = Chan->Id;
-              M.Reader = static_cast<int>(R);
-              M.ReaderCase = static_cast<unsigned>(RC);
-              M.EnvVariant = Variant;
-              Moves.push_back(M);
-            }
-          }
+  // workload budget is spent). Only channels with a blocked reader cost
+  // anything, and a variant is built in the heap only when some reader
+  // case's dispatch entry admits its tabulated discriminant.
+  if (!Env)
+    return Moves;
+  std::vector<std::pair<unsigned, unsigned>> &EnvReaders = EnvTab->Readers;
+  for (uint32_t ChanId : EnvTab->SendChannels) {
+    if (Options.EnvSendBudget != 0 &&
+        EnvSends[ChanId] >= Options.EnvSendBudget)
+      continue;
+    EnvReaders.clear();
+    const uint64_t *Mask = inWait(ChanId);
+    for (unsigned Word = 0; Word != CP.MaskWords; ++Word) {
+      for (uint64_t Bits = Mask[Word]; Bits; Bits &= Bits - 1) {
+        unsigned R = Word * 64 + static_cast<unsigned>(std::countr_zero(Bits));
+        if (Procs[R].St != ProcState::Status::Blocked)
+          continue;
+        const CInst &RI = CP.Procs[R].Insts[Procs[R].PC];
+        for (size_t RC = 0, NR = RI.Cases.size(); RC != NR; ++RC) {
+          const CCase &RCase = RI.Cases[RC];
+          if (RCase.IsIn && RCase.ChanId == ChanId &&
+              Procs[R].CaseEnabled[RC])
+            EnvReaders.push_back({R, static_cast<unsigned>(RC)});
         }
-        // Undo the probe allocation so enumeration does not perturb the
-        // state.
-        dropValueTemp(V, SourceLoc(), -1);
-        if (Error)
-          return Moves;
       }
+    }
+    if (EnvReaders.empty())
+      continue;
+    const EnvChannel &EC = EnvTab->Channels[ChanId];
+    auto caseOf = [&](const std::pair<unsigned, unsigned> &Reader)
+        -> const CCase & {
+      return CP.Procs[Reader.first].Insts[Procs[Reader.first].PC]
+          .Cases[Reader.second];
+    };
+    for (unsigned Variant = 0; Variant != EC.NumVariants; ++Variant) {
+      if (!EC.Discs.empty() &&
+          std::all_of(EnvReaders.begin(), EnvReaders.end(), [&](auto &Rd) {
+            return discRejects(caseOf(Rd).Disc, EC.Discs[Variant]);
+          }))
+        continue;
+      Value V = Env->makeVariant(EC.Decl, Variant, H);
+      std::vector<Value> Values = {V};
+      MsgDisc D = discOfValues(Values);
+      for (const std::pair<unsigned, unsigned> &Rd : EnvReaders) {
+        const CCase &RCase = caseOf(Rd);
+        if (discRejects(RCase.Disc, D))
+          continue;
+        if (!matchValues(Rd.first, RCase.Pat, Values, MatchMode::Try)) {
+          if (Error)
+            return Moves;
+          continue;
+        }
+        Move M;
+        M.K = Move::Kind::EnvSend;
+        M.Channel = ChanId;
+        M.Reader = static_cast<int>(Rd.first);
+        M.ReaderCase = Rd.second;
+        M.EnvVariant = Variant;
+        Moves.push_back(M);
+      }
+      // Undo the probe allocation so enumeration does not perturb the
+      // state.
+      dropValueTemp(V, SourceLoc(), -1);
+      if (Error)
+        return Moves;
     }
   }
   return Moves;
@@ -1673,11 +1724,8 @@ StepResult Machine::applyMove(const Move &M) {
     break;
   }
   case Move::Kind::EnvSend: {
-    const ChannelDecl *Chan = nullptr;
-    for (const std::unique_ptr<ChannelDecl> &C : Module.Prog->Channels)
-      if (C->Id == M.Channel)
-        Chan = C.get();
-    Value V = Env->makeVariant(Chan, M.EnvVariant, H);
+    Value V =
+        Env->makeVariant(EnvTab->Channels[M.Channel].Decl, M.EnvVariant, H);
     std::vector<Value> Values = {V};
     ++EnvSends[M.Channel];
     if (transfer(-1, 0, M.Reader, M.ReaderCase, &Values))
@@ -1726,7 +1774,17 @@ bool Machine::isDeadlocked() {
 //===----------------------------------------------------------------------===//
 
 Machine::Snapshot Machine::snapshot() const {
-  return Snapshot{H, Procs, Error, Started, EnvSends};
+  Snapshot S;
+  snapshot(S);
+  return S;
+}
+
+void Machine::snapshot(Snapshot &Out) const {
+  Out.H = H;
+  Out.Procs = Procs;
+  Out.Error = Error;
+  Out.Started = Started;
+  Out.EnvSends = EnvSends;
 }
 
 void Machine::restore(const Snapshot &S) {
@@ -1740,7 +1798,48 @@ void Machine::restore(const Snapshot &S) {
   rebuildWaitBits();
 }
 
+size_t Machine::snapshotBytes() const {
+  size_t Bytes = sizeof(Snapshot) + H.bytes() +
+                 EnvSends.size() * sizeof(uint32_t) + Error.Message.size();
+  for (const ProcState &P : Procs) {
+    Bytes += sizeof(ProcState) + P.Slots.size() * sizeof(Value) +
+             (P.CaseEnabled.size() + P.PreparedValid.size()) / 8;
+    for (const std::vector<Value> &Values : P.Prepared)
+      Bytes += sizeof(Values) + Values.size() * sizeof(Value);
+  }
+  return Bytes;
+}
+
 namespace {
+
+/// Per-thread serializer scratch. Canonical ids of the objects one
+/// serialization has visited live in a flat table indexed by Value::Ref;
+/// an entry counts only when its epoch is the current serialization's, so
+/// each serialization starts from an empty table by bumping the epoch
+/// instead of clearing anything. Thread-local: concurrent serializations
+/// (one per search worker) never share it.
+struct SerializerScratch {
+  struct Entry {
+    uint32_t Epoch = 0;
+    uint32_t Id = 0;
+  };
+  std::vector<Entry> Entries;
+  uint32_t Epoch = 0;
+  /// Bytes written so far to each object blob (component layout).
+  std::vector<size_t> BlobLens;
+
+  /// Starts a serialization over a heap of \p NumObjects slots.
+  void begin(size_t NumObjects) {
+    if (Entries.size() < NumObjects)
+      Entries.resize(NumObjects);
+    if (++Epoch == 0) { // Wrapped: stale stamps could alias the new epoch.
+      std::fill(Entries.begin(), Entries.end(), Entry());
+      Epoch = 1;
+    }
+  }
+};
+
+thread_local SerializerScratch Scratch;
 
 /// Canonical state serializer. Heap references serialize as canonical
 /// ids assigned in first-visit order, never as raw objectIds, so states
@@ -1756,34 +1855,64 @@ namespace {
 ///
 /// Targets are addressed by blob id (kControl for the control stream)
 /// and re-resolved on every write: recursion may grow the blob vector
-/// and invalidate outstanding string references.
+/// and invalidate outstanding string references. Each target is written
+/// through an explicit length into a string pre-sized to its capacity
+/// (a store per byte, not a push_back call); finish() trims them.
 class StateSerializer {
 public:
   static constexpr size_t kControl = SIZE_MAX;
 
   StateSerializer(const Heap &H, std::string &Control,
                   std::vector<std::string> *Blobs)
-      : H(H), Control(Control), Blobs(Blobs) {}
+      : H(H), Control(Control), Blobs(Blobs), S(Scratch) {
+    S.begin(H.objects().size());
+    open(Control);
+  }
 
-  size_t numBlobs() const { return NumBlobs; }
+  /// Trims every output to the bytes written. Returns the number of
+  /// distinct heap objects reached.
+  size_t finish() {
+    Control.resize(ControlLen);
+    if (Blobs)
+      for (size_t I = 0; I != NumBlobs; ++I)
+        (*Blobs)[I].resize(S.BlobLens[I]);
+    return NumBlobs;
+  }
+
+  void byte(size_t Target, uint8_t B) {
+    auto [Out, Len] = sink(Target);
+    if (*Len == Out->size())
+      grow(*Out, *Len + 1);
+    (*Out)[(*Len)++] = static_cast<char>(B);
+  }
+
+  /// LEB128, byte-identical to appendVarint.
+  void varint(size_t Target, uint64_t V) {
+    auto [Out, Len] = sink(Target);
+    if (*Len + 10 > Out->size())
+      grow(*Out, *Len + 10);
+    char *P = Out->data() + *Len;
+    while (V >= 0x80) {
+      *P++ = static_cast<char>(V | 0x80);
+      V >>= 7;
+    }
+    *P++ = static_cast<char>(V);
+    *Len = static_cast<size_t>(P - Out->data());
+  }
 
   void value(size_t Target, const Value &V) {
     switch (V.K) {
     case Value::Kind::Uninit:
-      out(Target).push_back(0);
+      byte(Target, 0);
       return;
-    case Value::Kind::Int: {
-      std::string &O = out(Target);
-      O.push_back(1);
-      appendVarint(O, zigzagEncode(V.Scalar));
+    case Value::Kind::Int:
+      byte(Target, 1);
+      varint(Target, zigzagEncode(V.Scalar));
       return;
-    }
-    case Value::Kind::Bool: {
-      std::string &O = out(Target);
-      O.push_back(2);
-      O.push_back(V.Scalar ? 1 : 0);
+    case Value::Kind::Bool:
+      byte(Target, 2);
+      byte(Target, V.Scalar ? 1 : 0);
       return;
-    }
     case Value::Kind::Ref:
       ref(Target, V);
       return;
@@ -1791,80 +1920,91 @@ public:
   }
 
 private:
-  std::string &out(size_t Target) {
+  static void open(std::string &Out) { Out.resize(Out.capacity()); }
+  static void grow(std::string &Out, size_t Need) {
+    Out.resize(std::max(Need, 2 * Out.size() + 64));
+  }
+
+  std::pair<std::string *, size_t *> sink(size_t Target) {
     if (!Blobs || Target == kControl)
-      return Control;
-    return (*Blobs)[Target];
+      return {&Control, &ControlLen};
+    return {&(*Blobs)[Target], &S.BlobLens[Target]};
   }
 
   void ref(size_t Target, const Value &V) {
     const HeapObject *Obj = H.deref(V);
     if (!Obj) {
-      out(Target).push_back(3); // Dangling reference: canonical "dead".
+      byte(Target, 3); // Dangling reference: canonical "dead".
       return;
     }
-    uint64_t Key = (static_cast<uint64_t>(V.Ref) << 32) | V.Gen;
-    auto It = CanonicalIds.find(Key);
-    if (It != CanonicalIds.end()) {
-      std::string &O = out(Target);
-      O.push_back(4); // Back reference.
-      appendVarint(O, It->second);
+    // deref() matched the slot's generation, so the slot index alone
+    // identifies the object while the heap is not mutated.
+    SerializerScratch::Entry &Seen = S.Entries[V.Ref];
+    if (Seen.Epoch == S.Epoch) {
+      byte(Target, 4); // Back reference.
+      varint(Target, Seen.Id);
       return;
     }
-    uint64_t Id = NumBlobs++;
-    CanonicalIds.emplace(Key, Id);
-    {
-      std::string &O = out(Target);
-      O.push_back(5); // First visit.
-      appendVarint(O, Id);
-    }
+    uint32_t Id = static_cast<uint32_t>(NumBlobs++);
+    Seen = {S.Epoch, Id};
+    byte(Target, 5); // First visit.
+    varint(Target, Id);
     size_t ContentTarget = Target;
     if (Blobs) {
       if (Blobs->size() < NumBlobs)
         Blobs->emplace_back();
-      (*Blobs)[Id].clear();
+      if (S.BlobLens.size() < NumBlobs)
+        S.BlobLens.push_back(0);
+      S.BlobLens[Id] = 0;
+      open((*Blobs)[Id]);
       ContentTarget = Id;
     }
-    {
-      std::string &O = out(ContentTarget);
-      appendVarint(O, reinterpret_cast<uintptr_t>(Obj->ObjType));
-      appendVarint(O, zigzagEncode(Obj->Arm));
-      appendVarint(O, Obj->RefCount);
-      appendVarint(O, Obj->Elems.size());
-    }
+    varint(ContentTarget, reinterpret_cast<uintptr_t>(Obj->ObjType));
+    varint(ContentTarget, zigzagEncode(Obj->Arm));
+    varint(ContentTarget, Obj->RefCount);
+    varint(ContentTarget, Obj->Elems.size());
     for (const Value &Elem : Obj->Elems)
       value(ContentTarget, Elem);
   }
 
   const Heap &H;
   std::string &Control;
+  size_t ControlLen = 0;
   std::vector<std::string> *Blobs;
   size_t NumBlobs = 0;
-  std::unordered_map<uint64_t, uint64_t> CanonicalIds;
+  SerializerScratch &S;
 };
 
-/// Walks the machine state through \p S, writing control data into
-/// \p Control. Shared by the inline and component serializations.
-size_t serializeMachineState(const std::vector<ProcState> &Procs,
-                             const RuntimeError &Error, std::string &Control,
-                             StateSerializer &S) {
+} // namespace
+
+/// Serializes the machine state through a StateSerializer over \p Control
+/// (and \p Blobs in the component layout). Returns the number of distinct
+/// heap objects reached.
+size_t Machine::serializeInto(std::string &Control,
+                              std::vector<std::string> *Blobs) const {
+  StateSerializer S(H, Control, Blobs);
   for (const ProcState &P : Procs) {
-    Control.push_back(static_cast<char>(P.St));
-    appendVarint(Control, P.PC);
+    S.byte(StateSerializer::kControl, static_cast<uint8_t>(P.St));
+    S.varint(StateSerializer::kControl, P.PC);
     for (const Value &Slot : P.Slots)
       S.value(StateSerializer::kControl, Slot);
     for (size_t C = 0; C != P.PreparedValid.size(); ++C) {
-      Control.push_back(P.PreparedValid[C] ? 1 : 0);
+      S.byte(StateSerializer::kControl, P.PreparedValid[C] ? 1 : 0);
       if (P.PreparedValid[C])
         for (const Value &V : P.Prepared[C])
           S.value(StateSerializer::kControl, V);
     }
   }
-  Control.push_back(static_cast<char>(Error.Kind));
-  return S.numBlobs();
+  S.byte(StateSerializer::kControl, static_cast<uint8_t>(Error.Kind));
+  // The spent per-channel env-send budget distinguishes states under a
+  // finite workload; with an unbounded environment it is omitted so the
+  // state vector is byte-identical to the budget-free build.
+  if (Options.EnvSendBudget != 0)
+    for (uint32_t N : EnvSends)
+      for (int Shift = 0; Shift != 32; Shift += 8)
+        S.byte(StateSerializer::kControl, (N >> Shift) & 0xff);
+  return S.finish();
 }
-
-} // namespace
 
 std::string Machine::serializeState() const {
   std::string Out;
@@ -1872,33 +2012,21 @@ std::string Machine::serializeState() const {
   return Out;
 }
 
-/// The spent per-channel env-send budget distinguishes states under a
-/// finite workload; with an unbounded environment it is omitted so the
-/// state vector is byte-identical to the budget-free build.
-static void appendEnvBudget(const MachineOptions &Options,
-                            const std::vector<uint32_t> &EnvSends,
-                            std::string &Out) {
-  if (Options.EnvSendBudget == 0)
-    return;
-  for (uint32_t N : EnvSends)
-    for (int Shift = 0; Shift != 32; Shift += 8)
-      Out.push_back(static_cast<char>((N >> Shift) & 0xff));
-}
-
-void Machine::serializeState(std::string &Out) const {
-  Out.clear();
-  StateSerializer S(H, Out, nullptr);
-  serializeMachineState(Procs, Error, Out, S);
-  appendEnvBudget(Options, EnvSends, Out);
+size_t Machine::serializeState(std::string &Out) const {
+  return serializeInto(Out, nullptr);
 }
 
 size_t Machine::serializeComponents(std::string &Control,
                                     std::vector<std::string> &ObjectBlobs) const {
-  Control.clear();
-  StateSerializer S(H, Control, &ObjectBlobs);
-  size_t N = serializeMachineState(Procs, Error, Control, S);
-  appendEnvBudget(Options, EnvSends, Control);
-  return N;
+  return serializeInto(Control, &ObjectBlobs);
+}
+
+unsigned Machine::countLeakedObjects(size_t Reached) const {
+  for (const ProcState &P : Procs)
+    if (P.St == ProcState::Status::Done)
+      return countLeakedObjects();
+  assert(Reached <= H.getLiveCount() && "serialization reached a dead object");
+  return H.getLiveCount() - static_cast<unsigned>(Reached);
 }
 
 unsigned Machine::countLeakedObjects() const {

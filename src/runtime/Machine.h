@@ -323,8 +323,11 @@ public:
   /// Binds an external-reader interface.
   void bindReader(const std::string &InterfaceName,
                   std::unique_ptr<ExternalReader> Reader);
-  /// Sets the verification environment model (not owned).
-  void setEnvModel(const EnvModel *Model) { Env = Model; }
+  /// Sets the verification environment model (not owned) and tabulates
+  /// it by channel id: variant counts, plus each variant's top-level
+  /// discriminant, so enumeration neither queries the model per state nor
+  /// builds a variant that no blocked reader's dispatch entry admits.
+  void setEnvModel(const EnvModel *Model);
 
   /// Installs (or clears, with nullptr) the observation hook. Not owned.
   void setObserver(MachineObserver *O) { Obs = O; }
@@ -395,22 +398,33 @@ public:
 
   /// Same, writing into \p Out (cleared first). The model checker reuses
   /// one scratch buffer across millions of states instead of allocating
-  /// a fresh string per state.
-  void serializeState(std::string &Out) const;
+  /// a fresh string per state. Returns the number of distinct heap
+  /// objects the walk reached (see countLeakedObjects(size_t)).
+  size_t serializeState(std::string &Out) const;
 
   /// COLLAPSE-style component serialization (SPIN §"collapse"): fills
   /// \p Control with the per-process control data (status, PC, slots and
   /// prepared values, with heap references as canonical ids) and writes
   /// one canonical content blob per reachable heap object into
-  /// \p ObjectBlobs[0..N) in first-visit order. Returns N. \p ObjectBlobs
-  /// is only ever grown so its strings keep their capacity across calls;
-  /// entries at index >= N are stale. Concatenating Control with the
-  /// blobs in order is equivalent to serializeState() as a state identity.
+  /// \p ObjectBlobs[0..N) in first-visit order. Returns N, the number of
+  /// distinct heap objects reached. \p ObjectBlobs is only ever grown so
+  /// its strings keep their capacity across calls; entries at index >= N
+  /// are stale. Concatenating Control with the blobs in order is
+  /// equivalent to serializeState() as a state identity.
   size_t serializeComponents(std::string &Control,
                              std::vector<std::string> &ObjectBlobs) const;
 
-  /// Live objects unreachable from any root: leaked memory.
+  /// Live objects unreachable from any root: leaked memory. A full
+  /// mark-sweep over the heap.
   unsigned countLeakedObjects() const;
+
+  /// The same count, given the number of objects \p Reached that a
+  /// serialization of the current state returned: the serialization walk
+  /// already visits every object reachable from a process, so leaked =
+  /// live - reached, with no sweep. The one exception is a Done process,
+  /// whose slots are serialized but are not roots (it can never unlink
+  /// them); then this falls back to the sweep.
+  unsigned countLeakedObjects(size_t Reached) const;
 
   //===--- Introspection ---------------------------------------------------===//
 
@@ -432,7 +446,12 @@ public:
     std::vector<uint32_t> EnvSends;
   };
   Snapshot snapshot() const;
+  /// Same, copying into \p Out: reuses Out's buffers, so a checkpoint
+  /// slot refilled level after level stops allocating.
+  void snapshot(Snapshot &Out) const;
   void restore(const Snapshot &S);
+  /// Estimated memory a snapshot() of the current state would hold.
+  size_t snapshotBytes() const;
 
 private:
   //===--- Interpreter core ------------------------------------------------===//
@@ -500,6 +519,11 @@ private:
   /// enumerateMoves without the purity cleanup (the raw probe walk).
   std::vector<Move> enumerateMovesImpl();
 
+  /// The canonical serialization behind serializeState (\p Blobs null)
+  /// and serializeComponents.
+  size_t serializeInto(std::string &Control,
+                       std::vector<std::string> *Blobs) const;
+
   //===--- Dispatch tables and wait bitmasks --------------------------------===//
 
   /// The top-level discriminant of a concrete message, if it has one.
@@ -508,6 +532,7 @@ private:
     int32_t Arm = -1;
     int64_t Scalar = 0;
   };
+  static MsgDisc discOfValue(const Heap &H, const Value &V);
   MsgDisc discOfValues(const std::vector<Value> &Values) const;
   /// True when the dispatch table proves \p Case cannot match a message
   /// with discriminant \p D (so the pattern walk is skipped entirely).
@@ -588,6 +613,27 @@ private:
   std::vector<std::unique_ptr<ExternalReader>> Readers;
   const EnvModel *Env = nullptr;
   MachineObserver *Obs = nullptr;
+
+  /// The environment model as setEnvModel tabulates it. Held out of
+  /// line (null without a model) so that execution-mode machines, ten
+  /// thousand to a fleet, pay one pointer for it.
+  struct EnvChannel {
+    const ChannelDecl *Decl = nullptr;
+    unsigned NumVariants = 0;
+    /// Discriminant of each variant; empty when the channel has too many
+    /// variants to tabulate (enumeration then builds every variant).
+    std::vector<MsgDisc> Discs;
+  };
+  struct EnvTables {
+    std::vector<EnvChannel> Channels; ///< Indexed by channel id.
+    /// Ids of the channels the environment sends on, in declaration
+    /// order.
+    std::vector<uint32_t> SendChannels;
+    /// Enumeration scratch: the (reader, case) pairs blocked on one
+    /// channel.
+    std::vector<std::pair<unsigned, unsigned>> Readers;
+  };
+  std::unique_ptr<EnvTables> EnvTab;
 };
 
 } // namespace esp

@@ -73,7 +73,10 @@ const char kUsage[] =
     "                      COLLAPSE compression of exact-mode state\n"
     "                      vectors (default on)\n"
     "  --snapshot-stride N keep one machine snapshot every N DFS levels\n"
-    "                      and replay moves in between (default 16)\n"
+    "                      and replay moves in between (default 0 =\n"
+    "                      auto: snapshot every branching level while\n"
+    "                      snapshots fit in the visited set's memory,\n"
+    "                      every 16th level beyond that)\n"
     "  --bits N            bit-state table log2 size (default 24,\n"
     "                      clamped to [10,28])\n"
     "  --runs N            simulation runs (default 256)\n"

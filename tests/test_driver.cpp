@@ -122,6 +122,26 @@ TEST(Driver, ParseErrorFailsWithDiagnostics) {
   EXPECT_TRUE(R.IOError.empty());
 }
 
+TEST(Driver, UnterminatedBlockBeforeDeclarationTerminates) {
+  // Parser recovery used to stop in front of a depth-0 declaration
+  // keyword inside an unterminated block and retry there forever. The
+  // first input is the minimal reproducer from a token-mutation fuzz run.
+  const char *Inputs[] = {
+      "process a {\n while (true) { out(c2, 5#\n}\nprocess ",
+      "process a {\n while (true) { out(c2, 5#\n}\nchannel c: int\n",
+      "process a {\n if (true) { $x = ;\n}\ntype t = int\n",
+      "process a {\n { in(c, \ninterface i(out c) { }\n",
+  };
+  for (const char *Source : Inputs) {
+    SourceManager SM;
+    DiagnosticEngine Diags(SM);
+    CompileResult R =
+        esp::compile(SM, Diags, {CompileInput::buffer("fuzz.esp", Source)});
+    EXPECT_FALSE(R.Success) << Source;
+    EXPECT_TRUE(Diags.hasErrors()) << Source;
+  }
+}
+
 TEST(Driver, SemaErrorFailsButKeepsTheProgram) {
   SourceManager SM;
   DiagnosticEngine Diags(SM);

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "mc/SafetyHarness.h"
+#include "vmmc/EspFirmwareSource.h"
 #include "TestHelpers.h"
 
 using namespace esp;
@@ -428,8 +429,9 @@ process q {
 }
 
 TEST(ModelChecker, SnapshotStrideDoesNotChangeExploration) {
-  // The snapshot-free DFS re-derives states by checkpoint + replay; the
-  // exploration must be byte-identical for every stride.
+  // The DFS re-derives states by checkpoint + replay; the exploration
+  // must be identical under the auto checkpoint rule and every fixed
+  // stride, on the sequential and the parallel engine.
   auto C = compile(R"(
 channel c: array of int
 channel d: int
@@ -452,20 +454,65 @@ process r {
 }
 )");
   ASSERT_TRUE(C);
-  McOptions Base;
-  Base.SnapshotStride = 1;
+  McOptions Base; // SnapshotStride 0: the auto rule.
   McResult Reference = checkModel(C->Module, Base);
   EXPECT_EQ(Reference.Verdict, McVerdict::OK) << Reference.report();
-  for (unsigned Stride : {2u, 4u, 16u, 64u}) {
-    McOptions Options;
-    Options.SnapshotStride = Stride;
-    McResult R = checkModel(C->Module, Options);
-    EXPECT_EQ(R.Verdict, Reference.Verdict) << "stride=" << Stride;
-    EXPECT_EQ(R.StatesExplored, Reference.StatesExplored)
-        << "stride=" << Stride;
-    EXPECT_EQ(R.StatesStored, Reference.StatesStored) << "stride=" << Stride;
-    EXPECT_EQ(R.Transitions, Reference.Transitions) << "stride=" << Stride;
+  EXPECT_GT(Reference.CheckpointBytes, 0u);
+  for (unsigned Jobs : {1u, 4u}) {
+    for (unsigned Stride : {0u, 1u, 2u, 4u, 16u, 64u}) {
+      McOptions Options;
+      Options.SnapshotStride = Stride;
+      Options.Jobs = Jobs;
+      McResult R = checkModel(C->Module, Options);
+      std::string Label =
+          "stride=" + std::to_string(Stride) + " jobs=" + std::to_string(Jobs);
+      EXPECT_EQ(R.Verdict, Reference.Verdict) << Label;
+      EXPECT_EQ(R.StatesExplored, Reference.StatesExplored) << Label;
+      EXPECT_EQ(R.StatesStored, Reference.StatesStored) << Label;
+      EXPECT_EQ(R.Transitions, Reference.Transitions) << Label;
+    }
   }
+}
+
+TEST(ModelChecker, AutoCheckpointsMakeBacktrackingReplayFree) {
+  // The budgeted VMMC cluster is shallow (depth 21) and bushy: the auto
+  // rule checkpoints every branching frame, where stride 16 replayed 8.6
+  // moves per explored state.
+  auto C = compile(vmmc::getVmmcEspSource());
+  ASSERT_TRUE(C);
+  SafetyOptions Options;
+  Options.Mc.EnvSendBudget = 4;
+  McResult R = verifyProcessClusterMemorySafety(
+      *C->Prog, {"pageTable", "deliver"}, Options);
+  ASSERT_EQ(R.Verdict, McVerdict::OK) << R.report();
+  EXPECT_EQ(R.StatesExplored, 697273u);
+  EXPECT_EQ(R.StatesStored, 63393u);
+  EXPECT_EQ(R.Transitions, 697272u);
+  EXPECT_LE(static_cast<double>(R.ReplayedMoves) / R.StatesExplored, 0.5)
+      << R.report();
+  EXPECT_LE(R.CheckpointBytes, R.MemoryBytes) << R.report();
+}
+
+TEST(ModelChecker, AutoCheckpointsStayWithinVisitedSetBudget) {
+  // A deep, narrow search (50000 states reach depth 30009): dense
+  // checkpoints would cost a snapshot per level, so the auto rule may add
+  // at most the visited set's bytes on top of what the fixed fallback
+  // stride keeps on the stack anyway.
+  auto C = compile(vmmc::getVmmcEspSource());
+  ASSERT_TRUE(C);
+  SafetyOptions Options;
+  Options.Mc.MaxStates = 50000;
+  McResult Auto = verifyProcessClusterMemorySafety(
+      *C->Prog, {"rxDemux", "txWindow"}, Options);
+  Options.Mc.SnapshotStride = 16;
+  McResult Fixed = verifyProcessClusterMemorySafety(
+      *C->Prog, {"rxDemux", "txWindow"}, Options);
+  EXPECT_EQ(Auto.Verdict, McVerdict::StateLimit);
+  EXPECT_EQ(Auto.MaxDepthReached, 30009u);
+  EXPECT_EQ(Auto.StatesStored, Fixed.StatesStored);
+  EXPECT_EQ(Auto.Transitions, Fixed.Transitions);
+  EXPECT_LE(Auto.CheckpointBytes, Fixed.CheckpointBytes + Auto.MemoryBytes)
+      << Auto.report();
 }
 
 TEST(ModelChecker, StateCountsAreDeterministic) {

@@ -10,7 +10,16 @@
 //===----------------------------------------------------------------------===//
 
 #include "mc/ModelChecker.h"
+#include "mc/SafetyHarness.h"
+#include "vmmc/EspFirmwareSource.h"
 #include "TestHelpers.h"
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <random>
+#include <set>
+#include <sstream>
 
 using namespace esp;
 using namespace esp::test;
@@ -249,6 +258,234 @@ process r2 { in(d, $y); }
       << M.error().Message;
   EXPECT_EQ(M.heap().getLiveCount(), 1u);
   EXPECT_EQ(M.countLeakedObjects(), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Leak check folded into serialization
+//===----------------------------------------------------------------------===//
+
+// The checker computes leaked = live - objects reached by the canonical
+// serialization (Machine::countLeakedObjects(size_t)) instead of sweeping
+// the heap. These tests hold it against the sweep state by state.
+
+const char *ForgottenUnlinkSource = R"(
+type dataT = array of int
+channel c: dataT
+channel d: dataT
+process w {
+  $a: dataT = { 2 -> 1 };
+  $b: dataT = { 2 -> 2 };
+  out(c, a); out(d, b);
+  unlink(a); unlink(b);
+}
+process r1 { in(c, $x); unlink(x); }
+process r2 { in(d, $y); }
+)";
+
+/// The isolated module and environment of a memory-safety harness, as
+/// verifyProcessMemorySafety (one process: the environment drives every
+/// channel it reads) or verifyProcessClusterMemorySafety (several: the
+/// channels some member reads and none writes) build them.
+struct Harness {
+  ModuleIR Module;
+  std::unique_ptr<BoundedEnvModel> Env;
+};
+
+Harness makeHarness(const Program &Prog,
+                    const std::vector<std::string> &Names) {
+  Harness H;
+  ModuleIR Full = lowerProgram(Prog);
+  H.Module.Prog = Full.Prog;
+  for (ProcIR &P : Full.Procs)
+    if (std::find(Names.begin(), Names.end(), P.Proc->Name) != Names.end())
+      H.Module.Procs.push_back(std::move(P));
+  std::set<std::string> Read, Written, Driven;
+  for (const ProcIR &P : H.Module.Procs)
+    for (const Inst &I : P.Insts)
+      if (I.Kind == InstKind::Block)
+        for (const IRCase &Case : I.Cases)
+          (Case.IsIn ? Read : Written).insert(Case.Channel->Name);
+  for (const std::string &Name : Read)
+    if (Names.size() == 1 || !Written.count(Name))
+      Driven.insert(Name);
+  H.Env = std::make_unique<BoundedEnvModel>(Driven);
+  return H;
+}
+
+/// Walks seeded random paths through \p Module (back to the root at dead
+/// ends and errors) on a verification-mode machine and checks, in every
+/// state, the folded leak count against the sweep. Returns the number of
+/// states checked in which some process was Done.
+unsigned expectFoldedLeakCountMatchesSweep(const ModuleIR &Module,
+                                           const EnvModel *Env,
+                                           uint32_t EnvBudget, uint64_t Seed,
+                                           unsigned Steps,
+                                           const std::string &Label) {
+  MachineOptions MO;
+  MO.MaxObjects = 256;
+  MO.DeepCopyTransfers = true;
+  MO.EnvSendBudget = EnvBudget;
+  Machine M(Module, MO);
+  M.setEnvModel(Env);
+  M.start();
+  Machine::Snapshot Root = M.snapshot();
+  std::mt19937_64 Rng(Seed);
+  std::string Vector;
+  unsigned DoneStates = 0;
+  for (unsigned Step = 0; Step != Steps; ++Step) {
+    size_t Reached = M.serializeState(Vector);
+    unsigned Swept = M.countLeakedObjects();
+    EXPECT_EQ(M.countLeakedObjects(Reached), Swept)
+        << Label << ", step " << Step;
+    bool AnyDone = false;
+    for (unsigned P = 0; P != M.numProcesses(); ++P)
+      AnyDone |= M.proc(P).St == ProcState::Status::Done;
+    if (AnyDone)
+      ++DoneStates;
+    else
+      EXPECT_EQ(M.heap().getLiveCount() - Reached, Swept)
+          << Label << ", step " << Step;
+    std::vector<Move> Moves;
+    if (!M.error())
+      Moves = M.enumerateMoves();
+    if (Moves.empty() || M.error()) {
+      M.restore(Root);
+      continue;
+    }
+    M.applyMove(Moves[Rng() % Moves.size()]);
+  }
+  return DoneStates;
+}
+
+TEST(LeakFold, SerializationCountMatchesSweepOnSeededWalks) {
+  // Every per-process harness of every example program.
+  std::vector<std::filesystem::path> Files;
+  for (const auto &Entry : std::filesystem::directory_iterator(
+           std::string(ESP_SOURCE_DIR) + "/examples/esp"))
+    if (Entry.path().extension() == ".esp")
+      Files.push_back(Entry.path());
+  std::sort(Files.begin(), Files.end());
+  ASSERT_FALSE(Files.empty());
+  for (const std::filesystem::path &File : Files) {
+    std::ifstream In(File);
+    ASSERT_TRUE(In) << File;
+    std::stringstream Text;
+    Text << In.rdbuf();
+    auto C = compile(Text.str());
+    ASSERT_TRUE(C) << File;
+    for (const auto &Proc : C->Prog->Processes) {
+      Harness H = makeHarness(*C->Prog, {Proc->Name});
+      for (uint64_t Seed : {1u, 2u, 3u})
+        expectFoldedLeakCountMatchesSweep(
+            H.Module, H.Env.get(), 0, Seed, 300,
+            File.filename().string() + " --process " + Proc->Name);
+    }
+  }
+  auto Vmmc = compile(vmmc::getVmmcEspSource());
+  ASSERT_TRUE(Vmmc);
+  Harness H = makeHarness(*Vmmc->Prog, {"pageTable", "deliver"});
+  for (uint64_t Seed : {1u, 2u, 3u, 4u})
+    expectFoldedLeakCountMatchesSweep(H.Module, H.Env.get(), 4, Seed, 2000,
+                                      "vmmc pageTable+deliver@budget4");
+}
+
+TEST(LeakFold, DoneProcessFallsBackToSweep) {
+  // r2 finishes holding y: its slot is still serialized (so live -
+  // reached would say 0) but a Done process can never unlink, so y is
+  // leaked. The folded count must see through that.
+  auto C = compile(ForgottenUnlinkSource);
+  ASSERT_TRUE(C);
+  EXPECT_GT(expectFoldedLeakCountMatchesSweep(C->Module, nullptr, 0, 7, 200,
+                                              "forgotten unlink"),
+            0u);
+  MachineOptions MO;
+  MO.DeepCopyTransfers = true;
+  Machine M(C->Module, MO);
+  M.start();
+  while (!M.allDone()) {
+    std::vector<Move> Moves = M.enumerateMoves();
+    ASSERT_FALSE(Moves.empty());
+    M.applyMove(Moves.front());
+    ASSERT_FALSE(M.error()) << M.error().Message;
+  }
+  std::string Vector;
+  size_t Reached = M.serializeState(Vector);
+  EXPECT_EQ(M.heap().getLiveCount() - Reached, 0u);
+  EXPECT_EQ(M.countLeakedObjects(), 1u);
+  EXPECT_EQ(M.countLeakedObjects(Reached), 1u);
+}
+
+TEST(LeakFold, LeakyProgramsKeepVerdictCountsAndReplay) {
+  // Every search configuration reports the leak the sweep-based checker
+  // reported (explored 3, stored 2, transitions 2, one object leaked,
+  // two-move counterexample), and the counterexample replays.
+  struct Leaky {
+    const char *Name;
+    std::string Source;
+    const char *Process; ///< Non-null: a per-process harness.
+  } Programs[] = {
+      {"overwritten binding", R"(
+channel c: array of int
+process p {
+  $i = 0;
+  while (i < 3) {
+    $data: array of int = { 2 -> 1 };
+    out(c, data);
+    unlink(data);
+    i = i + 1;
+  }
+}
+process q {
+  $i = 0;
+  while (i < 3) { in(c, $d); i = i + 1; }
+}
+)",
+       nullptr},
+      {"forgotten unlink", ForgottenUnlinkSource, nullptr},
+      {"leaky harness", R"(
+type msgT = record of { v: int, data: array of int }
+channel c: msgT
+process leaky {
+  while (true) {
+    in(c, { $v, $data });
+  }
+}
+)",
+       "leaky"},
+  };
+  for (const Leaky &P : Programs) {
+    auto C = compile(P.Source);
+    ASSERT_TRUE(C) << P.Name;
+    Harness H;
+    if (P.Process)
+      H = makeHarness(*C->Prog, {P.Process});
+    const ModuleIR &Module = P.Process ? H.Module : C->Module;
+    struct Config {
+      const char *Name;
+      VisitedKind Visited;
+      bool Collapse;
+      unsigned Jobs;
+    } Configs[] = {{"hash64", VisitedKind::Hash64, true, 1},
+                   {"exact+collapse", VisitedKind::Exact, true, 1},
+                   {"exact", VisitedKind::Exact, false, 1},
+                   {"hash64 --jobs 4", VisitedKind::Hash64, true, 4}};
+    for (const Config &Cfg : Configs) {
+      McOptions Options;
+      Options.Env = H.Env.get();
+      Options.Visited = Cfg.Visited;
+      Options.Collapse = Cfg.Collapse;
+      Options.Jobs = Cfg.Jobs;
+      std::string Label = std::string(P.Name) + ", " + Cfg.Name;
+      McResult R = checkModel(Module, Options);
+      EXPECT_EQ(R.Verdict, McVerdict::Violation) << Label << R.report();
+      EXPECT_EQ(R.StatesExplored, 3u) << Label;
+      EXPECT_EQ(R.StatesStored, 2u) << Label;
+      EXPECT_EQ(R.Transitions, 2u) << Label;
+      EXPECT_EQ(R.LeakedObjects, 1u) << Label;
+      EXPECT_EQ(R.TraceMoves.size(), 2u) << Label;
+      EXPECT_TRUE(replayTrace(Module, Options, R)) << Label;
+    }
+  }
 }
 
 } // namespace
