@@ -97,6 +97,9 @@ IndependenceInfo esp::buildIndependence(const ModuleIR &Module) {
     const ProcComm &PC = CG.Procs[P];
     IndepProc &IP = Info.Procs[P];
     IP.IR = PC.IR;
+    for (unsigned S : PC.InitialStops)
+      if (S != ProcComm::TerminalStop)
+        IP.InitialStops.push_back(S);
     IP.StopOfInst.assign(PC.IR->Insts.size(), -1);
     IP.Stops.resize(PC.States.size());
     for (size_t S = 0; S != PC.States.size(); ++S) {
@@ -115,6 +118,9 @@ IndependenceInfo esp::buildIndependence(const ModuleIR &Module) {
         IC.IsIn = CC.IR->IsIn;
         IC.GuardFalse = CC.GuardFalse;
         IC.Loc = CC.IR->Loc;
+        for (unsigned Succ : CC.Succs)
+          if (Succ != ProcComm::TerminalStop)
+            IC.Succs.push_back(Succ);
         IC.HeapUnsafe =
             IC.GuardFalse ? false
                           : commitBodyHeapUnsafe(*PC.IR, CC.IR->Target);

@@ -49,6 +49,10 @@ struct IndepCase {
   /// object-table bound and the leak sweep, and halting changes the
   /// deadlock predicate, so such a move is never ample-eligible.
   bool HeapUnsafe = false;
+  /// Stop indices the process may block at next after the case commits
+  /// (CommGraph's successors; halting is left out, since a halted
+  /// process never moves again).
+  std::vector<unsigned> Succs;
   SourceLoc Loc;
 };
 
@@ -67,6 +71,8 @@ struct IndepStop {
 struct IndepProc {
   const ProcIR *IR = nullptr;
   std::vector<IndepStop> Stops;
+  /// Stops the process may first block at (halting left out).
+  std::vector<unsigned> InitialStops;
   /// Instruction index -> stop index, or -1 when not a Block instruction.
   std::vector<int> StopOfInst;
   /// Member of a visibility clique: some channel without pairwise-disjoint

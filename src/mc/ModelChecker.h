@@ -78,13 +78,13 @@ struct McOptions {
   uint64_t SimulationRuns = 256;
   unsigned SimulationDepth = 4096;
   uint64_t Seed = 0x9e3779b97f4a7c15ULL;
-  /// Worker threads. 1 = the sequential engine (unchanged code path);
-  /// 0 = hardware concurrency. N > 1 runs the parallel engine: N
-  /// Machines over the shared read-only ModuleIR, disjoint subtrees
-  /// handed out as (snapshot, move-prefix) work items with
-  /// work-stealing, and a concurrent visited set. For completed
-  /// exhaustive searches the verdict and StatesStored/StatesExplored/
-  /// Transitions are identical to Jobs == 1.
+  /// Worker threads of the search engine (src/mc/ParallelSearch.h);
+  /// 0 = hardware concurrency. N Machines over the shared read-only
+  /// ModuleIR explore disjoint subtrees handed out as (snapshot,
+  /// move-prefix) work items with work-stealing, over a concurrent
+  /// visited set; one worker runs a plain DFS. For completed exhaustive
+  /// searches, with or without Por, the verdict and StatesStored/
+  /// StatesExplored/Transitions are the same at every N.
   unsigned Jobs = 1;
   /// Swarm verification (BitState mode with Jobs > 1 only): instead of
   /// one cooperative search, each worker runs an independent full
@@ -105,9 +105,10 @@ struct McOptions {
   /// (0 = unbounded; per channel, not a global pool, so sends on
   /// unrelated channels stay independent for --por). Bounds an open
   /// harness to "verify N requests end to end", which makes the state
-  /// space finite — and largely acyclic,
-  /// which is where --por pays off: the cycle proviso rarely forces full
-  /// expansion, so delivery interleavings collapse to representatives.
+  /// space finite — and largely acyclic, which is where --por pays off:
+  /// environment sends cannot close a cycle, so the cycle proviso
+  /// rarely forces full expansion and delivery interleavings collapse to
+  /// representatives.
   uint32_t EnvSendBudget = 0;
   /// Environment model for open programs (not owned). Shared read-only
   /// across worker Machines when Jobs > 1, so implementations must be
@@ -148,12 +149,11 @@ struct McResult {
   size_t CheckpointBytes = 0;
   double Seconds = 0.0;
 
-  // Parallel-search accounting (JobsUsed == 1 for the sequential engine).
+  // Worker accounting.
   unsigned JobsUsed = 1;
-  /// States explored per worker (empty for the sequential engine).
+  /// States explored per worker (the root state is counted by none).
   std::vector<uint64_t> WorkerExplored;
-  /// Work items each worker popped from a queue (its own plus steals;
-  /// empty for the sequential engine).
+  /// Work items each worker popped from a queue (its own plus steals).
   std::vector<uint64_t> WorkerItems;
   /// Work items handed off between workers (work-stealing traffic).
   uint64_t SharedWorkItems = 0;
@@ -163,7 +163,8 @@ struct McResult {
   uint64_t PorReducedStates = 0;
   /// States expanded fully (no eligible ample subset).
   uint64_t PorFullStates = 0;
-  /// Reduced frames upgraded to full expansion by the cycle proviso.
+  /// States where the static cycle proviso (C3) rejected a candidate
+  /// ample set that met C0-C2 (`por_proviso_upgrades` in json()).
   uint64_t PorProvisoUpgrades = 0;
 
   // Violation details.

@@ -1,22 +1,22 @@
-//===--- ParallelSearch.h - Multi-core model-checking engine ----*- C++ -*-==//
+//===--- ParallelSearch.h - The model checker's search engine ---*- C++ -*-==//
 //
 // Part of the esplang project (ESP, PLDI 2001 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The parallel search engine behind `espmc --jobs N` (SPIN's multicore
-/// and swarm modes). N workers each own a private Machine built from the
-/// shared read-only ModuleIR and explore disjoint subtrees handed out as
-/// (checkpoint snapshot, move-prefix) work items — the representation
-/// the snapshot-stride replay already produces — with work-stealing when
-/// a worker's local stack drains. Visited-state storage is the
-/// concurrent sharded backends of StateStore.h, whose fingerprints match
-/// the sequential ones bit-for-bit, so a completed exhaustive search
-/// reports the identical verdict and identical StatesStored /
-/// StatesExplored / Transitions as the sequential engine.
+/// The one search engine behind `espmc`, at every `--jobs N` (SPIN's
+/// multicore and swarm modes; N = 1 included). N workers each own a
+/// private Machine built from the shared read-only ModuleIR and explore
+/// disjoint subtrees handed out as (checkpoint snapshot, move-prefix)
+/// work items, with work-stealing when a worker's local stack drains. A
+/// lone worker never offloads, so `--jobs 1` is a plain DFS. Visited-state
+/// storage is the concurrent sharded backends of StateStore.h. Each
+/// stored state is expanded exactly once, so a completed exhaustive
+/// search reports the identical verdict and identical StatesStored /
+/// StatesExplored / Transitions at every N.
 ///
-/// Three parallel modes:
+/// Three modes:
 ///  * exhaustive/bit-state: one cooperative search over a shared
 ///    visited set; the first violation wins, ties broken
 ///    deterministically by DFS order (lexicographically smallest
@@ -37,11 +37,14 @@
 
 namespace esp {
 
-/// Runs the parallel engine with \p Jobs >= 2 workers. Called by
-/// checkModel(); `--jobs 1` never reaches this (the sequential code
-/// path is kept intact).
+/// Runs the search with \p Jobs >= 1 workers. Called by checkModel().
 McResult runParallelSearch(const ModuleIR &Module, const McOptions &Options,
                            unsigned Jobs);
+
+/// Machine configuration for verification mode: deep-copy transfers
+/// (the paper's semantic model) over a bounded object table, under the
+/// search's environment budget. The search and replayTrace() share it.
+MachineOptions verifyMachineOptions(const McOptions &Options);
 
 } // namespace esp
 

@@ -32,6 +32,75 @@ PorContext::PorContext(const ModuleIR &Module, bool EnvBudgeted)
   for (size_t P = 0; P != Info.Procs.size() && P < 64; ++P)
     if (Info.Procs[P].InClique)
       CliqueMask |= 1ull << P;
+  markCycleClosingCases();
+}
+
+void PorContext::markCycleClosingCases() {
+  // Environment-driven channels: no writer end anywhere in the module,
+  // so every commit of a receive on one is an environment send.
+  std::vector<bool> Written(Info.NumChannels, false);
+  for (const IndepProc &P : Info.Procs)
+    for (const IndepStop &S : P.Stops)
+      for (const IndepCase &C : S.Cases)
+        if (!C.IsIn)
+          Written[C.Channel] = true;
+  // Edges that can lie on a cycle of the state graph. Under a budget an
+  // environment send bumps its channel's counter, which never goes down
+  // and is part of the state, so no cycle contains one.
+  auto OnSkeleton = [&](const IndepCase &C) {
+    if (C.GuardFalse)
+      return false;
+    return !(EnvBudgeted && C.IsIn && !Written[C.Channel]);
+  };
+
+  Closing.resize(Info.Procs.size());
+  for (size_t P = 0; P != Info.Procs.size(); ++P) {
+    const IndepProc &IP = Info.Procs[P];
+    Closing[P].resize(IP.Stops.size());
+    for (size_t S = 0; S != IP.Stops.size(); ++S)
+      Closing[P][S].assign(IP.Stops[S].Cases.size(), false);
+
+    // Iterative DFS; an edge into a stop still on the DFS stack is a
+    // back edge and marks its case.
+    enum : uint8_t { Unvisited, OnStack, Finished };
+    std::vector<uint8_t> Color(IP.Stops.size(), Unvisited);
+    struct Cursor {
+      unsigned Stop, Case = 0, Succ = 0;
+    };
+    std::vector<Cursor> Stack;
+    auto visit = [&](unsigned Root) {
+      if (Color[Root] != Unvisited)
+        return;
+      Color[Root] = OnStack;
+      Stack.push_back({Root});
+      while (!Stack.empty()) {
+        Cursor &Top = Stack.back();
+        const std::vector<IndepCase> &Cases = IP.Stops[Top.Stop].Cases;
+        if (Top.Case == Cases.size()) {
+          Color[Top.Stop] = Finished;
+          Stack.pop_back();
+          continue;
+        }
+        const IndepCase &C = Cases[Top.Case];
+        if (!OnSkeleton(C) || Top.Succ == C.Succs.size()) {
+          ++Top.Case;
+          Top.Succ = 0;
+          continue;
+        }
+        unsigned Next = C.Succs[Top.Succ++];
+        if (Color[Next] == OnStack)
+          Closing[P][Top.Stop][Top.Case] = true;
+        else if (Color[Next] == Unvisited) {
+          Color[Next] = OnStack;
+          Stack.push_back({Next});
+        }
+      }
+    };
+    for (unsigned S : IP.InitialStops)
+      visit(S);
+    for (unsigned S = 0; S != IP.Stops.size(); ++S)
+      visit(S);
+  }
 }
 
 uint64_t PorContext::closure(const Machine &M, const int *Stop,
@@ -96,8 +165,18 @@ bool PorContext::moveHeapUnsafe(const Move &Mv, const int *Stop) const {
          CaseUnsafe(Mv.Reader, Mv.ReaderCase);
 }
 
-size_t PorContext::selectAmple(const Machine &M,
-                               std::vector<Move> &Moves) const {
+bool PorContext::moveClosesCycle(const Move &Mv, const int *Stop) const {
+  // Out-of-range cases were already rejected by moveHeapUnsafe.
+  auto CaseCloses = [&](int P, unsigned CaseIndex) {
+    return P >= 0 && Closing[P][Stop[P]][CaseIndex];
+  };
+  return CaseCloses(Mv.Writer, Mv.WriterCase) ||
+         CaseCloses(Mv.Reader, Mv.ReaderCase);
+}
+
+size_t PorContext::selectAmple(const Machine &M, std::vector<Move> &Moves,
+                               bool &ProvisoRejected) const {
+  ProvisoRejected = false;
   const size_t NumMoves = Moves.size();
   if (NumMoves <= 1)
     return NumMoves; // A singleton expansion is already minimal.
@@ -142,6 +221,7 @@ size_t PorContext::selectAmple(const Machine &M,
       continue; // Closure swallowed every active process: no reduction.
     size_t Count = 0;
     bool Ok = true;
+    bool ClosesCycle = false;
     for (size_t I = 0; I != NumMoves && Ok; ++I) {
       if (Part[I] & ~Closed) {
         // C1 invariant: an enabled move never straddles the closure
@@ -156,9 +236,15 @@ size_t PorContext::selectAmple(const Machine &M,
         Ok = false; // C2: clique members' moves stay visible.
       else if (moveHeapUnsafe(Moves[I], Stop))
         Ok = false; // C2: heap-visible commit bodies stay visible.
+      else if (moveClosesCycle(Moves[I], Stop))
+        ClosesCycle = true;
     }
     if (!Ok || Count == 0 || Count >= NumMoves)
       continue;
+    if (ClosesCycle) {
+      ProvisoRejected = true; // C3: a cycle-closing move stays full.
+      continue;
+    }
     if (Count < BestCount) {
       BestCount = Count;
       BestSet = Closed;

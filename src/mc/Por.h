@@ -28,17 +28,22 @@
 ///    free heap objects or halt are never placed in an ample set, so
 ///    the error predicates those moves feed stay observable. Leak and
 ///    assertion checks are evaluated on every visited state as before.
-///  * C3 (cycle proviso): handled lazily by the search engines. The
-///    sequential DFS keeps the set of on-stack states; an edge from a
-///    reduced frame back onto the stack closes a cycle, and the *target*
-///    frame is upgraded to full expansion (every cycle through a back
-///    edge passes through its target, and any cycle of the final reduced
-///    graph contains a back edge, so each gets a fully expanded state —
-///    which also resolves the ignoring problem). The parallel engine has
-///    no global stack and uses the conservative variant: any ample edge
-///    whose visited-set insert fails upgrades its source frame, so
-///    parallel reduced counts can exceed the sequential ones (verdicts
-///    are unaffected either way).
+///  * C3 (cycle proviso): static, computed once per search from the
+///    same skeleton (Kurshan et al., "Static Partial Order Reduction").
+///    Each process's stop graph (stop -> case -> successor stops) is
+///    walked depth-first from its initial stops, then from any stop not
+///    yet visited, and a case is *cycle-closing* when one of its edges
+///    is a back edge of that walk. Guard-false cases are left out of the
+///    graph, and so are receives on environment-driven channels (no
+///    writer end in the module) under an environment budget: those bump
+///    a per-channel counter that never goes down, so they cannot lie on
+///    a cycle. An ample set may not contain a move that takes a
+///    cycle-closing case for either participant. Every cycle of the
+///    state graph moves each participant around a closed walk of its
+///    skeleton, every closed walk contains a back edge, so the state
+///    taking that move on the cycle is fully expanded. The proviso
+///    depends only on the state, so the reduced graph, and with it the
+///    counts of a completed search, are the same at every `--jobs N`.
 ///
 /// Whenever a condition cannot be discharged the selector falls back to
 /// full expansion, so `--por` can never weaken a verdict. Counts can
@@ -74,7 +79,10 @@ public:
   /// returns the subset's size; returns Moves.size() when no eligible
   /// proper subset exists (full expansion). The partition is stable, so
   /// the result is deterministic for a deterministic move enumeration.
-  size_t selectAmple(const Machine &M, std::vector<Move> &Moves) const;
+  /// \p ProvisoRejected is set when C3 rejected a candidate that met
+  /// C0-C2.
+  size_t selectAmple(const Machine &M, std::vector<Move> &Moves,
+                     bool &ProvisoRejected) const;
 
 private:
   /// Dependency closure seeded at process \p Seed over the current stop
@@ -85,7 +93,15 @@ private:
   /// before its next stop?
   bool moveHeapUnsafe(const Move &Mv, const int *Stop) const;
 
+  /// C3 check: does \p Mv take a cycle-closing case for a participant?
+  bool moveClosesCycle(const Move &Mv, const int *Stop) const;
+
+  /// Fills Closing from each process's stop skeleton.
+  void markCycleClosingCases();
+
   IndependenceInfo Info;
+  /// Closing[P][S][K]: case K of stop S of process P is cycle-closing.
+  std::vector<std::vector<std::vector<bool>>> Closing;
   uint64_t CliqueMask = 0;
   bool EnvBudgeted = false;
 };

@@ -53,8 +53,10 @@ const char kUsage[] =
     "  --por               ample-set partial-order reduction: expand\n"
     "                      only a provably sufficient subset of moves\n"
     "                      per state, from the static independence\n"
-    "                      analysis. Same verdicts, fewer states; not\n"
-    "                      compatible with --swarm or --mode sim\n"
+    "                      analysis and a static cycle proviso. Same\n"
+    "                      verdicts, fewer states, and the same counts\n"
+    "                      at any --jobs N; not compatible with --swarm\n"
+    "                      or --mode sim\n"
     "  --env-budget N      bound the environment to N sends per channel\n"
     "                      along any path (default 0 = unbounded): a\n"
     "                      finite 'verify N requests end to end'\n"
@@ -81,10 +83,10 @@ const char kUsage[] =
     "                      clamped to [10,28])\n"
     "  --runs N            simulation runs (default 256)\n"
     "  --seed N            simulation / swarm base seed\n"
-    "  --jobs N            worker threads (default 1: the sequential\n"
-    "                      engine; 0 = one per hardware thread). A\n"
-    "                      completed exhaustive search reports the same\n"
-    "                      verdict and stored-state count at any N\n"
+    "  --jobs N            worker threads of the search (default 1;\n"
+    "                      0 = one per hardware thread). A completed\n"
+    "                      exhaustive search reports the same verdict\n"
+    "                      and state counts at any N\n"
     "  --swarm             with --mode bitstate --jobs N: independent\n"
     "                      searches per worker with distinct hash seeds\n"
     "                      and randomized move order; coverage is the\n"
@@ -270,8 +272,7 @@ int main(int Argc, char **Argv) {
   // Reject flag combinations that would silently disable each other.
   if (Mc.Por && Mc.Swarm)
     Args.usageError("--por cannot be combined with --swarm: per-worker "
-                    "shuffled move order breaks the ample-set cycle "
-                    "proviso");
+                    "shuffled move order breaks the ample prefix");
   else if (Mc.Por && Mc.Mode == SearchMode::Simulation)
     Args.usageError("--por requires a state-space search; use --mode "
                     "exhaustive or --mode bitstate");

@@ -31,11 +31,12 @@ MachineOptions verifyOptions() {
 }
 
 //===----------------------------------------------------------------------===//
-// StateCompressor / VisitedSet unit tests
+// Component table (StateCompressor.*) and visited set (VisitedSet.*)
+// unit tests, single-threaded; test_mc_parallel.cpp races them.
 //===----------------------------------------------------------------------===//
 
 TEST(StateCompressor, InternsEachBlobOnce) {
-  StateCompressor C;
+  ConcurrentStateCompressor C;
   uint32_t A = C.intern("alpha");
   uint32_t B = C.intern("beta");
   EXPECT_NE(A, B);
@@ -47,7 +48,7 @@ TEST(StateCompressor, InternsEachBlobOnce) {
 }
 
 TEST(VisitedSet, ExactDetectsDuplicates) {
-  VisitedSet V = VisitedSet::exact();
+  ConcurrentVisitedSet V = ConcurrentVisitedSet::exact();
   EXPECT_TRUE(V.insert("s1"));
   EXPECT_TRUE(V.insert("s2"));
   EXPECT_FALSE(V.insert("s1"));
@@ -57,7 +58,7 @@ TEST(VisitedSet, ExactDetectsDuplicates) {
 
 TEST(VisitedSet, HashCompactionDistinguishesDistinctKeys) {
   for (bool Wide : {false, true}) {
-    VisitedSet V = VisitedSet::hashCompact(Wide);
+    ConcurrentVisitedSet V = ConcurrentVisitedSet::hashCompact(Wide);
     for (int I = 0; I != 1000; ++I) {
       std::string Key = "state-" + std::to_string(I);
       EXPECT_TRUE(V.insert(Key)) << "wide=" << Wide << " i=" << I;
@@ -65,12 +66,13 @@ TEST(VisitedSet, HashCompactionDistinguishesDistinctKeys) {
     }
     EXPECT_EQ(V.size(), 1000u);
     // Fingerprints are fixed-size: far cheaper than the full keys.
-    EXPECT_LT(V.bytes(), VisitedSet::exact().bytes() + 1000 * 64);
+    EXPECT_LT(V.bytes(), ConcurrentVisitedSet::exact().bytes() + 1000 * 64);
   }
 }
 
 TEST(VisitedSet, BitStateUsesFixedTable) {
-  VisitedSet V = VisitedSet::bitState(clampedBitStateBits(10));
+  ConcurrentVisitedSet V =
+      ConcurrentVisitedSet::bitState(clampedBitStateBits(10));
   size_t TableBytes = V.bytes();
   EXPECT_EQ(TableBytes, (1u << 10) / 8);
   uint64_t Inserted = 0;

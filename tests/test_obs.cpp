@@ -291,7 +291,7 @@ TEST(ObsProgress, MatchesDeterminismGoldensSequential) {
   EXPECT_EQ(Progress.totalExplored(), 221u);
   EXPECT_EQ(Progress.totalStored(), 45u);
   EXPECT_EQ(Progress.totalTransitions(), 220u);
-  EXPECT_EQ(Progress.Workers.load(), 0u); // Sequential engine.
+  EXPECT_EQ(Progress.Workers.load(), 1u); // One worker slot at --jobs 1.
 }
 
 TEST(ObsProgress, MatchesDeterminismGoldensParallel) {
