@@ -91,9 +91,9 @@ void BM_AltWidth(benchmark::State &State) {
   for (auto _ : State) {
     Machine M(C->Module, MachineOptions());
     M.start();
-    Machine::StepResult R = M.run(1'000'000);
-    if (R != Machine::StepResult::Quiescent &&
-        R != Machine::StepResult::Halted)
+    StepResult R = M.run(1'000'000);
+    if (R != StepResult::Quiescent &&
+        R != StepResult::Halted)
       State.SkipWithError("machine did not finish");
     Rendezvous = M.stats().Rendezvous;
   }
@@ -111,9 +111,9 @@ void BM_WriterFan(benchmark::State &State) {
   for (auto _ : State) {
     Machine M(C->Module, MachineOptions());
     M.start();
-    Machine::StepResult R = M.run(1'000'000);
-    if (R != Machine::StepResult::Quiescent &&
-        R != Machine::StepResult::Halted)
+    StepResult R = M.run(1'000'000);
+    if (R != StepResult::Quiescent &&
+        R != StepResult::Halted)
       State.SkipWithError("machine did not finish");
   }
 }
@@ -138,7 +138,7 @@ process b {
   for (auto _ : State) {
     Machine M(C->Module, MachineOptions());
     M.start();
-    if (M.run(1'000'000) != Machine::StepResult::Halted)
+    if (M.run(1'000'000) != StepResult::Halted)
       State.SkipWithError("machine did not halt");
   }
 }

@@ -78,8 +78,8 @@ RunNumbers runWith(const OptOptions &Options) {
   Out.Opt = CR.Opt;
   Machine M(Module, MachineOptions());
   M.start();
-  Machine::StepResult R = M.run(1'000'000);
-  if (M.error() || R == Machine::StepResult::Errored) {
+  StepResult R = M.run(1'000'000);
+  if (M.error() || R == StepResult::Errored) {
     std::fprintf(stderr, "run failed: %s\n", M.error().Message.c_str());
     std::exit(1);
   }

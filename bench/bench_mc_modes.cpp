@@ -11,9 +11,9 @@
 // same system with a seeded race-dependent assertion bug.
 //
 // A second table compares the visited-state storage back-ends (exact,
-// COLLAPSE-compressed exact, hash compaction) on the same system and on
-// the VMMC firmware's per-process memory-safety harness (§5.3), and the
-// measurements are emitted to BENCH_mc_modes.json.
+// hash compaction) on the same system and on the VMMC firmware's
+// per-process memory-safety harness (§5.3), and the measurements are
+// emitted to BENCH_mc_modes.json.
 //
 //===----------------------------------------------------------------------===//
 
@@ -75,16 +75,14 @@ void writeJson() {
         "\"states_explored\": %llu, \"states_stored\": %llu, "
         "\"transitions\": %llu, \"seconds\": %.6f, "
         "\"states_per_sec\": %.1f, \"bytes_per_state\": %.2f, "
-        "\"peak_visited_bytes\": %zu, \"component_table_bytes\": %zu, "
-        "\"state_vector_bytes\": %zu, \"compressed_state_bytes\": %zu, "
+        "\"peak_visited_bytes\": %zu, \"state_vector_bytes\": %zu, "
         "\"replayed_moves\": %llu, \"max_depth\": %u, "
         "\"reduction_factor\": %.2f, \"verdict\": \"%s\"}%s\n",
         Row.System.c_str(), Row.Config.c_str(), Row.Jobs,
         static_cast<unsigned long long>(R.StatesExplored),
         static_cast<unsigned long long>(R.StatesStored),
         static_cast<unsigned long long>(R.Transitions), R.Seconds,
-        statesPerSec(R), bytesPerState(R), R.MemoryBytes,
-        R.ComponentTableBytes, R.StateVectorBytes, R.CompressedStateBytes,
+        statesPerSec(R), bytesPerState(R), R.MemoryBytes, R.StateVectorBytes,
         static_cast<unsigned long long>(R.ReplayedMoves),
         R.MaxDepthReached, Row.ReductionFactor,
         R.foundViolation()       ? "violation"
@@ -197,21 +195,17 @@ void runModeRow(const char *Label, const ModuleIR &Module, SearchMode Mode,
 struct VisitedConfig {
   const char *Name;
   VisitedKind Visited;
-  bool Collapse;
 };
 
 constexpr VisitedConfig VisitedConfigs[] = {
-    {"exact", VisitedKind::Exact, false},
-    {"exact+collapse", VisitedKind::Exact, true},
-    {"hash64", VisitedKind::Hash64, true},
-    {"hash128", VisitedKind::Hash128, true},
+    {"exact", VisitedKind::Exact},
+    {"hash64", VisitedKind::Hash64},
 };
 
 void runVisitedRow(const char *Label, const ModuleIR &Module,
                    const VisitedConfig &Cfg) {
   McOptions Options;
   Options.Visited = Cfg.Visited;
-  Options.Collapse = Cfg.Collapse;
   Options.MaxStates = 4'000'000;
   Options.CheckDeadlock = false;
   McResult R = checkModel(Module, Options);
@@ -230,7 +224,6 @@ double runParallelRow(const char *Label, const ModuleIR &Module,
                       double BaselineSec) {
   McOptions Options;
   Options.Visited = Cfg.Visited;
-  Options.Collapse = Cfg.Collapse;
   Options.MaxStates = 4'000'000;
   Options.CheckDeadlock = false;
   Options.Jobs = Jobs;
@@ -254,7 +247,6 @@ double runVmmcParallelRow(const Program &Prog, const char *ProcName,
   Options.Mc.MaxStates = 2'000'000;
   Options.Mc.MaxObjects = 128;
   Options.Mc.Visited = Cfg.Visited;
-  Options.Mc.Collapse = Cfg.Collapse;
   Options.Mc.Jobs = Jobs;
   McResult R = verifyProcessMemorySafety(Prog, ProcName, Options);
   double Speedup = R.Seconds > 0 && BaselineSec > 0 ? BaselineSec / R.Seconds
@@ -268,17 +260,24 @@ double runVmmcParallelRow(const Program &Prog, const char *ProcName,
   return R.Seconds;
 }
 
+/// Row name of a VMMC process cluster under \p EnvBudget.
+std::string clusterName(const std::vector<std::string> &Procs,
+                        uint32_t EnvBudget) {
+  std::string Name = "vmmc:";
+  for (size_t I = 0; I != Procs.size(); ++I)
+    Name += (I ? "+" : "") + Procs[I];
+  if (EnvBudget)
+    Name += "@budget" + std::to_string(EnvBudget);
+  return Name;
+}
+
 /// One full-vs-`--por` pair over a VMMC process cluster under a finite
 /// per-channel environment budget (`--env-budget`). Returns the
 /// stored-state reduction factor; both rows land in the JSON.
 double runPorPair(const Program &Prog,
                   const std::vector<std::string> &Procs,
                   uint32_t EnvBudget, unsigned Jobs, uint64_t MaxStates) {
-  std::string Name = "vmmc:";
-  for (size_t I = 0; I != Procs.size(); ++I)
-    Name += (I ? "+" : "") + Procs[I];
-  if (EnvBudget)
-    Name += "@budget" + std::to_string(EnvBudget);
+  std::string Name = clusterName(Procs, EnvBudget);
 
   SafetyOptions Options;
   Options.Mc.MaxStates = MaxStates;
@@ -306,6 +305,23 @@ double runPorPair(const Program &Prog,
   return Reduction;
 }
 
+/// The full search of a VMMC process cluster with exact visited-state
+/// storage on one worker: the memory cost of the certainty reference.
+void runClusterExactRow(const Program &Prog,
+                        const std::vector<std::string> &Procs,
+                        uint32_t EnvBudget, uint64_t MaxStates) {
+  std::string Name = clusterName(Procs, EnvBudget);
+  SafetyOptions Options;
+  Options.Mc.MaxStates = MaxStates;
+  Options.Mc.EnvSendBudget = EnvBudget;
+  Options.Mc.Visited = VisitedKind::Exact;
+  McResult R = verifyProcessClusterMemorySafety(Prog, Procs, Options);
+  std::printf("%-34s %-6s %5u %10llu %6u %9.3f %8.1f  %s\n", Name.c_str(),
+              "exact", 1u, static_cast<unsigned long long>(R.StatesStored),
+              R.MaxDepthReached, R.Seconds, bytesPerState(R), verdictLabel(R));
+  record(Name, "exact", R);
+}
+
 void runVmmcRow(const Program &Prog, const char *ProcName,
                 const VisitedConfig &Cfg) {
   SafetyOptions Options;
@@ -313,7 +329,6 @@ void runVmmcRow(const Program &Prog, const char *ProcName,
   Options.Mc.MaxStates = 2'000'000;
   Options.Mc.MaxObjects = 128;
   Options.Mc.Visited = Cfg.Visited;
-  Options.Mc.Collapse = Cfg.Collapse;
   McResult R = verifyProcessMemorySafety(Prog, ProcName, Options);
   std::printf("%-28s %-15s %10llu %9.3f %10.0f %8.1f %9.2f  %s\n", ProcName,
               Cfg.Name, static_cast<unsigned long long>(R.StatesStored),
@@ -345,7 +360,7 @@ int main() {
   runModeRow("same + seeded race bug", Buggy->Module, SearchMode::Simulation,
              0);
 
-  printHeader("Table: visited-state storage (COLLAPSE + hash compaction)");
+  printHeader("Table: visited-state storage (exact + hash compaction)");
   std::printf("%-28s %-15s %10s %9s %10s %8s %9s  %s\n", "system", "visited",
               "stored", "sec", "states/s", "B/state", "MB", "verdict");
   for (const VisitedConfig &Cfg : VisitedConfigs)
@@ -376,8 +391,7 @@ int main() {
   // must report the identical stored-state count (the determinism
   // guarantee).
   auto Big = compileModel(makeModel(40, /*SeedBug=*/false));
-  for (size_t I = 0; I != 3; ++I) { // exact, exact+collapse, hash64
-    const VisitedConfig &Cfg = VisitedConfigs[I];
+  for (const VisitedConfig &Cfg : VisitedConfigs) {
     double Base = runParallelRow("2 clients x 40 msgs, clean", Big->Module,
                                  Cfg, 1, 0.0);
     for (unsigned Jobs : {2u, 4u, 8u})
@@ -385,7 +399,7 @@ int main() {
                      Base);
   }
   {
-    const VisitedConfig &Cfg = VisitedConfigs[2]; // hash64
+    const VisitedConfig &Cfg = VisitedConfigs[1]; // hash64
     double Base = runVmmcParallelRow(*Firmware, "pageTable", Cfg, 1, 0.0);
     for (unsigned Jobs : {2u, 4u, 8u})
       runVmmcParallelRow(*Firmware, "pageTable", Cfg, Jobs, Base);
@@ -405,6 +419,9 @@ int main() {
   // product -- with the same counts at every worker count.
   for (unsigned Jobs : {1u, 2u, 4u})
     runPorPair(*Firmware, {"pageTable", "deliver"}, 4, Jobs, 5'000'000);
+  // The full search again with exact storage (B/state in the factor
+  // column): what certainty costs over the default hash64.
+  runClusterExactRow(*Firmware, {"pageTable", "deliver"}, 4, 5'000'000);
   // The same cluster without a budget: every case of the firmware's
   // `while (true)` event loops closes a cycle of its process skeleton,
   // so the static proviso keeps every state fully expanded (factor 1.0).
@@ -417,8 +434,8 @@ int main() {
 
   std::printf("\npaper: exhaustive explores everything; bit-state covers "
               "large spaces in\nbounded memory; randomized simulation "
-              "finds most bugs during development.\nCOLLAPSE and hash "
-              "compaction are SPIN's answers to state-vector memory.\n");
+              "finds most bugs during development.\nHash compaction is "
+              "SPIN's answer to state-vector memory.\n");
 
   writeJson();
   return 0;

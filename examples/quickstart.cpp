@@ -69,13 +69,13 @@ int main() {
   // 3. Execute on the ESP runtime (stack-based scheduler, §6.1).
   Machine M(Module, MachineOptions());
   M.start();
-  Machine::StepResult R = M.run(100000);
+  StepResult R = M.run(100000);
   if (M.error()) {
     std::fprintf(stderr, "runtime error: %s\n", M.error().Message.c_str());
     return 1;
   }
   std::printf("executed: %s, %llu rendezvous, %llu context switches\n",
-              R == Machine::StepResult::Quiescent ? "quiescent" : "halted",
+              R == StepResult::Quiescent ? "quiescent" : "halted",
               (unsigned long long)M.stats().Rendezvous,
               (unsigned long long)M.stats().ContextSwitches);
 

@@ -147,7 +147,7 @@ int main() {
   // 0) finishes its NMSG messages.
   uint64_t Steps = 0;
   while (M.proc(0).St != ProcState::Status::Done && Steps++ < 1'000'000 &&
-         M.step() == Machine::StepResult::Progress)
+         M.step() == StepResult::Progress)
     ;
   if (M.error()) {
     std::printf("runtime error: %s\n", M.error().Message.c_str());

@@ -66,9 +66,9 @@ ESPSERVE="$BUILD_DIR/src/tools/espserve"
 echo "== espserve: fleet smoke (single-worker deterministic + 4 workers) =="
 # Exit 0 only when every request completed and the aggregate totals
 # match the load generator's prediction (see docs/serving.md).
-"$ESPSERVE" --machines 256 --requests 20000 --serve-jobs 1 \
+"$ESPSERVE" --machines 256 --requests 20000 --jobs 1 \
   --conn-requests 64 -q
-"$ESPSERVE" --machines 256 --requests 20000 --serve-jobs 4 \
+"$ESPSERVE" --machines 256 --requests 20000 --jobs 4 \
   --conn-requests 64 -q
 
 echo "check.sh: all green"

@@ -76,10 +76,8 @@ std::string McResult::report() const {
       OS << "  " << Violation.Message << "\n";
     break;
   }
-  OS << "state-vector " << StateVectorBytes << " byte";
-  if (CompressedStateBytes && CompressedStateBytes != StateVectorBytes)
-    OS << " (stored " << CompressedStateBytes << " byte)";
-  OS << ", depth reached " << MaxDepthReached << "\n";
+  OS << "state-vector " << StateVectorBytes << " byte, depth reached "
+     << MaxDepthReached << "\n";
   OS << StatesExplored << " states, explored\n";
   OS << StatesStored << " states, stored\n";
   OS << Transitions << " transitions\n";
@@ -100,11 +98,7 @@ std::string McResult::report() const {
        << " work item(s) shared\n";
   }
   OS << "memory usage (visited set): " << (MemoryBytes / 1024.0 / 1024.0)
-     << " Mbyte";
-  if (ComponentTableBytes)
-    OS << " (component table " << (ComponentTableBytes / 1024.0 / 1024.0)
-       << " Mbyte)";
-  OS << "\n";
+     << " Mbyte\n";
   OS << "elapsed " << Seconds << " s\n";
   if (!Trace.empty()) {
     OS << "counterexample (" << Trace.size() << " moves):\n";
@@ -139,8 +133,6 @@ std::string McResult::json() const {
   Root.set("max_depth_reached", JsonValue::integer(MaxDepthReached));
   Root.set("depth_truncated", JsonValue::boolean(DepthTruncated));
   Root.set("state_vector_bytes", JsonValue::integer(StateVectorBytes));
-  Root.set("compressed_state_bytes",
-           JsonValue::integer(CompressedStateBytes));
   Root.set("memory_bytes", JsonValue::integer(MemoryBytes));
   Root.set("replayed_moves", JsonValue::integer(ReplayedMoves));
   Root.set("checkpoint_bytes", JsonValue::integer(CheckpointBytes));

@@ -35,11 +35,12 @@ namespace esp {
 enum class SearchMode : uint8_t { Exhaustive, BitState, Simulation };
 
 /// How the exhaustive search stores visited states (SPIN's storage
-/// trade-offs). Hash compaction stores one fingerprint per state: a
-/// collision can prune an unvisited state, but at 64/128 bits the miss
-/// probability (~n^2/2^64) is negligible, so a completed search still
-/// reports OK. Exact mode is the certainty fallback.
-enum class VisitedKind : uint8_t { Exact, Hash64, Hash128 };
+/// trade-offs). Hash compaction stores one 64-bit fingerprint per state:
+/// a collision can prune an unvisited state, but the miss probability
+/// (~n^2/2^64) is negligible, so a completed search still reports OK.
+/// Exact mode stores the full state vector and is the certainty
+/// reference.
+enum class VisitedKind : uint8_t { Exact, Hash64 };
 
 /// Valid range for McOptions::BitStateBits; values outside are clamped
 /// (a tiny table would index out of bounds, 1<<64 is UB).
@@ -59,11 +60,6 @@ struct McOptions {
   /// Visited-state storage for exhaustive search (default: 64-bit hash
   /// compaction; Exact keeps full state vectors).
   VisitedKind Visited = VisitedKind::Hash64;
-  /// COLLAPSE compression of exact-mode state vectors: heap-object blobs
-  /// are interned once in a component table and the stored vectors carry
-  /// component indices. No effect on hash/bit-state storage, which never
-  /// stores vectors.
-  bool Collapse = true;
   /// DFS checkpoint policy. The DFS re-derives a frame's state by
   /// replaying moves from the nearest Machine::Snapshot below it.
   /// 0 (auto) checkpoints every frame with more than one move while the
@@ -140,9 +136,7 @@ struct McResult {
   /// small").
   bool DepthTruncated = false;
   size_t StateVectorBytes = 0;   ///< Size of the serialized root state.
-  size_t CompressedStateBytes = 0; ///< Stored key size of the root state.
-  size_t ComponentTableBytes = 0;  ///< COLLAPSE component-table memory.
-  size_t MemoryBytes = 0;        ///< Visited set + component table memory.
+  size_t MemoryBytes = 0;        ///< Visited-set memory.
   uint64_t ReplayedMoves = 0;    ///< Moves re-applied restoring checkpoints.
   /// Peak live bytes of DFS checkpoint snapshots (summed over workers'
   /// peaks for the parallel engine): the memory side of ReplayedMoves.

@@ -338,17 +338,13 @@ struct WorkerStats {
 };
 
 /// Everything a worker thread owns: its Machine over the shared
-/// read-only module, scratch buffers for key construction, counters.
+/// read-only module, the scratch buffer of its state vectors, counters.
 struct WorkerCtx {
   Machine M;
   WorkerStats Stats;
   unsigned Wid = 0;    // Progress-slot index.
   std::mt19937_64 Rng; // Swarm move-order shuffling only.
   std::string Raw;
-  std::string Control;
-  std::string Key;
-  std::vector<std::string> Blobs;
-  size_t NumObjects = 0;
   /// The current work item's DFS checkpoints.
   CheckpointStack Checkpoints;
   /// This worker's share of the visited set's bytes, the budget for its
@@ -376,11 +372,7 @@ class ParallelDfs {
 public:
   ParallelDfs(const ModuleIR &Module, const McOptions &Options, unsigned Jobs)
       : Module(Module), Options(Options), Jobs(Jobs),
-        MO(verifyMachineOptions(Options)),
-        UseCollapse(Options.Collapse &&
-                    Options.Mode != SearchMode::BitState &&
-                    Options.Visited == VisitedKind::Exact),
-        Queue(/*LowWaterMark=*/2 * Jobs), Compressor(log2Shards(Jobs)) {
+        MO(verifyMachineOptions(Options)), Queue(/*LowWaterMark=*/2 * Jobs) {
     // --por: one shared selector (const and thread-safe after
     // construction). Swarm shuffles move order per worker, which would
     // scatter the ample prefix, so it never reduces (espmc rejects the
@@ -393,8 +385,8 @@ public:
   McResult runSwarm();
 
 private:
-  /// Lock stripes for the shared sets: one for a lone worker, which
-  /// has nobody to contend with.
+  /// Lock stripes for the shared visited set: one for a lone worker,
+  /// which has nobody to contend with.
   static unsigned log2Shards(unsigned Jobs) { return Jobs == 1 ? 0 : 6; }
 
   ConcurrentVisitedSet makeVisited(uint64_t BitSeed) const {
@@ -403,28 +395,7 @@ private:
           clampedBitStateBits(Options.BitStateBits), BitSeed);
     if (Options.Visited == VisitedKind::Exact)
       return ConcurrentVisitedSet::exact(log2Shards(Jobs));
-    return ConcurrentVisitedSet::hashCompact(
-        Options.Visited == VisitedKind::Hash128, log2Shards(Jobs));
-  }
-
-  /// Serializes W's current machine state into its scratch buffers (the
-  /// flat canonical vector, or control bytes + object blobs). Returns the
-  /// number of heap objects reached, which the leak check reuses.
-  size_t serialize(WorkerCtx &W) {
-    W.NumObjects = UseCollapse ? W.M.serializeComponents(W.Control, W.Blobs)
-                               : W.M.serializeState(W.Raw);
-    return W.NumObjects;
-  }
-
-  /// Visited-set key of W's last serialized state (COLLAPSE: control
-  /// bytes + interned component indices).
-  std::string_view key(WorkerCtx &W) {
-    if (!UseCollapse)
-      return W.Raw;
-    W.Key = W.Control;
-    for (size_t I = 0; I != W.NumObjects; ++I)
-      appendVarint(W.Key, Compressor.intern(W.Blobs[I]));
-    return W.Key;
+    return ConcurrentVisitedSet::hashCompact(log2Shards(Jobs));
   }
 
   void processItem(WorkerCtx &W, const WorkItem &Item,
@@ -437,12 +408,10 @@ private:
   const McOptions &Options;
   const unsigned Jobs;
   const MachineOptions MO;
-  const bool UseCollapse;
 
   WorkQueue Queue;
   ViolationSlot Slot;
   std::unique_ptr<PorContext> Por;
-  ConcurrentStateCompressor Compressor;
   std::vector<WorkerStats> Done;
   std::atomic<uint64_t> GlobalExplored{0};
   std::atomic<bool> Stop{false};
@@ -608,13 +577,12 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
     }
     {
       McResult V;
-      if (checkStateViolation(M, Options, V, serialize(W))) {
+      if (checkStateViolation(M, Options, V, M.serializeState(W.Raw))) {
         reportViolation(V, &Chosen, ChosenIndex);
         return;
       }
     }
-    std::string_view Key = key(W);
-    if (!Visited.insert(Key))
+    if (!Visited.insert(W.Raw))
       continue;
     ++W.Stats.Stored;
     if (W.Stats.Stored % 256 == 0)
@@ -626,11 +594,10 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
       // bytes() locks shards and (exact mode) walks keys, so sample it
       // sparsely.
       if (W.Stats.Stored % 32768 == 0)
-        Prog->VisitedBytes.store(Visited.bytes() + Compressor.tableBytes(),
-                                 std::memory_order_relaxed);
+        Prog->VisitedBytes.store(Visited.bytes(), std::memory_order_relaxed);
     }
     if (UnionTable)
-      UnionTable->insert(Key);
+      UnionTable->insert(W.Raw);
     if (BaseDepth + Stack.size() >= Options.MaxDepth) {
       // Depth-bounded prune: the subtree below this state is not
       // explored, so an error-free search is only PartialOK.
@@ -721,18 +688,15 @@ McResult ParallelDfs::run() {
   WorkerCtx Root(Module, Options, MO);
   Machine &M = Root.M;
   M.start();
-  Result.StateVectorBytes = M.serializeState().size();
   ++Result.StatesExplored;
   GlobalExplored.store(1, std::memory_order_relaxed);
-  if (checkStateViolation(M, Options, Result, serialize(Root))) {
+  size_t Reached = M.serializeState(Root.Raw);
+  Result.StateVectorBytes = Root.Raw.size();
+  if (checkStateViolation(M, Options, Result, Reached)) {
     Result.MemoryBytes = Visited.bytes();
     return Result;
   }
-  {
-    std::string_view RootKey = key(Root);
-    Result.CompressedStateBytes = RootKey.size();
-    Visited.insert(RootKey);
-  }
+  Visited.insert(Root.Raw);
   ++Result.StatesStored;
   if (obs::SearchProgress *Prog = Options.Progress) {
     // Root-state counts live in the scalar fields; workers add deltas in
@@ -771,8 +735,7 @@ McResult ParallelDfs::run() {
                              !Result.DepthTruncated
                          ? McVerdict::OK
                          : McVerdict::PartialOK;
-  Result.ComponentTableBytes = Compressor.tableBytes();
-  Result.MemoryBytes = Visited.bytes() + Compressor.tableBytes();
+  Result.MemoryBytes = Visited.bytes();
   return Result;
 }
 
@@ -792,18 +755,15 @@ McResult ParallelDfs::runSwarm() {
   WorkerCtx Root(Module, Options, MO);
   Machine &M = Root.M;
   M.start();
-  Result.StateVectorBytes = M.serializeState().size();
   ++Result.StatesExplored;
   GlobalExplored.store(1, std::memory_order_relaxed);
-  if (checkStateViolation(M, Options, Result, serialize(Root))) {
+  size_t Reached = M.serializeState(Root.Raw);
+  Result.StateVectorBytes = Root.Raw.size();
+  if (checkStateViolation(M, Options, Result, Reached)) {
     Result.MemoryBytes = UnionTable.bytes();
     return Result;
   }
-  {
-    std::string_view RootKey = key(Root);
-    Result.CompressedStateBytes = RootKey.size();
-    UnionTable.insert(RootKey);
-  }
+  UnionTable.insert(Root.Raw);
   if (obs::SearchProgress *Prog = Options.Progress) {
     Prog->Workers.store(std::min<unsigned>(Jobs, obs::kMaxProgressWorkers),
                         std::memory_order_relaxed);
@@ -830,8 +790,8 @@ McResult ParallelDfs::runSwarm() {
       // Insert the root into the private table so the collision
       // behavior matches a standalone search with this seed.
       W.M.restore(RootSnap);
-      serialize(W);
-      Own.insert(key(W));
+      W.M.serializeState(W.Raw);
+      Own.insert(W.Raw);
       WorkItem RootItem;
       RootItem.Snap = RootSnap;
       processItem(W, RootItem, Own, /*AllowOffload=*/false,

@@ -13,7 +13,7 @@
 
 using namespace esp;
 
-// The second FNV seed shared by the 128-bit and bit-state hashing.
+// The FNV seed of the second bit-state probe.
 static constexpr uint64_t SecondHashSeed = 0x9e3779b97f4a7c15ULL;
 
 /// Estimated memory of one stored exact-mode key: its bytes plus the
@@ -47,45 +47,6 @@ void FingerprintSet::grow() {
 }
 
 //===----------------------------------------------------------------------===//
-// ConcurrentStateCompressor
-//===----------------------------------------------------------------------===//
-
-ConcurrentStateCompressor::ConcurrentStateCompressor(unsigned Log2Shards) {
-  assert(Log2Shards < 16 && "unreasonable shard count");
-  size_t NumShards = size_t(1) << Log2Shards;
-  Shards.reserve(NumShards);
-  for (size_t I = 0; I != NumShards; ++I)
-    Shards.push_back(std::make_unique<Shard>());
-  ShardBits = Log2Shards;
-}
-
-uint32_t ConcurrentStateCompressor::intern(std::string_view Blob) {
-  uint64_t H = mix64(fnv1aHash(Blob.data(), Blob.size()));
-  Shard &S = *Shards[shardIndex(H, ShardBits)];
-  std::lock_guard<std::mutex> Lock(S.M);
-  if (auto It = S.Index.find(Blob); It != S.Index.end())
-    return It->second;
-  uint32_t Id = NextIndex.fetch_add(1, std::memory_order_relaxed);
-  auto [It, IsNew] = S.Index.emplace(std::string(Blob), Id);
-  (void)IsNew;
-  S.Bytes += It->first.size() + sizeof(std::string) + 16; // Node overhead.
-  return Id;
-}
-
-size_t ConcurrentStateCompressor::components() const {
-  return NextIndex.load(std::memory_order_relaxed);
-}
-
-size_t ConcurrentStateCompressor::tableBytes() const {
-  size_t Total = 0;
-  for (const std::unique_ptr<Shard> &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S->M);
-    Total += S->Bytes;
-  }
-  return Total;
-}
-
-//===----------------------------------------------------------------------===//
 // ConcurrentVisitedSet
 //===----------------------------------------------------------------------===//
 
@@ -105,10 +66,8 @@ ConcurrentVisitedSet ConcurrentVisitedSet::exact(unsigned Log2Shards) {
   return ConcurrentVisitedSet(Impl::Exact, Log2Shards);
 }
 
-ConcurrentVisitedSet ConcurrentVisitedSet::hashCompact(bool Wide,
-                                                       unsigned Log2Shards) {
-  return ConcurrentVisitedSet(Wide ? Impl::Hash128 : Impl::Hash64,
-                              Log2Shards);
+ConcurrentVisitedSet ConcurrentVisitedSet::hashCompact(unsigned Log2Shards) {
+  return ConcurrentVisitedSet(Impl::Hash64, Log2Shards);
 }
 
 ConcurrentVisitedSet ConcurrentVisitedSet::bitState(unsigned Bits,
@@ -148,8 +107,8 @@ bool ConcurrentVisitedSet::insert(std::string_view Key) {
   }
 
   // Sharded backends: the shard index comes from the fingerprint's high
-  // bits; the stored fingerprint is the full 64/128-bit value, so
-  // sharding does not change the collision behavior.
+  // bits; the stored fingerprint is the full 64-bit value, so sharding
+  // does not change the collision behavior.
   uint64_t Fp = mix64(fnv1aHash(Key.data(), Key.size()));
   Shard &S = *Shards[shardIndex(Fp, ShardBits)];
   switch (Kind) {
@@ -165,14 +124,6 @@ bool ConcurrentVisitedSet::insert(std::string_view Key) {
   case Impl::Hash64: {
     std::lock_guard<std::mutex> Lock(S.M);
     New = S.Fp64.insert(Fp);
-    break;
-  }
-  case Impl::Hash128: {
-    Fp128 F;
-    F.Hi = Fp;
-    F.Lo = mix64(fnv1aHash(Key.data(), Key.size(), SecondHashSeed));
-    std::lock_guard<std::mutex> Lock(S.M);
-    New = S.Fp128Set.insert(F).second;
     break;
   }
   case Impl::BitState:
@@ -196,10 +147,6 @@ size_t ConcurrentVisitedSet::bytes() const {
       break;
     case Impl::Hash64:
       Total += S.Fp64.bytes();
-      break;
-    case Impl::Hash128:
-      Total += S.Fp128Set.size() * (sizeof(Fp128) + 16) +
-               S.Fp128Set.bucket_count() * sizeof(void *);
       break;
     case Impl::BitState:
       break;

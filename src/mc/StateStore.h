@@ -5,21 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Memory-efficient visited-state storage for the explicit-state model
-/// checker, reproducing SPIN's answers to state explosion. Both classes
-/// are thread-safe, since the search's workers share them (SPIN's
-/// multicore mode; one worker is the common case):
-///
-///  * ConcurrentStateCompressor — COLLAPSE compression: every distinct
-///    heap-object blob is stored once in a striped component table;
-///    stored state vectors carry small component indices instead of
-///    object contents.
-///  * ConcurrentVisitedSet — the visited-state set with four backends:
-///    exact (full keys), hash-compaction (64- or 128-bit fingerprints
-///    per state, SPIN's -DHC), and bit-state hashing (two bits per state
-///    in a fixed table, SPIN's supertrace). Exact and hash storage is a
-///    lock-striped sharded table (shard selected by the fingerprint's
-///    high bits); bit-state is an atomic fetch_or bit table.
+/// Visited-state storage for the explicit-state model checker,
+/// reproducing SPIN's answers to state explosion. ConcurrentVisitedSet
+/// is thread-safe, since the search's workers share it (SPIN's multicore
+/// mode; one worker is the common case). It stores the canonical flat
+/// state vector (Machine::serializeState) in one of three backends:
+/// exact (the full vector), hash compaction (a 64-bit fingerprint per
+/// state, SPIN's -DHC), and bit-state hashing (two bits per state in a
+/// fixed table, SPIN's supertrace). Exact and hash storage is a
+/// lock-striped sharded table (shard selected by the fingerprint's high
+/// bits); bit-state is an atomic fetch_or bit table.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +28,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -89,40 +83,6 @@ private:
   bool HasZero = false;
 };
 
-/// Thread-safe COLLAPSE component table: interns serialized heap-object
-/// blobs and hands out dense indices, so a blob shared by millions of
-/// states is stored exactly once. Blobs are striped over shards by
-/// content hash; the global index counter is
-/// atomic, so indices are dense but not in discovery order — a blob's
-/// index is stable for the lifetime of the compressor, which is all the
-/// visited-set key construction needs.
-class ConcurrentStateCompressor {
-public:
-  explicit ConcurrentStateCompressor(unsigned Log2Shards = 6);
-
-  /// Thread-safe intern; identical blobs get identical indices.
-  uint32_t intern(std::string_view Blob);
-
-  /// Number of distinct components stored. Exact once writers joined.
-  size_t components() const;
-
-  /// Estimated memory held by the component table.
-  size_t tableBytes() const;
-
-private:
-  struct Shard {
-    std::mutex M;
-    std::unordered_map<std::string, uint32_t, TransparentStringHash,
-                       std::equal_to<>>
-        Index;
-    size_t Bytes = 0;
-  };
-
-  std::vector<std::unique_ptr<Shard>> Shards;
-  unsigned ShardBits;
-  std::atomic<uint32_t> NextIndex{0};
-};
-
 /// Thread-safe visited-state set. `insert` returns true when the key was
 /// new; a false return in the lossy backends (hash-compaction
 /// fingerprint collision, bit-state saturation) can prune an unvisited
@@ -137,10 +97,8 @@ class ConcurrentVisitedSet {
 public:
   /// Exact storage of full keys (SPIN's default exhaustive storage).
   static ConcurrentVisitedSet exact(unsigned Log2Shards = 6);
-  /// Hash-compaction: store one fingerprint per state. \p Wide selects
-  /// 128-bit fingerprints over 64-bit.
-  static ConcurrentVisitedSet hashCompact(bool Wide,
-                                          unsigned Log2Shards = 6);
+  /// Hash-compaction: store one 64-bit fingerprint per state.
+  static ConcurrentVisitedSet hashCompact(unsigned Log2Shards = 6);
   /// Bit-state hashing over a 2^Bits-bit table with two independent
   /// hash functions. \p Bits must already be validated (see
   /// clampedBitStateBits in ModelChecker.h). \p Seed perturbs both probe
@@ -167,19 +125,7 @@ public:
   size_t bytes() const;
 
 private:
-  enum class Impl : uint8_t { Exact, Hash64, Hash128, BitState };
-
-  struct Fp128 {
-    uint64_t Hi = 0, Lo = 0;
-    bool operator==(const Fp128 &O) const { return Hi == O.Hi && Lo == O.Lo; }
-  };
-  struct Fp128Hash {
-    size_t operator()(const Fp128 &F) const {
-      // Fold both halves: Hi alone would degrade 128-bit fingerprints
-      // to 64-bit bucket distribution.
-      return static_cast<size_t>(F.Hi ^ (F.Lo * 0xc6a4a7935bd1e995ULL));
-    }
-  };
+  enum class Impl : uint8_t { Exact, Hash64, BitState };
 
   struct Shard {
     std::mutex M;
@@ -187,7 +133,6 @@ private:
         ExactKeys;
     size_t ExactKeyBytes = 0; ///< Key and node bytes of ExactKeys.
     FingerprintSet Fp64;
-    std::unordered_set<Fp128, Fp128Hash> Fp128Set;
   };
 
   ConcurrentVisitedSet(Impl K, unsigned Log2Shards);

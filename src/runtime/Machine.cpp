@@ -1825,8 +1825,6 @@ struct SerializerScratch {
   };
   std::vector<Entry> Entries;
   uint32_t Epoch = 0;
-  /// Bytes written so far to each object blob (component layout).
-  std::vector<size_t> BlobLens;
 
   /// Starts a serialization over a heap of \p NumObjects slots.
   void begin(size_t NumObjects) {
@@ -1841,170 +1839,105 @@ struct SerializerScratch {
 
 thread_local SerializerScratch Scratch;
 
-/// Canonical state serializer. Heap references serialize as canonical
-/// ids assigned in first-visit order, never as raw objectIds, so states
-/// differing only in allocation order (ids, generations, free-list
-/// order) coincide. Runs in two layouts:
-///
-///  * inline (Blobs == nullptr): object contents follow the first-visit
-///    marker in the single output string — the classic flat vector;
-///  * component (Blobs != nullptr): object contents go one-per-object
-///    into Blobs[id], and the control stream carries only canonical ids.
-///    The model checker's COLLAPSE table interns each blob once and the
-///    stored state vector shrinks to control bytes + component indices.
-///
-/// Targets are addressed by blob id (kControl for the control stream)
-/// and re-resolved on every write: recursion may grow the blob vector
-/// and invalidate outstanding string references. Each target is written
-/// through an explicit length into a string pre-sized to its capacity
-/// (a store per byte, not a push_back call); finish() trims them.
+/// Canonical state serializer into one flat vector. Heap references
+/// serialize as canonical ids assigned in first-visit order, never as raw
+/// objectIds, so states differing only in allocation order (ids,
+/// generations, free-list order) coincide; an object's contents follow
+/// its first-visit marker. The output is written through an explicit
+/// length into a string pre-sized to its capacity (a store per byte, not
+/// a push_back call); finish() trims it.
 class StateSerializer {
 public:
-  static constexpr size_t kControl = SIZE_MAX;
-
-  StateSerializer(const Heap &H, std::string &Control,
-                  std::vector<std::string> *Blobs)
-      : H(H), Control(Control), Blobs(Blobs), S(Scratch) {
+  StateSerializer(const Heap &H, std::string &Out)
+      : H(H), Out(Out), S(Scratch) {
     S.begin(H.objects().size());
-    open(Control);
+    Out.resize(Out.capacity());
   }
 
-  /// Trims every output to the bytes written. Returns the number of
+  /// Trims the output to the bytes written. Returns the number of
   /// distinct heap objects reached.
   size_t finish() {
-    Control.resize(ControlLen);
-    if (Blobs)
-      for (size_t I = 0; I != NumBlobs; ++I)
-        (*Blobs)[I].resize(S.BlobLens[I]);
-    return NumBlobs;
+    Out.resize(Len);
+    return NumObjects;
   }
 
-  void byte(size_t Target, uint8_t B) {
-    auto [Out, Len] = sink(Target);
-    if (*Len == Out->size())
-      grow(*Out, *Len + 1);
-    (*Out)[(*Len)++] = static_cast<char>(B);
+  void byte(uint8_t B) {
+    if (Len == Out.size())
+      grow(Len + 1);
+    Out[Len++] = static_cast<char>(B);
   }
 
-  /// LEB128, byte-identical to appendVarint.
-  void varint(size_t Target, uint64_t V) {
-    auto [Out, Len] = sink(Target);
-    if (*Len + 10 > Out->size())
-      grow(*Out, *Len + 10);
-    char *P = Out->data() + *Len;
+  /// Unsigned LEB128.
+  void varint(uint64_t V) {
+    if (Len + 10 > Out.size())
+      grow(Len + 10);
+    char *P = Out.data() + Len;
     while (V >= 0x80) {
       *P++ = static_cast<char>(V | 0x80);
       V >>= 7;
     }
     *P++ = static_cast<char>(V);
-    *Len = static_cast<size_t>(P - Out->data());
+    Len = static_cast<size_t>(P - Out.data());
   }
 
-  void value(size_t Target, const Value &V) {
+  void value(const Value &V) {
     switch (V.K) {
     case Value::Kind::Uninit:
-      byte(Target, 0);
+      byte(0);
       return;
     case Value::Kind::Int:
-      byte(Target, 1);
-      varint(Target, zigzagEncode(V.Scalar));
+      byte(1);
+      varint(zigzagEncode(V.Scalar));
       return;
     case Value::Kind::Bool:
-      byte(Target, 2);
-      byte(Target, V.Scalar ? 1 : 0);
+      byte(2);
+      byte(V.Scalar ? 1 : 0);
       return;
     case Value::Kind::Ref:
-      ref(Target, V);
+      ref(V);
       return;
     }
   }
 
 private:
-  static void open(std::string &Out) { Out.resize(Out.capacity()); }
-  static void grow(std::string &Out, size_t Need) {
-    Out.resize(std::max(Need, 2 * Out.size() + 64));
-  }
+  void grow(size_t Need) { Out.resize(std::max(Need, 2 * Out.size() + 64)); }
 
-  std::pair<std::string *, size_t *> sink(size_t Target) {
-    if (!Blobs || Target == kControl)
-      return {&Control, &ControlLen};
-    return {&(*Blobs)[Target], &S.BlobLens[Target]};
-  }
-
-  void ref(size_t Target, const Value &V) {
+  /// Kept out of line so that the scalar cases of value() stay small
+  /// enough to inline at every call site.
+  [[gnu::noinline]] void ref(const Value &V) {
     const HeapObject *Obj = H.deref(V);
     if (!Obj) {
-      byte(Target, 3); // Dangling reference: canonical "dead".
+      byte(3); // Dangling reference: canonical "dead".
       return;
     }
     // deref() matched the slot's generation, so the slot index alone
     // identifies the object while the heap is not mutated.
     SerializerScratch::Entry &Seen = S.Entries[V.Ref];
     if (Seen.Epoch == S.Epoch) {
-      byte(Target, 4); // Back reference.
-      varint(Target, Seen.Id);
+      byte(4); // Back reference.
+      varint(Seen.Id);
       return;
     }
-    uint32_t Id = static_cast<uint32_t>(NumBlobs++);
+    uint32_t Id = static_cast<uint32_t>(NumObjects++);
     Seen = {S.Epoch, Id};
-    byte(Target, 5); // First visit.
-    varint(Target, Id);
-    size_t ContentTarget = Target;
-    if (Blobs) {
-      if (Blobs->size() < NumBlobs)
-        Blobs->emplace_back();
-      if (S.BlobLens.size() < NumBlobs)
-        S.BlobLens.push_back(0);
-      S.BlobLens[Id] = 0;
-      open((*Blobs)[Id]);
-      ContentTarget = Id;
-    }
-    varint(ContentTarget, reinterpret_cast<uintptr_t>(Obj->ObjType));
-    varint(ContentTarget, zigzagEncode(Obj->Arm));
-    varint(ContentTarget, Obj->RefCount);
-    varint(ContentTarget, Obj->Elems.size());
+    byte(5); // First visit.
+    varint(Id);
+    varint(reinterpret_cast<uintptr_t>(Obj->ObjType));
+    varint(zigzagEncode(Obj->Arm));
+    varint(Obj->RefCount);
+    varint(Obj->Elems.size());
     for (const Value &Elem : Obj->Elems)
-      value(ContentTarget, Elem);
+      value(Elem);
   }
 
   const Heap &H;
-  std::string &Control;
-  size_t ControlLen = 0;
-  std::vector<std::string> *Blobs;
-  size_t NumBlobs = 0;
+  std::string &Out;
+  size_t Len = 0;
+  size_t NumObjects = 0;
   SerializerScratch &S;
 };
 
 } // namespace
-
-/// Serializes the machine state through a StateSerializer over \p Control
-/// (and \p Blobs in the component layout). Returns the number of distinct
-/// heap objects reached.
-size_t Machine::serializeInto(std::string &Control,
-                              std::vector<std::string> *Blobs) const {
-  StateSerializer S(H, Control, Blobs);
-  for (const ProcState &P : Procs) {
-    S.byte(StateSerializer::kControl, static_cast<uint8_t>(P.St));
-    S.varint(StateSerializer::kControl, P.PC);
-    for (const Value &Slot : P.Slots)
-      S.value(StateSerializer::kControl, Slot);
-    for (size_t C = 0; C != P.PreparedValid.size(); ++C) {
-      S.byte(StateSerializer::kControl, P.PreparedValid[C] ? 1 : 0);
-      if (P.PreparedValid[C])
-        for (const Value &V : P.Prepared[C])
-          S.value(StateSerializer::kControl, V);
-    }
-  }
-  S.byte(StateSerializer::kControl, static_cast<uint8_t>(Error.Kind));
-  // The spent per-channel env-send budget distinguishes states under a
-  // finite workload; with an unbounded environment it is omitted so the
-  // state vector is byte-identical to the budget-free build.
-  if (Options.EnvSendBudget != 0)
-    for (uint32_t N : EnvSends)
-      for (int Shift = 0; Shift != 32; Shift += 8)
-        S.byte(StateSerializer::kControl, (N >> Shift) & 0xff);
-  return S.finish();
-}
 
 std::string Machine::serializeState() const {
   std::string Out;
@@ -2013,12 +1946,28 @@ std::string Machine::serializeState() const {
 }
 
 size_t Machine::serializeState(std::string &Out) const {
-  return serializeInto(Out, nullptr);
-}
-
-size_t Machine::serializeComponents(std::string &Control,
-                                    std::vector<std::string> &ObjectBlobs) const {
-  return serializeInto(Control, &ObjectBlobs);
+  StateSerializer S(H, Out);
+  for (const ProcState &P : Procs) {
+    S.byte(static_cast<uint8_t>(P.St));
+    S.varint(P.PC);
+    for (const Value &Slot : P.Slots)
+      S.value(Slot);
+    for (size_t C = 0; C != P.PreparedValid.size(); ++C) {
+      S.byte(P.PreparedValid[C] ? 1 : 0);
+      if (P.PreparedValid[C])
+        for (const Value &V : P.Prepared[C])
+          S.value(V);
+    }
+  }
+  S.byte(static_cast<uint8_t>(Error.Kind));
+  // The spent per-channel env-send budget distinguishes states under a
+  // finite workload; with an unbounded environment it is omitted so the
+  // state vector is byte-identical to the budget-free build.
+  if (Options.EnvSendBudget != 0)
+    for (uint32_t N : EnvSends)
+      for (int Shift = 0; Shift != 32; Shift += 8)
+        S.byte((N >> Shift) & 0xff);
+  return S.finish();
 }
 
 unsigned Machine::countLeakedObjects(size_t Reached) const {

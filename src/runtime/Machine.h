@@ -348,10 +348,6 @@ public:
 
   //===--- Execution mode (firmware scheduler) ----------------------------===//
 
-  /// Compatibility alias: StepResult was a nested enum before the API
-  /// redesign; out-of-tree `Machine::StepResult` spellings still work.
-  using StepResult = esp::StepResult;
-
   /// One scheduler action: run the current process to its next block
   /// point and try to pair it, or poll external channels when idle.
   StepResult step();
@@ -401,18 +397,6 @@ public:
   /// a fresh string per state. Returns the number of distinct heap
   /// objects the walk reached (see countLeakedObjects(size_t)).
   size_t serializeState(std::string &Out) const;
-
-  /// COLLAPSE-style component serialization (SPIN §"collapse"): fills
-  /// \p Control with the per-process control data (status, PC, slots and
-  /// prepared values, with heap references as canonical ids) and writes
-  /// one canonical content blob per reachable heap object into
-  /// \p ObjectBlobs[0..N) in first-visit order. Returns N, the number of
-  /// distinct heap objects reached. \p ObjectBlobs is only ever grown so
-  /// its strings keep their capacity across calls; entries at index >= N
-  /// are stale. Concatenating Control with the blobs in order is
-  /// equivalent to serializeState() as a state identity.
-  size_t serializeComponents(std::string &Control,
-                             std::vector<std::string> &ObjectBlobs) const;
 
   /// Live objects unreachable from any root: leaked memory. A full
   /// mark-sweep over the heap.
@@ -518,11 +502,6 @@ private:
 
   /// enumerateMoves without the purity cleanup (the raw probe walk).
   std::vector<Move> enumerateMovesImpl();
-
-  /// The canonical serialization behind serializeState (\p Blobs null)
-  /// and serializeComponents.
-  size_t serializeInto(std::string &Control,
-                       std::vector<std::string> *Blobs) const;
 
   //===--- Dispatch tables and wait bitmasks --------------------------------===//
 

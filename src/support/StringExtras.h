@@ -53,17 +53,8 @@ inline uint64_t mix64(uint64_t X) {
   return X;
 }
 
-/// LEB128-style variable-length encoding; the state serializer and the
-/// COLLAPSE component vectors use it to keep state vectors small.
-inline void appendVarint(std::string &Out, uint64_t V) {
-  while (V >= 0x80) {
-    Out.push_back(static_cast<char>(V | 0x80));
-    V >>= 7;
-  }
-  Out.push_back(static_cast<char>(V));
-}
-
-/// Zigzag encoding for signed values fed to appendVarint.
+/// Zigzag encoding of a signed value for the state serializer's
+/// unsigned varints.
 inline uint64_t zigzagEncode(int64_t V) {
   return (static_cast<uint64_t>(V) << 1) ^ static_cast<uint64_t>(V >> 63);
 }

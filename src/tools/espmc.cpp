@@ -67,13 +67,10 @@ const char kUsage[] =
     "  --max-depth N       search depth bound; a truncated exhaustive\n"
     "                      search reports 'verified (partial)'\n"
     "  --max-objects N     object-table bound; exhaustion = leak\n"
-    "  --visited exact|hash64|hash128\n"
+    "  --visited exact|hash64\n"
     "                      visited-state storage for exhaustive search\n"
     "                      (default hash64: 64-bit hash compaction;\n"
     "                      exact stores full state vectors)\n"
-    "  --collapse / --no-collapse\n"
-    "                      COLLAPSE compression of exact-mode state\n"
-    "                      vectors (default on)\n"
     "  --snapshot-stride N keep one machine snapshot every N DFS levels\n"
     "                      and replay moves in between (default 0 =\n"
     "                      auto: snapshot every branching level while\n"
@@ -213,14 +210,8 @@ int main(int Argc, char **Argv) {
         Mc.Visited = VisitedKind::Exact;
       else if (Text == "hash64")
         Mc.Visited = VisitedKind::Hash64;
-      else if (Text == "hash128")
-        Mc.Visited = VisitedKind::Hash128;
       else if (!Args.shouldExit())
         Args.usageError("unknown visited kind '" + Text + "'");
-    } else if (Args.flag("--collapse")) {
-      Mc.Collapse = true;
-    } else if (Args.flag("--no-collapse")) {
-      Mc.Collapse = false;
     } else if (Args.optionUInt("--snapshot-stride", Num)) {
       Mc.SnapshotStride = static_cast<unsigned>(Num);
     } else if (Args.optionUInt("--bits", Num)) {

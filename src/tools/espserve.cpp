@@ -37,7 +37,7 @@ const char kUsage[] =
     "                      (default 256)\n"
     "  --requests N        total requests across the fleet\n"
     "                      (default 10000)\n"
-    "  --serve-jobs N      worker threads; 1 = deterministic schedule\n"
+    "  --jobs N            worker threads; 1 = deterministic schedule\n"
     "                      (default 1)\n"
     "  --inbox-cap N       per-machine inbox bound (default 64)\n"
     "  --batch N           max burst / event-delivery batch (default 16)\n"
@@ -46,7 +46,7 @@ const char kUsage[] =
     "  --seed N            load-generator seed (default 1)\n"
     "  --stats-json FILE   write serve.* metrics as JSON\n"
     "  --trace FILE        Chrome trace of the first --trace-machines\n"
-    "                      machines (implies --serve-jobs 1)\n"
+    "                      machines (implies --jobs 1)\n"
     "  --trace-machines N  how many machines get trace tracks\n"
     "                      (default 1)\n"
     "  --quiet, -q         suppress the summary line\n"
@@ -67,7 +67,7 @@ int main(int Argc, char **Argv) {
       ;
     else if (Args.optionUInt("--requests", Requests, 1))
       ;
-    else if (Args.optionUInt("--serve-jobs", Jobs, 1))
+    else if (Args.optionUInt("--jobs", Jobs, 1))
       ;
     else if (Args.optionUInt("--inbox-cap", InboxCap, 1))
       ;
@@ -111,7 +111,7 @@ int main(int Argc, char **Argv) {
       // the trace request rather than silently dropping it.
       if (!Args.quiet())
         std::fprintf(stderr,
-                     "espserve: --trace forces --serve-jobs 1 "
+                     "espserve: --trace forces --jobs 1 "
                      "(deterministic schedule)\n");
       Opt.Workers = 1;
     }

@@ -346,7 +346,7 @@ void EspFirmware::runQuantum(NicEnv &Env) {
   RepollAt = 0;
   const sim::CostModel &C = Env.costs();
   for (uint64_t Guard = 0; Guard < 1'000'000; ++Guard) {
-    Machine::StepResult R = M->step();
+    StepResult R = M->step();
     // Charge the CPU for what the runtime actually did (§6.1).
     const ExecStats &S = M->stats();
     uint64_t Cycles =
@@ -357,13 +357,13 @@ void EspFirmware::runQuantum(NicEnv &Env) {
         (S.PollRounds - Last.PollRounds) * C.CyclesPerPollRound;
     Last = S;
     Env.charge(Cycles);
-    if (R == Machine::StepResult::Errored) {
+    if (R == StepResult::Errored) {
       std::fprintf(stderr, "VMMC ESP firmware runtime error: %s (%s)\n",
                    M->error().Message.c_str(),
                    runtimeErrorKindName(M->error().Kind));
       std::abort();
     }
-    if (R != Machine::StepResult::Progress)
+    if (R != StepResult::Progress)
       break;
   }
   CurEnv = nullptr;

@@ -160,7 +160,7 @@ process q { in(c, $x); }
   // Still runs correctly.
   Machine M(Unopt->Module, MachineOptions());
   M.start();
-  EXPECT_EQ(M.run(1000), Machine::StepResult::Halted) << M.error().Message;
+  EXPECT_EQ(M.run(1000), StepResult::Halted) << M.error().Message;
 }
 
 TEST(IRPasses, LiveStoreKept) {
@@ -175,7 +175,7 @@ process q { in(c, $v); assert(v == 2); }
   EXPECT_EQ(Stats.DeadStoresRemoved, 1u);
   Machine M(C->Module, MachineOptions());
   M.start();
-  EXPECT_EQ(M.run(1000), Machine::StepResult::Halted) << M.error().Message;
+  EXPECT_EQ(M.run(1000), StepResult::Halted) << M.error().Message;
 }
 
 TEST(IRPasses, LoopCarriedVariableNotEliminated) {
@@ -193,7 +193,7 @@ process q { in(c, $v); assert(v == 4); }
   EXPECT_EQ(Stats.DeadStoresRemoved, 0u);
   Machine M(C->Module, MachineOptions());
   M.start();
-  EXPECT_EQ(M.run(1000), Machine::StepResult::Halted) << M.error().Message;
+  EXPECT_EQ(M.run(1000), StepResult::Halted) << M.error().Message;
 }
 
 TEST(IRPasses, ComputeLiveOutRespectsBranches) {
@@ -242,7 +242,7 @@ process q { in(c, $v); }
   EXPECT_LE(After, Before);
   Machine M(C->Module, MachineOptions());
   M.start();
-  EXPECT_EQ(M.run(1000), Machine::StepResult::Halted) << M.error().Message;
+  EXPECT_EQ(M.run(1000), StepResult::Halted) << M.error().Message;
 }
 
 //===----------------------------------------------------------------------===//
@@ -294,7 +294,7 @@ process q { in(c, { $a, $b }); assert(a + b == 3); }
   // The elided program allocates nothing at all.
   Machine M(C->Module, MachineOptions());
   M.start();
-  EXPECT_EQ(M.run(1000), Machine::StepResult::Halted) << M.error().Message;
+  EXPECT_EQ(M.run(1000), StepResult::Halted) << M.error().Message;
   EXPECT_EQ(M.heap().getTotalAllocations(), 0u);
 }
 
@@ -356,7 +356,7 @@ process r {
           ASSERT_TRUE(C);
           Machine M(C->Module, MachineOptions());
           M.start();
-          EXPECT_EQ(M.run(10000), Machine::StepResult::Halted)
+          EXPECT_EQ(M.run(10000), StepResult::Halted)
               << "config " << Jumps << Dce << Sink << Elide << ": "
               << M.error().Message;
         }

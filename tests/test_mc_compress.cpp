@@ -1,4 +1,4 @@
-//===--- test_mc_compress.cpp - State compression tests ---------------------==//
+//===--- test_mc_compress.cpp - State storage tests -------------------------==//
 //
 // Part of the esplang project (ESP, PLDI 2001 reproduction).
 //
@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Tests for the model checker's state-storage layer: canonical
-/// serialization, COLLAPSE component interning, and the visited-set
-/// backends (exact, hash compaction, bit-state).
+/// serialization and the visited-set backends (exact, hash compaction,
+/// bit-state).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,21 +31,9 @@ MachineOptions verifyOptions() {
 }
 
 //===----------------------------------------------------------------------===//
-// Component table (StateCompressor.*) and visited set (VisitedSet.*)
-// unit tests, single-threaded; test_mc_parallel.cpp races them.
+// Visited set (VisitedSet.*) unit tests, single-threaded;
+// test_mc_parallel.cpp races them.
 //===----------------------------------------------------------------------===//
-
-TEST(StateCompressor, InternsEachBlobOnce) {
-  ConcurrentStateCompressor C;
-  uint32_t A = C.intern("alpha");
-  uint32_t B = C.intern("beta");
-  EXPECT_NE(A, B);
-  EXPECT_EQ(C.intern("alpha"), A);
-  EXPECT_EQ(C.intern("beta"), B);
-  EXPECT_EQ(C.intern(std::string("alp") + "ha"), A);
-  EXPECT_EQ(C.components(), 2u);
-  EXPECT_GT(C.tableBytes(), 0u);
-}
 
 TEST(VisitedSet, ExactDetectsDuplicates) {
   ConcurrentVisitedSet V = ConcurrentVisitedSet::exact();
@@ -57,17 +45,15 @@ TEST(VisitedSet, ExactDetectsDuplicates) {
 }
 
 TEST(VisitedSet, HashCompactionDistinguishesDistinctKeys) {
-  for (bool Wide : {false, true}) {
-    ConcurrentVisitedSet V = ConcurrentVisitedSet::hashCompact(Wide);
-    for (int I = 0; I != 1000; ++I) {
-      std::string Key = "state-" + std::to_string(I);
-      EXPECT_TRUE(V.insert(Key)) << "wide=" << Wide << " i=" << I;
-      EXPECT_FALSE(V.insert(Key)) << "wide=" << Wide << " i=" << I;
-    }
-    EXPECT_EQ(V.size(), 1000u);
-    // Fingerprints are fixed-size: far cheaper than the full keys.
-    EXPECT_LT(V.bytes(), ConcurrentVisitedSet::exact().bytes() + 1000 * 64);
+  ConcurrentVisitedSet V = ConcurrentVisitedSet::hashCompact();
+  for (int I = 0; I != 1000; ++I) {
+    std::string Key = "state-" + std::to_string(I);
+    EXPECT_TRUE(V.insert(Key)) << "i=" << I;
+    EXPECT_FALSE(V.insert(Key)) << "i=" << I;
   }
+  EXPECT_EQ(V.size(), 1000u);
+  // Fingerprints are fixed-size: far cheaper than the full keys.
+  EXPECT_LT(V.bytes(), ConcurrentVisitedSet::exact().bytes() + 1000 * 64);
 }
 
 TEST(VisitedSet, BitStateUsesFixedTable) {
@@ -85,7 +71,7 @@ TEST(VisitedSet, BitStateUsesFixedTable) {
 }
 
 //===----------------------------------------------------------------------===//
-// Canonical serialization and COLLAPSE components
+// Canonical serialization
 //===----------------------------------------------------------------------===//
 
 TEST(StateSerialization, ScratchOverloadMatchesValueReturn) {
@@ -112,44 +98,36 @@ process q { in(c, $x); in(c, $y); }
   Machine M(C->Module, verifyOptions());
   M.start();
 
-  std::string Control1, Control2;
-  std::vector<std::string> Blobs1, Blobs2;
-  size_t N1 = M.serializeComponents(Control1, Blobs1);
+  // The vector covers every component of the state: process control
+  // data and the reachable heap objects.
+  std::string Vec1, Vec2;
+  size_t N1 = M.serializeState(Vec1);
   EXPECT_GE(N1, 1u) << "p holds a live array at its block point";
 
   // Serialization is a pure observation: repeating it is identical.
-  size_t N2 = M.serializeComponents(Control2, Blobs2);
-  ASSERT_EQ(N1, N2);
-  EXPECT_EQ(Control1, Control2);
-  for (size_t I = 0; I != N1; ++I)
-    EXPECT_EQ(Blobs1[I], Blobs2[I]) << "blob " << I;
+  size_t N2 = M.serializeState(Vec2);
+  EXPECT_EQ(N1, N2);
+  EXPECT_EQ(Vec1, Vec2);
 
-  // Advancing the machine changes the component view; restoring the
-  // snapshot restores it exactly.
+  // Advancing the machine changes the vector; restoring the snapshot
+  // restores it exactly.
   Machine::Snapshot Snap = M.snapshot();
   std::vector<Move> Moves = M.enumerateMoves();
   ASSERT_FALSE(Moves.empty());
   M.applyMove(Moves[0]);
-  std::string ControlAfter;
-  std::vector<std::string> BlobsAfter;
-  M.serializeComponents(ControlAfter, BlobsAfter);
-  EXPECT_NE(ControlAfter, Control1);
+  EXPECT_NE(M.serializeState(), Vec1);
 
   M.restore(Snap);
-  std::string ControlBack;
-  std::vector<std::string> BlobsBack;
-  size_t NBack = M.serializeComponents(ControlBack, BlobsBack);
-  ASSERT_EQ(NBack, N1);
-  EXPECT_EQ(ControlBack, Control1);
-  for (size_t I = 0; I != N1; ++I)
-    EXPECT_EQ(BlobsBack[I], Blobs1[I]) << "blob " << I;
+  std::string VecBack;
+  EXPECT_EQ(M.serializeState(VecBack), N1);
+  EXPECT_EQ(VecBack, Vec1);
 }
 
 TEST(StateSerialization, AllocationOrderDoesNotChangeIdentity) {
   // Two independent transfers commute: applying them in either order
   // reaches the same semantic state, but deep-copy allocation happens in
   // a different order, so raw objectIds differ. The canonical
-  // serialization (and the component decomposition) must coincide.
+  // serialization must coincide.
   auto C = compile(R"(
 channel c1: array of int
 channel c2: array of int
@@ -181,15 +159,6 @@ process q2 { in(c2, $x); in(hold2, $h); unlink(x); }
   B.applyMove(MovesB[0]);
 
   EXPECT_EQ(A.serializeState(), B.serializeState());
-
-  std::string ControlA, ControlB;
-  std::vector<std::string> BlobsA, BlobsB;
-  size_t NA = A.serializeComponents(ControlA, BlobsA);
-  size_t NB = B.serializeComponents(ControlB, BlobsB);
-  ASSERT_EQ(NA, NB);
-  EXPECT_EQ(ControlA, ControlB);
-  for (size_t I = 0; I != NA; ++I)
-    EXPECT_EQ(BlobsA[I], BlobsB[I]) << "blob " << I;
 }
 
 TEST(StateSerialization, EnumerateMovesIsCanonicallyPure) {
@@ -241,10 +210,9 @@ process q {
 // End-to-end memory accounting
 //===----------------------------------------------------------------------===//
 
-TEST(ModelChecker, CompressionShrinksStoredStates) {
-  // A model with real heap payloads: COLLAPSE stores each object blob
-  // once and hash compaction stores only fingerprints, so both must
-  // undercut exact storage of full vectors.
+TEST(ModelChecker, HashCompactionShrinksStoredStates) {
+  // A model with real heap payloads: hash compaction stores only
+  // fingerprints, so it must undercut exact storage of full vectors.
   auto C = compile(R"(
 channel c: array of int
 process p {
@@ -265,20 +233,8 @@ process q {
 
   McOptions Exact;
   Exact.Visited = VisitedKind::Exact;
-  Exact.Collapse = false;
   McResult RExact = checkModel(C->Module, Exact);
   EXPECT_EQ(RExact.Verdict, McVerdict::OK) << RExact.report();
-
-  McOptions Collapse;
-  Collapse.Visited = VisitedKind::Exact;
-  Collapse.Collapse = true;
-  McResult RCollapse = checkModel(C->Module, Collapse);
-  EXPECT_EQ(RCollapse.Verdict, McVerdict::OK) << RCollapse.report();
-  EXPECT_EQ(RCollapse.StatesStored, RExact.StatesStored);
-  // The compressed key (control bytes + component indices) is smaller
-  // than the flat vector with object contents inlined.
-  EXPECT_LT(RCollapse.CompressedStateBytes, RExact.CompressedStateBytes);
-  EXPECT_GT(RCollapse.ComponentTableBytes, 0u);
 
   McOptions Hash;
   Hash.Visited = VisitedKind::Hash64;

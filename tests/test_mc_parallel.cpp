@@ -21,7 +21,6 @@
 #include "TestHelpers.h"
 
 #include <iterator>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,7 +55,7 @@ process server {
   while (n < 2) { in(req, { $who }); out(reply, { who, 1 }); n = n + 1; }
 }
 )",
-    // Object transfers: exercises COLLAPSE component interning.
+    // Object transfers: heap objects in the state vector.
     R"(
 channel c: array of int
 process p {
@@ -81,7 +80,7 @@ struct Outcome {
 };
 
 /// Completed exhaustive-search counts of CleanCorpus, per entry, at any
-/// visited kind and COLLAPSE setting.
+/// visited kind.
 const Outcome CleanCorpusCounts[] = {
     {McVerdict::OK, 4, 4, 3},
     {McVerdict::OK, 9, 9, 8},
@@ -99,23 +98,18 @@ TEST(ParallelMc, CompletedSearchMatchesSequentialAcrossVisitedKinds) {
     auto C = compile(CleanCorpus[I]);
     ASSERT_TRUE(C);
     const Outcome &Seq = CleanCorpusCounts[I];
-    for (VisitedKind Kind :
-         {VisitedKind::Exact, VisitedKind::Hash64, VisitedKind::Hash128}) {
-      for (bool Collapse : {true, false}) {
-        McOptions Options;
-        Options.Visited = Kind;
-        Options.Collapse = Collapse;
-        for (unsigned Jobs : {1u, 2u, 4u}) {
-          Outcome Par = runJobs(C->Module, Options, Jobs);
-          EXPECT_EQ(Par.Verdict, Seq.Verdict);
-          EXPECT_EQ(Par.Stored, Seq.Stored)
-              << "visited kind " << int(Kind) << " collapse " << Collapse
-              << " jobs " << Jobs;
-          EXPECT_EQ(Par.Explored, Seq.Explored);
-          EXPECT_EQ(Par.Transitions, Seq.Transitions);
-          // The once-per-stored-state expansion invariant.
-          EXPECT_EQ(Par.Explored, 1 + Par.Transitions);
-        }
+    for (VisitedKind Kind : {VisitedKind::Exact, VisitedKind::Hash64}) {
+      McOptions Options;
+      Options.Visited = Kind;
+      for (unsigned Jobs : {1u, 2u, 4u}) {
+        Outcome Par = runJobs(C->Module, Options, Jobs);
+        EXPECT_EQ(Par.Verdict, Seq.Verdict);
+        EXPECT_EQ(Par.Stored, Seq.Stored)
+            << "visited kind " << int(Kind) << " jobs " << Jobs;
+        EXPECT_EQ(Par.Explored, Seq.Explored);
+        EXPECT_EQ(Par.Transitions, Seq.Transitions);
+        // The once-per-stored-state expansion invariant.
+        EXPECT_EQ(Par.Explored, 1 + Par.Transitions);
       }
     }
   }
@@ -395,8 +389,7 @@ TEST(ConcurrentVisitedSet, HammeredInsertCountsDistinctKeys) {
   // stored exactly once regardless of interleaving.
   constexpr int NumKeys = 2000;
   for (auto Make : {+[] { return ConcurrentVisitedSet::exact(4); },
-                    +[] { return ConcurrentVisitedSet::hashCompact(false, 4); },
-                    +[] { return ConcurrentVisitedSet::hashCompact(true, 4); }}) {
+                    +[] { return ConcurrentVisitedSet::hashCompact(4); }}) {
     ConcurrentVisitedSet V = Make();
     std::atomic<uint64_t> NewCount{0};
     std::vector<std::thread> Threads;
@@ -431,44 +424,9 @@ TEST(ConcurrentVisitedSet, BitStateSeedChangesHashes) {
   EXPECT_NE(A.size(), B.size());
 }
 
-TEST(ConcurrentStateCompressor, SameBlobSameIndexAcrossThreads) {
-  ConcurrentStateCompressor C(4);
-  constexpr int NumBlobs = 512;
-  std::vector<std::vector<uint32_t>> PerThread(4);
-  std::vector<std::thread> Threads;
-  for (int T = 0; T < 4; ++T)
-    Threads.emplace_back([&C, &PerThread, T] {
-      PerThread[T].resize(NumBlobs);
-      for (int I = 0; I < NumBlobs; ++I)
-        PerThread[T][I] = C.intern("blob-" + std::to_string(I));
-    });
-  for (std::thread &T : Threads)
-    T.join();
-  // Every thread observed the identical blob -> index mapping, and the
-  // indices are a bijection over [0, NumBlobs).
-  std::set<uint32_t> Distinct;
-  for (int I = 0; I < NumBlobs; ++I) {
-    Distinct.insert(PerThread[0][I]);
-    for (int T = 1; T < 4; ++T)
-      EXPECT_EQ(PerThread[T][I], PerThread[0][I]);
-  }
-  EXPECT_EQ(Distinct.size(), size_t(NumBlobs));
-  EXPECT_EQ(C.components(), uint32_t(NumBlobs));
-  EXPECT_GT(C.tableBytes(), 0u);
-}
-
 //===----------------------------------------------------------------------===//
 // Transparent lookup: string_view probes allocate only on first insert
 //===----------------------------------------------------------------------===//
-
-TEST(StateCompressor, InternAcceptsStringView) {
-  ConcurrentStateCompressor C;
-  std::string Blob = "component-bytes";
-  uint32_t First = C.intern(std::string_view(Blob));
-  uint32_t Again = C.intern(std::string_view(Blob));
-  EXPECT_EQ(First, Again);
-  EXPECT_EQ(C.components(), 1u);
-}
 
 TEST(VisitedSet, ExactInsertAcceptsStringView) {
   ConcurrentVisitedSet V = ConcurrentVisitedSet::exact();

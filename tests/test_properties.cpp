@@ -81,10 +81,10 @@ TEST_P(PipelineSweep, ExecutesWithoutLeaks) {
   ASSERT_TRUE(C);
   Machine M(C->Module, MachineOptions());
   M.start();
-  Machine::StepResult R = M.run(1'000'000);
+  StepResult R = M.run(1'000'000);
   ASSERT_FALSE(M.error()) << M.error().Message;
   // Stages loop forever; source and sink must be done, heap empty.
-  EXPECT_EQ(R, Machine::StepResult::Quiescent);
+  EXPECT_EQ(R, StepResult::Quiescent);
   EXPECT_EQ(M.heap().getLiveCount(), 0u);
   EXPECT_EQ(M.countLeakedObjects(), 0u);
 }
@@ -230,7 +230,7 @@ TEST_P(FanoutSweep, OneObjectSharedWithNReadersFreesExactlyOnce) {
   ASSERT_TRUE(C);
   Machine M(C->Module, MachineOptions());
   M.start();
-  EXPECT_EQ(M.run(100'000), Machine::StepResult::Halted)
+  EXPECT_EQ(M.run(100'000), StepResult::Halted)
       << M.error().Message;
   EXPECT_EQ(M.heap().getLiveCount(), 0u);
   // Sharing mode: exactly one allocation regardless of reader count.
@@ -254,7 +254,7 @@ process r2 { in(d, $y); }
   ASSERT_TRUE(C);
   Machine M(C->Module, MachineOptions());
   M.start();
-  EXPECT_EQ(M.run(100'000), Machine::StepResult::Halted)
+  EXPECT_EQ(M.run(100'000), StepResult::Halted)
       << M.error().Message;
   EXPECT_EQ(M.heap().getLiveCount(), 1u);
   EXPECT_EQ(M.countLeakedObjects(), 1u);
@@ -463,17 +463,14 @@ process leaky {
     struct Config {
       const char *Name;
       VisitedKind Visited;
-      bool Collapse;
       unsigned Jobs;
-    } Configs[] = {{"hash64", VisitedKind::Hash64, true, 1},
-                   {"exact+collapse", VisitedKind::Exact, true, 1},
-                   {"exact", VisitedKind::Exact, false, 1},
-                   {"hash64 --jobs 4", VisitedKind::Hash64, true, 4}};
+    } Configs[] = {{"hash64", VisitedKind::Hash64, 1},
+                   {"exact", VisitedKind::Exact, 1},
+                   {"hash64 --jobs 4", VisitedKind::Hash64, 4}};
     for (const Config &Cfg : Configs) {
       McOptions Options;
       Options.Env = H.Env.get();
       Options.Visited = Cfg.Visited;
-      Options.Collapse = Cfg.Collapse;
       Options.Jobs = Cfg.Jobs;
       std::string Label = std::string(P.Name) + ", " + Cfg.Name;
       McResult R = checkModel(Module, Options);

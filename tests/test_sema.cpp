@@ -223,7 +223,7 @@ process q { in(c, $r); assert(r.data[0] == 7); unlink(r); }
   ASSERT_TRUE(C);
   Machine M(C->Module, MachineOptions());
   M.start();
-  EXPECT_EQ(M.run(1000), Machine::StepResult::Halted) << M.error().Message;
+  EXPECT_EQ(M.run(1000), StepResult::Halted) << M.error().Message;
 }
 
 TEST(Sema, CastOfScalarRejected) {
