@@ -32,18 +32,8 @@ using namespace esp::bench;
 
 namespace {
 
-/// One measured configuration, accumulated for BENCH_mc_modes.json.
-struct JsonRow {
-  std::string System;
-  std::string Config;
-  unsigned Jobs = 1;
-  /// StatesStored(full) / StatesStored(--por) for reduced rows; 1.0
-  /// elsewhere. Only meaningful when both searches ran to completion.
-  double ReductionFactor = 1.0;
-  McResult R;
-};
-
-std::vector<JsonRow> JsonRows;
+/// The measured configurations, accumulated for BENCH_mc_modes.json.
+obs::JsonValue Rows = obs::JsonValue::array();
 
 double statesPerSec(const McResult &R) {
   return R.Seconds > 0 ? R.StatesExplored / R.Seconds : 0.0;
@@ -54,45 +44,31 @@ double bytesPerState(const McResult &R) {
                             : 0.0;
 }
 
+/// \p Reduction is StatesStored(full) / StatesStored(--por) for reduced
+/// rows and 1.0 elsewhere; it is only meaningful when both searches ran
+/// to completion.
 void record(const std::string &System, const std::string &Config,
             const McResult &R, unsigned Jobs = 1, double Reduction = 1.0) {
-  JsonRows.push_back({System, Config, Jobs, Reduction, R});
-}
-
-void writeJson() {
-  std::FILE *Out = std::fopen("BENCH_mc_modes.json", "w");
-  if (!Out) {
-    std::fprintf(stderr, "cannot write BENCH_mc_modes.json\n");
-    return;
-  }
-  std::fprintf(Out, "{\n  \"bench\": \"mc_modes\",\n  \"rows\": [\n");
-  for (size_t I = 0; I != JsonRows.size(); ++I) {
-    const JsonRow &Row = JsonRows[I];
-    const McResult &R = Row.R;
-    std::fprintf(
-        Out,
-        "    {\"system\": \"%s\", \"config\": \"%s\", \"jobs\": %u, "
-        "\"states_explored\": %llu, \"states_stored\": %llu, "
-        "\"transitions\": %llu, \"seconds\": %.6f, "
-        "\"states_per_sec\": %.1f, \"bytes_per_state\": %.2f, "
-        "\"peak_visited_bytes\": %zu, \"state_vector_bytes\": %zu, "
-        "\"replayed_moves\": %llu, \"max_depth\": %u, "
-        "\"reduction_factor\": %.2f, \"verdict\": \"%s\"}%s\n",
-        Row.System.c_str(), Row.Config.c_str(), Row.Jobs,
-        static_cast<unsigned long long>(R.StatesExplored),
-        static_cast<unsigned long long>(R.StatesStored),
-        static_cast<unsigned long long>(R.Transitions), R.Seconds,
-        statesPerSec(R), bytesPerState(R), R.MemoryBytes, R.StateVectorBytes,
-        static_cast<unsigned long long>(R.ReplayedMoves),
-        R.MaxDepthReached, Row.ReductionFactor,
-        R.foundViolation()       ? "violation"
-        : R.Verdict == McVerdict::OK ? "ok"
-                                     : "partial",
-        I + 1 == JsonRows.size() ? "" : ",");
-  }
-  std::fprintf(Out, "  ]\n}\n");
-  std::fclose(Out);
-  std::printf("\nwrote BENCH_mc_modes.json (%zu rows)\n", JsonRows.size());
+  using obs::JsonValue;
+  JsonValue Row = JsonValue::object();
+  Row.set("system", JsonValue::str(System));
+  Row.set("config", JsonValue::str(Config));
+  Row.set("jobs", jsonCount(Jobs));
+  Row.set("states_explored", jsonCount(R.StatesExplored));
+  Row.set("states_stored", jsonCount(R.StatesStored));
+  Row.set("transitions", jsonCount(R.Transitions));
+  Row.set("seconds", jsonFixed(R.Seconds, 6));
+  Row.set("states_per_sec", jsonFixed(statesPerSec(R), 1));
+  Row.set("bytes_per_state", jsonFixed(bytesPerState(R), 2));
+  Row.set("peak_visited_bytes", jsonCount(R.MemoryBytes));
+  Row.set("state_vector_bytes", jsonCount(R.StateVectorBytes));
+  Row.set("replayed_moves", jsonCount(R.ReplayedMoves));
+  Row.set("max_depth", jsonCount(R.MaxDepthReached));
+  Row.set("reduction_factor", jsonFixed(Reduction, 2));
+  Row.set("verdict", JsonValue::str(R.foundViolation() ? "violation"
+                                    : R.Verdict == McVerdict::OK ? "ok"
+                                                                 : "partial"));
+  Rows.push(std::move(Row));
 }
 
 /// N producers, one server, one consumer; the bug variant asserts a
@@ -437,6 +413,7 @@ int main() {
               "finds most bugs during development.\nHash compaction is "
               "SPIN's answer to state-vector memory.\n");
 
-  writeJson();
+  writeBenchJson("BENCH_mc_modes.json", "mc_modes", /*Quick=*/false,
+                 std::move(Rows));
   return 0;
 }

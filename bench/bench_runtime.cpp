@@ -33,49 +33,27 @@ using namespace esp::bench;
 
 namespace {
 
-struct JsonRow {
-  std::string Section;
-  std::string Name;
-  std::string Config;
-  double Value = 0;       // states/sec or usec
-  std::string Unit;
-  uint64_t Explored = 0;  // per single search (0 for latency rows)
-  uint64_t Stored = 0;
-  uint64_t Transitions = 0;
-  unsigned Repeats = 1;
-  std::string Verdict;
-};
+obs::JsonValue Rows = obs::JsonValue::array();
 
-std::vector<JsonRow> JsonRows;
-
-void writeJson(bool Quick) {
-  std::FILE *Out = std::fopen("BENCH_runtime.json", "w");
-  if (!Out) {
-    std::fprintf(stderr, "cannot write BENCH_runtime.json\n");
-    return;
-  }
-  std::fprintf(Out, "{\n  \"bench\": \"runtime\",\n  \"quick\": %s,\n"
-                    "  \"rows\": [\n",
-               Quick ? "true" : "false");
-  for (size_t I = 0; I != JsonRows.size(); ++I) {
-    const JsonRow &Row = JsonRows[I];
-    std::fprintf(Out,
-                 "    {\"section\": \"%s\", \"name\": \"%s\", "
-                 "\"config\": \"%s\", \"value\": %.2f, \"unit\": \"%s\", "
-                 "\"states_explored\": %llu, \"states_stored\": %llu, "
-                 "\"transitions\": %llu, \"repeats\": %u, "
-                 "\"verdict\": \"%s\"}%s\n",
-                 Row.Section.c_str(), Row.Name.c_str(), Row.Config.c_str(),
-                 Row.Value, Row.Unit.c_str(),
-                 static_cast<unsigned long long>(Row.Explored),
-                 static_cast<unsigned long long>(Row.Stored),
-                 static_cast<unsigned long long>(Row.Transitions),
-                 Row.Repeats, Row.Verdict.c_str(),
-                 I + 1 == JsonRows.size() ? "" : ",");
-  }
-  std::fprintf(Out, "  ]\n}\n");
-  std::fclose(Out);
-  std::printf("\nwrote BENCH_runtime.json (%zu rows)\n", JsonRows.size());
+/// One BENCH_runtime.json row. \p Value is states/sec or usec; the
+/// search counts are per single search (0 for latency rows).
+void addRow(const std::string &Section, const std::string &Name,
+            const std::string &Config, double Value, const std::string &Unit,
+            uint64_t Explored, uint64_t Stored, uint64_t Transitions,
+            unsigned Repeats, const std::string &Verdict) {
+  using obs::JsonValue;
+  JsonValue Row = JsonValue::object();
+  Row.set("section", JsonValue::str(Section));
+  Row.set("name", JsonValue::str(Name));
+  Row.set("config", JsonValue::str(Config));
+  Row.set("value", jsonFixed(Value, 2));
+  Row.set("unit", JsonValue::str(Unit));
+  Row.set("states_explored", jsonCount(Explored));
+  Row.set("states_stored", jsonCount(Stored));
+  Row.set("transitions", jsonCount(Transitions));
+  Row.set("repeats", jsonCount(Repeats));
+  Row.set("verdict", JsonValue::str(Verdict));
+  Rows.push(std::move(Row));
 }
 
 /// Run one per-process safety search `Repeats` times and report aggregate
@@ -117,9 +95,8 @@ void throughputRow(const Program &Prog, const char *ProcName,
               static_cast<unsigned long long>(Stored),
               static_cast<unsigned long long>(Transitions), Repeats,
               StatesPerSec, Verdict.c_str());
-  JsonRows.push_back({"mc_throughput", ProcName, Config, StatesPerSec,
-                      "states_per_sec", Explored, Stored, Transitions,
-                      Repeats, Verdict});
+  addRow("mc_throughput", ProcName, Config, StatesPerSec, "states_per_sec",
+         Explored, Stored, Transitions, Repeats, Verdict);
 }
 
 void latencyRow(uint32_t Size, unsigned Roundtrips) {
@@ -134,12 +111,10 @@ void latencyRow(uint32_t Size, unsigned Roundtrips) {
   std::printf("%8s %12.2f %12.2f %10.2f\n", sizeLabel(Size).c_str(),
               Esp.OneWayLatencyUs, Orig.OneWayLatencyUs,
               Esp.OneWayLatencyUs / Orig.OneWayLatencyUs);
-  JsonRows.push_back({"fig5a_latency", "vmmcESP", sizeLabel(Size),
-                      Esp.OneWayLatencyUs, "usec", 0, 0, 0, Roundtrips,
-                      "completed"});
-  JsonRows.push_back({"fig5a_latency", "vmmcOrig", sizeLabel(Size),
-                      Orig.OneWayLatencyUs, "usec", 0, 0, 0, Roundtrips,
-                      "completed"});
+  addRow("fig5a_latency", "vmmcESP", sizeLabel(Size), Esp.OneWayLatencyUs,
+         "usec", 0, 0, 0, Roundtrips, "completed");
+  addRow("fig5a_latency", "vmmcOrig", sizeLabel(Size), Orig.OneWayLatencyUs,
+         "usec", 0, 0, 0, Roundtrips, "completed");
 }
 
 /// Host-time cost of the fig5a pingpong: wall-clock microseconds per
@@ -160,9 +135,8 @@ void hostTimeRow(vmmc::FirmwareKind Kind, uint32_t Size, unsigned Roundtrips) {
   double UsPerRt = TotalUs / Roundtrips;
   std::printf("%-10s %8s %8u %14.2f %16.3f\n", vmmc::firmwareKindName(Kind),
               sizeLabel(Size).c_str(), Roundtrips, TotalUs / 1000.0, UsPerRt);
-  JsonRows.push_back({"fig5a_host_time", vmmc::firmwareKindName(Kind),
-                      sizeLabel(Size), UsPerRt, "host_usec_per_roundtrip", 0,
-                      0, 0, Roundtrips, "completed"});
+  addRow("fig5a_host_time", vmmc::firmwareKindName(Kind), sizeLabel(Size),
+         UsPerRt, "host_usec_per_roundtrip", 0, 0, 0, Roundtrips, "completed");
 }
 
 } // namespace
@@ -217,6 +191,6 @@ int main(int argc, char **argv) {
   hostTimeRow(vmmc::FirmwareKind::Esp, 4096, HostReps);
   hostTimeRow(vmmc::FirmwareKind::Orig, 4, HostReps);
 
-  writeJson(Quick);
+  writeBenchJson("BENCH_runtime.json", "runtime", Quick, std::move(Rows));
   return 0;
 }

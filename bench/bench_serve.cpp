@@ -22,63 +22,14 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <vector>
 
 using namespace esp;
 using namespace esp::bench;
 
 namespace {
 
-struct JsonRow {
-  std::string Name;
-  uint64_t Machines = 0;
-  uint64_t Requests = 0;
-  unsigned Workers = 0;
-  double ReqPerSec = 0;
-  uint64_t P50Ns = 0;
-  uint64_t P99Ns = 0;
-  uint64_t P999Ns = 0;
-  uint64_t Steals = 0;
-  uint64_t Resets = 0;
-  uint64_t Stalls = 0;
-  std::string Verdict;
-};
-
-std::vector<JsonRow> JsonRows;
-
-void writeJson(bool Quick) {
-  std::FILE *Out = std::fopen("BENCH_serve.json", "w");
-  if (!Out) {
-    std::fprintf(stderr, "cannot write BENCH_serve.json\n");
-    return;
-  }
-  std::fprintf(Out, "{\n  \"bench\": \"serve\",\n  \"quick\": %s,\n"
-                    "  \"rows\": [\n",
-               Quick ? "true" : "false");
-  for (size_t I = 0; I != JsonRows.size(); ++I) {
-    const JsonRow &Row = JsonRows[I];
-    std::fprintf(Out,
-                 "    {\"name\": \"%s\", \"machines\": %llu, "
-                 "\"requests\": %llu, \"workers\": %u, "
-                 "\"req_per_sec\": %.2f, \"p50_ns\": %llu, "
-                 "\"p99_ns\": %llu, \"p999_ns\": %llu, "
-                 "\"steals\": %llu, \"resets\": %llu, "
-                 "\"backpressure_stalls\": %llu, \"verdict\": \"%s\"}%s\n",
-                 Row.Name.c_str(),
-                 static_cast<unsigned long long>(Row.Machines),
-                 static_cast<unsigned long long>(Row.Requests), Row.Workers,
-                 Row.ReqPerSec, static_cast<unsigned long long>(Row.P50Ns),
-                 static_cast<unsigned long long>(Row.P99Ns),
-                 static_cast<unsigned long long>(Row.P999Ns),
-                 static_cast<unsigned long long>(Row.Steals),
-                 static_cast<unsigned long long>(Row.Resets),
-                 static_cast<unsigned long long>(Row.Stalls),
-                 Row.Verdict.c_str(), I + 1 == JsonRows.size() ? "" : ",");
-  }
-  std::fprintf(Out, "  ]\n}\n");
-  std::fclose(Out);
-  std::printf("\nwrote BENCH_serve.json (%zu rows)\n", JsonRows.size());
-}
+obs::JsonValue Rows = obs::JsonValue::array();
+bool AllOk = true;
 
 void runRow(const std::string &Name, uint32_t Machines, uint64_t Requests,
             unsigned Workers, uint64_t ConnRequests) {
@@ -89,20 +40,22 @@ void runRow(const std::string &Name, uint32_t Machines, uint64_t Requests,
   Opt.ConnRequests = ConnRequests;
   serve::ServeResult R = serve::runServe(Opt);
 
-  JsonRow Row;
-  Row.Name = Name;
-  Row.Machines = Machines;
-  Row.Requests = Requests;
-  Row.Workers = Workers;
-  Row.ReqPerSec = R.RequestsPerSec;
-  Row.P50Ns = R.P50Ns;
-  Row.P99Ns = R.P99Ns;
-  Row.P999Ns = R.P999Ns;
-  Row.Steals = R.Steals;
-  Row.Resets = R.Resets;
-  Row.Stalls = R.BackpressureStalls;
-  Row.Verdict = R.Ok ? "ok" : ("FAIL: " + R.Error);
-  JsonRows.push_back(Row);
+  using obs::JsonValue;
+  JsonValue Row = JsonValue::object();
+  Row.set("name", JsonValue::str(Name));
+  Row.set("machines", jsonCount(Machines));
+  Row.set("requests", jsonCount(Requests));
+  Row.set("workers", jsonCount(Workers));
+  Row.set("req_per_sec", jsonFixed(R.RequestsPerSec, 2));
+  Row.set("p50_ns", jsonCount(R.P50Ns));
+  Row.set("p99_ns", jsonCount(R.P99Ns));
+  Row.set("p999_ns", jsonCount(R.P999Ns));
+  Row.set("steals", jsonCount(R.Steals));
+  Row.set("resets", jsonCount(R.Resets));
+  Row.set("backpressure_stalls", jsonCount(R.BackpressureStalls));
+  Row.set("verdict", JsonValue::str(R.Ok ? "ok" : "FAIL: " + R.Error));
+  Rows.push(std::move(Row));
+  AllOk &= R.Ok;
 
   std::printf("  %-22s %6u mach %8llu req %2u wrk: %10.0f req/s  "
               "p50 %7.1f us  p99 %7.1f us  p999 %7.1f us  [%s]\n",
@@ -133,10 +86,6 @@ int main(int Argc, char **Argv) {
     runRow("fleet1k", 1'000, 200'000, 4, 256);
   }
 
-  writeJson(Quick);
-
-  for (const JsonRow &Row : JsonRows)
-    if (Row.Verdict != "ok")
-      return 1;
-  return 0;
+  writeBenchJson("BENCH_serve.json", "serve", Quick, std::move(Rows));
+  return AllOk ? 0 : 1;
 }

@@ -32,6 +32,24 @@ echo "== esplint: example corpus =="
 echo "== esplint: VMMC firmware =="
 "$ESPLINT" --builtin-vmmc
 
+SCRATCH_DIR="$(mktemp -d)"
+trap 'rm -rf "$SCRATCH_DIR"' EXIT
+
+echo "== esplint: JSON output and --format usage =="
+# The JSON report parses for every corpus file and for a file name that
+# needs escaping; an unknown --format is a usage error (exit 2).
+"$ESPLINT" --format=json "$REPO_ROOT"/examples/esp/*.esp |
+  python3 -m json.tool > /dev/null
+QUOTED="$SCRATCH_DIR/a\"b.esp"
+cp "$REPO_ROOT/examples/esp/quickstart.esp" "$QUOTED"
+"$ESPLINT" --format=json "$QUOTED" | python3 -m json.tool > /dev/null
+status=0
+"$ESPLINT" --format yaml "$QUOTED" > /dev/null 2>&1 || status=$?
+if [ "$status" != 2 ]; then
+  echo "check.sh: esplint --format yaml exited $status, expected 2" >&2
+  exit 1
+fi
+
 ESPMC="$BUILD_DIR/src/tools/espmc"
 
 echo "== espmc: --por golden harnesses =="
@@ -40,18 +58,16 @@ echo "== espmc: --por golden harnesses =="
 # states: the cycle proviso is static, so the reduced state graph does
 # not depend on the worker count. The differential count assertions
 # live in tests/test_mc_por.cpp.
-STATS_DIR="$(mktemp -d)"
-trap 'rm -rf "$STATS_DIR"' EXIT
 states_stored() {
   python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["states_stored"])' "$1"
 }
 for process in translator pageTable; do
-  "$ESPMC" --process "$process" --por -q --stats-json "$STATS_DIR/j1.json" \
+  "$ESPMC" --process "$process" --por -q --stats-json "$SCRATCH_DIR/j1.json" \
     "$REPO_ROOT/examples/esp/pagetable.esp"
   "$ESPMC" --process "$process" --por --jobs 4 -q \
-    --stats-json "$STATS_DIR/j4.json" "$REPO_ROOT/examples/esp/pagetable.esp"
-  j1="$(states_stored "$STATS_DIR/j1.json")"
-  j4="$(states_stored "$STATS_DIR/j4.json")"
+    --stats-json "$SCRATCH_DIR/j4.json" "$REPO_ROOT/examples/esp/pagetable.esp"
+  j1="$(states_stored "$SCRATCH_DIR/j1.json")"
+  j4="$(states_stored "$SCRATCH_DIR/j4.json")"
   if [ "$j1" != "$j4" ]; then
     echo "check.sh: --process $process --por stored $j1 states at --jobs 1" \
       "but $j4 at --jobs 4" >&2

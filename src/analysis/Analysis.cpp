@@ -113,40 +113,13 @@ void renderLoc(const SourceManager &SM, SourceLoc Loc, std::ostream &OS) {
   OS << D.FileName << ":" << D.Line << ":" << D.Column;
 }
 
-std::string jsonEscape(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
-void renderJsonLoc(const SourceManager &SM, SourceLoc Loc, std::ostream &OS) {
+obs::JsonValue jsonLoc(const SourceManager &SM, SourceLoc Loc) {
   DecodedLoc D = SM.decode(Loc);
-  OS << "{\"file\": \"" << jsonEscape(D.FileName) << "\", \"line\": " << D.Line
-     << ", \"column\": " << D.Column << "}";
+  obs::JsonValue V = obs::JsonValue::object();
+  V.set("file", obs::JsonValue::str(std::string(D.FileName)));
+  V.set("line", obs::JsonValue::integer(D.Line));
+  V.set("column", obs::JsonValue::integer(D.Column));
+  return V;
 }
 
 } // namespace
@@ -175,32 +148,31 @@ std::string esp::renderFindingsText(const AnalysisResult &Result,
   return OS.str();
 }
 
-std::string esp::renderFindingsJson(const AnalysisResult &Result,
-                                    const SourceManager &SM) {
-  std::ostringstream OS;
-  OS << "{\n";
-  OS << "  \"errors\": " << Result.numErrors() << ",\n";
-  OS << "  \"warnings\": " << Result.numWarnings() << ",\n";
-  OS << "  \"deadlockSearchIncomplete\": "
-     << (Result.DeadlockSearchIncomplete ? "true" : "false") << ",\n";
-  OS << "  \"findings\": [";
-  for (unsigned I = 0, E = Result.Findings.size(); I != E; ++I) {
-    const AnalysisFinding &F = Result.Findings[I];
-    OS << (I ? ",\n    " : "\n    ");
-    OS << "{\"detector\": \"" << analysisKindName(F.Kind) << "\", "
-       << "\"severity\": \"" << analysisSeverityName(F.Severity) << "\", "
-       << "\"location\": ";
-    renderJsonLoc(SM, F.Loc, OS);
-    OS << ", \"message\": \"" << jsonEscape(F.Message) << "\", \"notes\": [";
-    for (unsigned J = 0, NE = F.Notes.size(); J != NE; ++J) {
-      const AnalysisFinding::Note &N = F.Notes[J];
-      OS << (J ? ", " : "") << "{\"location\": ";
-      renderJsonLoc(SM, N.Loc, OS);
-      OS << ", \"message\": \"" << jsonEscape(N.Message) << "\"}";
+obs::JsonValue esp::renderFindingsJson(const AnalysisResult &Result,
+                                       const SourceManager &SM) {
+  using obs::JsonValue;
+  JsonValue Findings = JsonValue::array();
+  for (const AnalysisFinding &F : Result.Findings) {
+    JsonValue Notes = JsonValue::array();
+    for (const AnalysisFinding::Note &N : F.Notes) {
+      JsonValue Note = JsonValue::object();
+      Note.set("location", jsonLoc(SM, N.Loc));
+      Note.set("message", JsonValue::str(N.Message));
+      Notes.push(std::move(Note));
     }
-    OS << "]}";
+    JsonValue V = JsonValue::object();
+    V.set("detector", JsonValue::str(analysisKindName(F.Kind)));
+    V.set("severity", JsonValue::str(analysisSeverityName(F.Severity)));
+    V.set("location", jsonLoc(SM, F.Loc));
+    V.set("message", JsonValue::str(F.Message));
+    V.set("notes", std::move(Notes));
+    Findings.push(std::move(V));
   }
-  OS << (Result.Findings.empty() ? "]\n" : "\n  ]\n");
-  OS << "}\n";
-  return OS.str();
+  JsonValue Doc = JsonValue::object();
+  Doc.set("errors", JsonValue::integer(Result.numErrors()));
+  Doc.set("warnings", JsonValue::integer(Result.numWarnings()));
+  Doc.set("deadlockSearchIncomplete",
+          JsonValue::boolean(Result.DeadlockSearchIncomplete));
+  Doc.set("findings", std::move(Findings));
+  return Doc;
 }

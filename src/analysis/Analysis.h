@@ -33,6 +33,7 @@
 #define ESP_ANALYSIS_ANALYSIS_H
 
 #include "ir/IR.h"
+#include "obs/Json.h"
 #include "support/SourceLoc.h"
 
 #include <string>
@@ -118,8 +119,8 @@ std::string renderFindingsText(const AnalysisResult &Result,
 
 /// Renders the findings as a JSON document (stable detector and severity
 /// names; locations decoded to file/line/column).
-std::string renderFindingsJson(const AnalysisResult &Result,
-                               const SourceManager &SM);
+obs::JsonValue renderFindingsJson(const AnalysisResult &Result,
+                                  const SourceManager &SM);
 
 namespace detail {
 

@@ -147,8 +147,12 @@ void dumpTo(const JsonValue &V, std::string &Out, unsigned Indent,
       Out += "null"; // JSON has no Inf/NaN.
       break;
     }
+    // Shortest of %.15g and %.17g that parses back to the same double,
+    // so 17.58 prints as 17.58, not 17.579999999999998.
     char Buf[40];
-    std::snprintf(Buf, sizeof(Buf), "%.17g", D);
+    std::snprintf(Buf, sizeof(Buf), "%.15g", D);
+    if (std::strtod(Buf, nullptr) != D)
+      std::snprintf(Buf, sizeof(Buf), "%.17g", D);
     Out += Buf;
     break;
   }

@@ -9,7 +9,6 @@
 #include "obs/Json.h"
 
 #include <algorithm>
-#include <bit>
 #include <sstream>
 
 using namespace esp;
@@ -26,53 +25,48 @@ unsigned esp::obs::metricShard() {
 // Histogram
 //===----------------------------------------------------------------------===//
 
-void Histogram::record(uint64_t Sample, unsigned Shard) {
-  unsigned Bucket = Sample == 0 ? 0 : 64 - std::countl_zero(Sample);
-  if (Bucket >= kBuckets)
-    Bucket = kBuckets - 1;
-  Cell &C = Cells[Shard % kMetricShards];
-  C.B[Bucket].fetch_add(1, std::memory_order_relaxed);
-  C.Sum.fetch_add(Sample, std::memory_order_relaxed);
-}
+Histogram::Histogram(unsigned Shards)
+    : ShardCount(Shards ? Shards : 1), Rows(new Row[ShardCount]) {}
 
 uint64_t Histogram::count() const {
   uint64_t N = 0;
-  for (const Cell &C : Cells)
-    for (const auto &B : C.B)
+  for (unsigned S = 0; S != ShardCount; ++S)
+    for (const auto &B : Rows[S].B)
       N += B.load(std::memory_order_relaxed);
   return N;
 }
 
 uint64_t Histogram::sum() const {
-  uint64_t S = 0;
-  for (const Cell &C : Cells)
-    S += C.Sum.load(std::memory_order_relaxed);
-  return S;
+  uint64_t Sum = 0;
+  for (unsigned S = 0; S != ShardCount; ++S)
+    Sum += Rows[S].Sum.load(std::memory_order_relaxed);
+  return Sum;
 }
 
-std::array<uint64_t, Histogram::kBuckets> Histogram::buckets() const {
-  std::array<uint64_t, kBuckets> Out{};
-  for (const Cell &C : Cells)
-    for (unsigned I = 0; I != kBuckets; ++I)
-      Out[I] += C.B[I].load(std::memory_order_relaxed);
-  return Out;
-}
-
-uint64_t Histogram::quantileBound(double Q) const {
-  std::array<uint64_t, kBuckets> B = buckets();
+uint64_t Histogram::quantile(double Q) const {
+  std::vector<uint64_t> Merged(kBucketCount, 0);
   uint64_t Total = 0;
-  for (uint64_t N : B)
-    Total += N;
+  for (unsigned S = 0; S != ShardCount; ++S)
+    for (unsigned B = 0; B != kBucketCount; ++B) {
+      uint64_t C = Rows[S].B[B].load(std::memory_order_relaxed);
+      Merged[B] += C;
+      Total += C;
+    }
   if (Total == 0)
     return 0;
-  uint64_t Rank = static_cast<uint64_t>(Q * static_cast<double>(Total));
+  Q = std::clamp(Q, 0.0, 1.0);
+  // Rank of the sample the quantile asks for, 1-based.
+  uint64_t Rank = static_cast<uint64_t>(Q * double(Total - 1)) + 1;
   uint64_t Seen = 0;
-  for (unsigned I = 0; I != kBuckets; ++I) {
-    Seen += B[I];
-    if (Seen > Rank)
-      return I == 0 ? 0 : (uint64_t{1} << I) - 1;
+  for (unsigned B = 0; B != kBucketCount; ++B) {
+    Seen += Merged[B];
+    if (Seen >= Rank) {
+      uint64_t Low = bucketLow(B);
+      uint64_t High = B + 1 < kBucketCount ? bucketLow(B + 1) : Low + 1;
+      return Low + (High - Low) / 2;
+    }
   }
-  return UINT64_MAX;
+  return bucketLow(kBucketCount - 1);
 }
 
 //===----------------------------------------------------------------------===//
@@ -127,10 +121,10 @@ JsonValue MetricsRegistry::json() const {
     V.set("count",
           JsonValue::integer(static_cast<int64_t>(E.Metric.count())));
     V.set("sum", JsonValue::integer(static_cast<int64_t>(E.Metric.sum())));
-    V.set("p50", JsonValue::integer(
-                     static_cast<int64_t>(E.Metric.quantileBound(0.50))));
-    V.set("p99", JsonValue::integer(
-                     static_cast<int64_t>(E.Metric.quantileBound(0.99))));
+    V.set("p50",
+          JsonValue::integer(static_cast<int64_t>(E.Metric.quantile(0.50))));
+    V.set("p99",
+          JsonValue::integer(static_cast<int64_t>(E.Metric.quantile(0.99))));
     H.set(E.Name, std::move(V));
   }
   Root.set("histograms", std::move(H));
@@ -153,10 +147,9 @@ std::string MetricsRegistry::report() const {
     for (const auto &E : Histograms)
       Lines.push_back(
           {E.Name, "count " + std::to_string(E.Metric.count()) + ", sum " +
-                       std::to_string(E.Metric.sum()) + ", p50<=" +
-                       std::to_string(E.Metric.quantileBound(0.50)) +
-                       ", p99<=" +
-                       std::to_string(E.Metric.quantileBound(0.99))});
+                       std::to_string(E.Metric.sum()) + ", p50 " +
+                       std::to_string(E.Metric.quantile(0.50)) + ", p99 " +
+                       std::to_string(E.Metric.quantile(0.99))});
   }
   std::sort(Lines.begin(), Lines.end(),
             [](const Line &A, const Line &B) { return A.Name < B.Name; });

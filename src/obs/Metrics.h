@@ -25,6 +25,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -84,29 +85,65 @@ private:
   std::atomic<int64_t> Max{0};
 };
 
-/// Power-of-two-bucket histogram: bucket B counts samples in
-/// [2^(B-1), 2^B) with bucket 0 holding zeros. Enough resolution for
-/// latency/size distributions without per-sample allocation.
+/// Log-linear (HdrHistogram-style) histogram. Each power-of-two range
+/// is split into kSubBuckets linear sub-buckets, so ~1.9k buckets cover
+/// all of uint64 with a relative error of at most 1/32 (3.1%); values
+/// below 2*kSubBuckets are exact. Each shard is one cache-line-aligned
+/// row of relaxed atomics; quantile() merges the rows, so read it after
+/// the writers joined (the joins publish the counts).
 class Histogram {
 public:
-  static constexpr unsigned kBuckets = 64;
+  static constexpr unsigned kPrecisionBits = 5;
+  static constexpr unsigned kSubBuckets = 1u << kPrecisionBits; // 32
+  // Values below kSubBuckets*2 are exact; above, 64 - kPrecisionBits - 1
+  // doubling ranges of kSubBuckets sub-buckets each cover uint64.
+  static constexpr unsigned kBucketCount =
+      kSubBuckets * 2 + (64 - kPrecisionBits - 1) * kSubBuckets;
+
+  explicit Histogram(unsigned Shards = kMetricShards);
+
+  /// Maps a value to its bucket index. Monotone and total: consecutive
+  /// values map to the same or the next bucket.
+  static unsigned bucketOf(uint64_t V) {
+    if (V < kSubBuckets * 2)
+      return static_cast<unsigned>(V); // exact range
+    // Highest set bit gives the doubling range; the kPrecisionBits bits
+    // below it give the linear sub-bucket.
+    unsigned Msb = 63u - static_cast<unsigned>(__builtin_clzll(V));
+    unsigned Shift = Msb - kPrecisionBits; // >= 1 here
+    unsigned Sub = static_cast<unsigned>((V >> Shift) & (kSubBuckets - 1));
+    return (Shift + 1) * kSubBuckets + Sub;
+  }
+
+  /// Lower edge of a bucket: the smallest value mapping into it.
+  static uint64_t bucketLow(unsigned Bucket) {
+    if (Bucket < kSubBuckets * 2)
+      return Bucket;
+    unsigned Shift = Bucket / kSubBuckets - 1;
+    unsigned Sub = Bucket % kSubBuckets;
+    return (uint64_t(kSubBuckets) + Sub) << Shift;
+  }
 
   void record(uint64_t Sample) { record(Sample, metricShard()); }
-  void record(uint64_t Sample, unsigned Shard);
+  void record(uint64_t Sample, unsigned Shard) {
+    Row &R = Rows[Shard % ShardCount];
+    R.B[bucketOf(Sample)].fetch_add(1, std::memory_order_relaxed);
+    R.Sum.fetch_add(Sample, std::memory_order_relaxed);
+  }
 
   uint64_t count() const;
   uint64_t sum() const;
-  /// Aggregated per-bucket counts.
-  std::array<uint64_t, kBuckets> buckets() const;
-  /// Upper bound of the bucket containing the \p Q quantile (0..1).
-  uint64_t quantileBound(double Q) const;
+  /// Value at quantile \p Q in [0, 1]: the midpoint of the bucket holding
+  /// that rank, so within 1/32 of the true sample. 0 when empty.
+  uint64_t quantile(double Q) const;
 
 private:
-  struct alignas(64) Cell {
-    std::array<std::atomic<uint64_t>, kBuckets> B{};
+  struct alignas(64) Row {
+    std::array<std::atomic<uint64_t>, kBucketCount> B{};
     std::atomic<uint64_t> Sum{0};
   };
-  std::array<Cell, kMetricShards> Cells;
+  unsigned ShardCount;
+  std::unique_ptr<Row[]> Rows;
 };
 
 /// Named metrics, grouped by kind. Lookup-or-create is mutex-guarded;

@@ -11,7 +11,6 @@
 #include "obs/TracingObserver.h"
 #include "runtime/Machine.h"
 #include "serve/ExternalPort.h"
-#include "serve/Latency.h"
 #include "vmmc/ServeFirmware.h"
 
 #include <algorithm>
@@ -121,7 +120,7 @@ struct Fleet {
   ServeOptions Opt;
   std::vector<std::unique_ptr<Slot>> Slots;
   std::vector<WorkerQueue> Queues;
-  LatencyRecorder Lat;
+  obs::Histogram Lat;
 
   std::atomic<uint64_t> Responses{0};
   std::atomic<uint64_t> QueuedSlots{0};
@@ -222,7 +221,7 @@ void RespCollector::consume(int, Heap &, const std::vector<Value> &Args) {
     uint64_t T0 = S.PendingT0.front();
     S.PendingT0.pop_front();
     uint64_t Now = nowNs();
-    F.Lat.record(obs::metricShard(), Now > T0 ? Now - T0 : 0);
+    F.Lat.record(Now > T0 ? Now - T0 : 0);
   }
 
   uint64_t Total = F.Responses.fetch_add(1, std::memory_order_relaxed) + 1;

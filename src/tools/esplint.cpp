@@ -15,6 +15,7 @@
 
 #include "analysis/Analysis.h"
 #include "driver/Driver.h"
+#include "obs/Json.h"
 #include "support/Diagnostics.h"
 #include "support/SourceManager.h"
 #include "support/ToolArgs.h"
@@ -59,11 +60,13 @@ struct LintStats {
   unsigned Files = 0;
 };
 
-/// Analyzes one input; renders to stdout. Returns false only when the
-/// program does not parse/check (frontend errors).
+/// Analyzes one input; renders to stdout, or appends a
+/// {"file", "analysis"} object to \p JsonOut when it is non-null.
+/// Returns false only when the program does not parse/check (frontend
+/// errors).
 bool lintInput(SourceManager &SM, const CompileInput &Input,
-               const AnalysisOptions &Options, bool Json, bool Quiet,
-               bool &FirstJson, LintStats &Stats) {
+               const AnalysisOptions &Options, obs::JsonValue *JsonOut,
+               bool Quiet, LintStats &Stats) {
   DiagnosticEngine Diags(SM);
   CompileResult R = esp::compile(SM, Diags, {Input});
   if (!R.IOError.empty()) {
@@ -86,15 +89,11 @@ bool lintInput(SourceManager &SM, const CompileInput &Input,
   Stats.Errors += Result.numErrors();
   Stats.Warnings += Result.numWarnings();
 
-  if (Json) {
-    std::printf("%s{\"file\": \"%s\", \"analysis\": ", FirstJson ? "" : ",\n",
-                Input.Name.c_str());
-    FirstJson = false;
-    std::string Doc = renderFindingsJson(Result, SM);
-    while (!Doc.empty() && (Doc.back() == '\n'))
-      Doc.pop_back();
-    std::fputs(Doc.c_str(), stdout);
-    std::fputs("}", stdout);
+  if (JsonOut) {
+    obs::JsonValue Entry = obs::JsonValue::object();
+    Entry.set("file", obs::JsonValue::str(Input.Name));
+    Entry.set("analysis", renderFindingsJson(Result, SM));
+    JsonOut->push(std::move(Entry));
     return true;
   }
 
@@ -126,13 +125,12 @@ int main(int Argc, char **Argv) {
   while (Args.next()) {
     std::string Format;
     uint64_t MaxConfigs = 0;
-    if (Args.flag("--format=text"))
-      Json = false;
-    else if (Args.flag("--format=json"))
-      Json = true;
-    else if (Args.option("--format", Format))
+    if (Args.option("--format", Format)) {
+      if (Format != "text" && Format != "json")
+        Args.usageError("unknown --format '" + Format +
+                        "' (expected text|json)");
       Json = Format == "json";
-    else if (Args.flag("--no-deadlock"))
+    } else if (Args.flag("--no-deadlock"))
       Options.CheckDeadlock = false;
     else if (Args.flag("--no-links"))
       Options.CheckLinkBalance = false;
@@ -163,19 +161,17 @@ int main(int Argc, char **Argv) {
 
   SourceManager SM;
   LintStats Stats;
-  bool FirstJson = true;
-  if (Json)
-    std::printf("[");
+  obs::JsonValue Docs = obs::JsonValue::array();
+  obs::JsonValue *JsonOut = Json ? &Docs : nullptr;
   for (const std::string &Path : Inputs)
-    lintInput(SM, CompileInput::file(Path), Options, Json, Quiet, FirstJson,
-              Stats);
+    lintInput(SM, CompileInput::file(Path), Options, JsonOut, Quiet, Stats);
   if (BuiltinVmmc) {
     lintInput(SM,
               CompileInput::buffer("<builtin-vmmc>", vmmc::getVmmcEspSource()),
-              Options, Json, Quiet, FirstJson, Stats);
+              Options, JsonOut, Quiet, Stats);
   }
   if (Json)
-    std::printf("%s]\n", FirstJson ? "" : "\n");
+    std::printf("%s\n", Docs.dump(2).c_str());
   else if (Stats.Files > 1)
     std::printf("esplint: total: %u file(s), %u error(s), %u warning(s)\n",
                 Stats.Files, Stats.Errors, Stats.Warnings);

@@ -62,6 +62,16 @@ TEST(ObsJson, RoundTrip) {
     ASSERT_EQ(Back.get("arr").size(), 2u);
     EXPECT_EQ(Back.get("arr").at(1).asString(), "two");
   }
+
+  // Doubles print in their shortest round-trip form.
+  for (double D : {17.58, 0.1, 1e-7, 0.948676, 1.0 / 3}) {
+    JsonValue Back;
+    std::string Error;
+    ASSERT_TRUE(obs::parseJson(JsonValue::number(D).dump(), Back, Error))
+        << Error;
+    EXPECT_EQ(Back.asDouble(), D);
+  }
+  EXPECT_EQ(JsonValue::number(17.58).dump(), "17.58");
 }
 
 TEST(ObsJson, RejectsMalformedInput) {
@@ -114,6 +124,54 @@ TEST(ObsMetrics, CountersExactAcrossThreads) {
   std::string Report = Reg.report();
   EXPECT_NE(Report.find("test.count"), std::string::npos);
   EXPECT_NE(Report.find("test.depth"), std::string::npos);
+  // The JSON percentiles are the histogram's own midpoint estimates.
+  obs::JsonValue Json = Reg.json();
+  const obs::JsonValue &Sizes = Json.get("histograms").get("test.sizes");
+  EXPECT_EQ(Sizes.get("p50").asInt(), static_cast<int64_t>(H.quantile(0.5)));
+  EXPECT_EQ(Sizes.get("p99").asInt(), static_cast<int64_t>(H.quantile(0.99)));
+}
+
+TEST(ObsHistogram, BucketContinuity) {
+  // bucketOf is monotone and gapless: each value maps to the same bucket
+  // as its predecessor or the next one, and the bucket's lower edge
+  // never exceeds the value.
+  using obs::Histogram;
+  unsigned Prev = Histogram::bucketOf(0);
+  EXPECT_EQ(Prev, 0u);
+  uint64_t Probe = 1;
+  for (unsigned Step = 0; Step != 4096; ++Step) {
+    unsigned B = Histogram::bucketOf(Probe);
+    EXPECT_GE(B, Prev);
+    EXPECT_LE(B, Prev + 1);
+    EXPECT_LE(Histogram::bucketLow(B), Probe);
+    if (B > Prev) {
+      EXPECT_EQ(Histogram::bucketLow(B), Probe);
+    }
+    Prev = B;
+    ++Probe;
+  }
+  // Sparse sweep across the doubling ranges up to the top of uint64.
+  for (uint64_t V = 4096; V > 2048; V <<= 1) {
+    unsigned B = Histogram::bucketOf(V);
+    EXPECT_LE(Histogram::bucketLow(B), V);
+    EXPECT_LT(B, Histogram::kBucketCount);
+    unsigned B2 = Histogram::bucketOf(V - 1);
+    EXPECT_LE(B2, B);
+  }
+  EXPECT_LT(Histogram::bucketOf(UINT64_MAX), Histogram::kBucketCount);
+}
+
+TEST(ObsHistogram, QuantilesWithinRelativeError) {
+  obs::Histogram L(4);
+  // 1..100000 uniformly: pN must land within the bucketing's 1/32
+  // relative error of N% of the range.
+  for (uint64_t V = 1; V <= 100'000; ++V)
+    L.record(V, static_cast<unsigned>(V % 4));
+  EXPECT_EQ(L.count(), 100'000u);
+  EXPECT_NEAR(double(L.quantile(0.50)), 50'000.0, 50'000.0 / 16);
+  EXPECT_NEAR(double(L.quantile(0.99)), 99'000.0, 99'000.0 / 16);
+  EXPECT_NEAR(double(L.quantile(0.999)), 99'900.0, 99'900.0 / 16);
+  EXPECT_EQ(obs::Histogram(1).quantile(0.5), 0u); // Empty: 0.
 }
 
 //===----------------------------------------------------------------------===//

@@ -3,8 +3,7 @@
 // Part of the esplang project (ESP, PLDI 2001 reproduction).
 //
 // The serve subsystem's contracts: the bounded inbox (FIFO, cap,
-// high-water), the log-linear latency histogram, deterministic golden
-// totals on one worker, worker-count independence of the aggregate,
+// high-water), deterministic golden totals on one worker, worker-count independence of the aggregate,
 // backpressure, machine recycling (Machine::reset() replays
 // bit-identically and reuses the heap arena), and the serve metrics and
 // tracing surfaces.
@@ -15,7 +14,6 @@
 #include "obs/Trace.h"
 #include "runtime/Machine.h"
 #include "serve/ExternalPort.h"
-#include "serve/Latency.h"
 #include "serve/LoadGen.h"
 #include "serve/Serve.h"
 #include "vmmc/ServeFirmware.h"
@@ -74,53 +72,6 @@ TEST(ServePort, CapBoundsAcceptance) {
   EXPECT_EQ(Out.Seq, 1u);
   EXPECT_EQ(P.highWater(), 4u);
   EXPECT_LE(P.highWater(), P.capacity());
-}
-
-//===----------------------------------------------------------------------===//
-// LatencyRecorder
-//===----------------------------------------------------------------------===//
-
-TEST(ServeLatency, BucketContinuity) {
-  // bucketOf is monotone and gapless: each value maps to the same bucket
-  // as its predecessor or the next one, and the bucket's lower edge
-  // never exceeds the value.
-  unsigned Prev = LatencyRecorder::bucketOf(0);
-  EXPECT_EQ(Prev, 0u);
-  uint64_t Probe = 1;
-  for (unsigned Step = 0; Step != 4096; ++Step) {
-    unsigned B = LatencyRecorder::bucketOf(Probe);
-    EXPECT_GE(B, Prev);
-    EXPECT_LE(B, Prev + 1);
-    EXPECT_LE(LatencyRecorder::bucketLow(B), Probe);
-    if (B > Prev) {
-      EXPECT_EQ(LatencyRecorder::bucketLow(B), Probe);
-    }
-    Prev = B;
-    ++Probe;
-  }
-  // Sparse sweep across the doubling ranges up to the top of uint64.
-  for (uint64_t V = 4096; V > 2048; V <<= 1) {
-    unsigned B = LatencyRecorder::bucketOf(V);
-    EXPECT_LE(LatencyRecorder::bucketLow(B), V);
-    EXPECT_LT(B, LatencyRecorder::kBucketCount);
-    unsigned B2 = LatencyRecorder::bucketOf(V - 1);
-    EXPECT_LE(B2, B);
-  }
-  EXPECT_LT(LatencyRecorder::bucketOf(UINT64_MAX),
-            LatencyRecorder::kBucketCount);
-}
-
-TEST(ServeLatency, QuantilesWithinRelativeError) {
-  LatencyRecorder L(4);
-  // 1..100000 uniformly: pN must land within the bucketing's 1/32
-  // relative error of N% of the range.
-  for (uint64_t V = 1; V <= 100'000; ++V)
-    L.record(static_cast<unsigned>(V % 4), V);
-  EXPECT_EQ(L.count(), 100'000u);
-  EXPECT_NEAR(double(L.quantile(0.50)), 50'000.0, 50'000.0 / 16);
-  EXPECT_NEAR(double(L.quantile(0.99)), 99'000.0, 99'000.0 / 16);
-  EXPECT_NEAR(double(L.quantile(0.999)), 99'900.0, 99'900.0 / 16);
-  EXPECT_EQ(LatencyRecorder(1).quantile(0.5), 0u); // Empty: 0.
 }
 
 //===----------------------------------------------------------------------===//
