@@ -77,6 +77,33 @@ done
 "$ESPMC" --process producer --por \
   "$REPO_ROOT/examples/esp/quickstart.esp" > /dev/null
 
+echo "== ambiguous dispatch, whichever side starts the pairing =="
+# Sema cannot prove the two readers' patterns disjoint, and { 1, 5 }
+# matches both. In both declaration orders espc --run must fail (exit 1)
+# and espmc must report the violation (exit 3).
+ESPC="$BUILD_DIR/src/tools/espc"
+AMB_CHAN='channel c: record of { k: int, v: int }'
+AMB_READERS='process ra { $a = 1; in(c, { a, $x }); }
+process rb { $b = 1; in(c, { b, $y }); }'
+AMB_WRITER='process w { out(c, { 1, 5 }); }'
+printf '%s\n' "$AMB_CHAN" "$AMB_READERS" "$AMB_WRITER" \
+  > "$SCRATCH_DIR/readers_first.esp"
+printf '%s\n' "$AMB_CHAN" "$AMB_WRITER" "$AMB_READERS" \
+  > "$SCRATCH_DIR/writer_first.esp"
+expect_exit() {
+  local want="$1" status=0
+  shift
+  "$@" > /dev/null 2>&1 || status=$?
+  if [ "$status" != "$want" ]; then
+    echo "check.sh: $* exited $status, expected $want" >&2
+    exit 1
+  fi
+}
+for order in readers_first writer_first; do
+  expect_exit 1 "$ESPC" --run "$SCRATCH_DIR/$order.esp"
+  expect_exit 3 "$ESPMC" "$SCRATCH_DIR/$order.esp"
+done
+
 ESPSERVE="$BUILD_DIR/src/tools/espserve"
 
 echo "== espserve: fleet smoke (single-worker deterministic + 4 workers) =="

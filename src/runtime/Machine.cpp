@@ -53,10 +53,8 @@ std::string Move::str(const ModuleIR &Module) const {
       return "<env>";
     return Module.Procs[Index].Proc->Name;
   };
-  const char *ChanName = "?";
-  for (const std::unique_ptr<ChannelDecl> &C : Module.Prog->Channels)
-    if (C->Id == Channel)
-      ChanName = C->Name.c_str();
+  // Channel ids are declaration indices.
+  const std::string &ChanName = Module.Prog->Channels[Channel]->Name;
   switch (K) {
   case Kind::Rendezvous:
     OS << procName(Writer) << " -> " << procName(Reader) << " on "
@@ -204,8 +202,8 @@ void Machine::fail(RuntimeErrorKind Kind, SourceLoc Loc, int ProcIndex,
 // The masks are an accelerator over the truth (Blocked + CaseEnabled +
 // channel): every consumer re-checks those, so the invariant that matters
 // is masks >= truth. Bits are added when a process publishes its block
-// point (end of prepareBlock) and cleared when it leaves it
-// (releaseLosingCases, fail) or wholesale on restore().
+// point (end of prepareBlock) and cleared when it leaves it (resume,
+// fail) or wholesale on restore().
 
 void Machine::addWaitBits(unsigned ProcIndex) {
   const ProcState &P = Procs[ProcIndex];
@@ -808,7 +806,18 @@ bool Machine::outValues(unsigned ProcIndex, unsigned CaseIndex,
   return true;
 }
 
-void Machine::releaseLosingCases(unsigned ProcIndex, unsigned WinnerCase) {
+void Machine::dropOutValues(const CCase &Case,
+                            const std::vector<Value> &Values) {
+  if (!Case.ElideRecordAlloc) {
+    dropSenderTemp(Case.Src->Out, Values[0]);
+    return;
+  }
+  const RecordLitExpr *R = ast_cast<RecordLitExpr>(Case.Src->Out);
+  for (size_t F = 0, NF = R->getElems().size(); F != NF; ++F)
+    dropSenderTemp(R->getElems()[F], Values[F]);
+}
+
+void Machine::resume(unsigned ProcIndex, unsigned CaseIndex) {
   clearWaitBits(ProcIndex);
   ProcState &P = Procs[ProcIndex];
   const CInst &I = CP.Procs[ProcIndex].Insts[P.PC];
@@ -816,25 +825,18 @@ void Machine::releaseLosingCases(unsigned ProcIndex, unsigned WinnerCase) {
   // P.PC still at the Block instruction: the one place the winning case
   // is known.
   if (Obs) {
-    Obs->onUnblock(*this, ProcIndex, I.Cases[WinnerCase].ChanId);
+    Obs->onUnblock(*this, ProcIndex, I.Cases[CaseIndex].ChanId);
     if (I.Cases.size() > 1)
-      Obs->onAltChoice(*this, ProcIndex, WinnerCase);
+      Obs->onAltChoice(*this, ProcIndex, CaseIndex);
   }
-  for (size_t C = 0, N = I.Cases.size(); C != N; ++C) {
-    if (C == WinnerCase || !P.PreparedValid[C])
-      continue;
-    const CCase &Case = I.Cases[C];
-    if (Case.ElideRecordAlloc) {
-      const RecordLitExpr *R = ast_cast<RecordLitExpr>(Case.Src->Out);
-      for (size_t F = 0, NF = R->getElems().size(); F != NF; ++F)
-        dropSenderTemp(R->getElems()[F], P.Prepared[C][F]);
-    } else if (Case.Src->Out) {
-      dropSenderTemp(Case.Src->Out, P.Prepared[C][0]);
-    }
-  }
+  for (size_t C = 0, N = I.Cases.size(); C != N; ++C)
+    if (C != CaseIndex && P.PreparedValid[C])
+      dropOutValues(I.Cases[C], P.Prepared[C]);
   P.Prepared.clear();
   P.PreparedValid.clear();
   P.CaseEnabled.clear();
+  P.PC = I.Cases[CaseIndex].Target;
+  P.St = ProcState::Status::Ready;
 }
 
 //===----------------------------------------------------------------------===//
@@ -963,6 +965,62 @@ Machine::MsgDisc Machine::discOfValue(const Heap &H, const Value &V) {
 }
 
 //===----------------------------------------------------------------------===//
+// Partner search
+//===----------------------------------------------------------------------===//
+
+template <typename Fn>
+void Machine::forEachWaiter(uint32_t Chan, bool WantIn, int Self, Fn &&F) {
+  const uint64_t *Mask = WantIn ? inWait(Chan) : outWait(Chan);
+  for (unsigned Word = 0; Word != CP.MaskWords; ++Word) {
+    for (uint64_t Bits = Mask[Word]; Bits; Bits &= Bits - 1) {
+      unsigned P = Word * 64 + static_cast<unsigned>(std::countr_zero(Bits));
+      if (static_cast<int>(P) == Self ||
+          Procs[P].St != ProcState::Status::Blocked)
+        continue;
+      const std::vector<CCase> &Cases = CP.Procs[P].Insts[Procs[P].PC].Cases;
+      for (unsigned C = 0, N = static_cast<unsigned>(Cases.size()); C != N;
+           ++C)
+        if (Cases[C].IsIn == WantIn && Cases[C].ChanId == Chan &&
+            Procs[P].CaseEnabled[C] && !F(P, C))
+          return;
+    }
+  }
+}
+
+template <typename Fn>
+void Machine::forEachMatchingReader(uint32_t Chan, int Writer,
+                                    const CCase *WCase,
+                                    const std::vector<Value> *Values,
+                                    Fn &&F) {
+  const MsgDisc D = Values ? discOfValues(*Values) : MsgDisc();
+  // Statically disjoint reader patterns: the first match is provably the
+  // only one.
+  const bool FirstOnly = WCase && CP.Channels[Chan].Disjoint;
+  int Owner = -1;
+  forEachWaiter(Chan, /*WantIn=*/true, Writer, [&](unsigned R, unsigned RC) {
+    if (Values && !readerAdmits(R, RC, D, *Values))
+      return !Error;
+    if (WCase) {
+      if (Owner >= 0 && Owner != static_cast<int>(R)) {
+        fail(RuntimeErrorKind::AmbiguousDispatch, WCase->Src->Loc, Writer,
+             "message on channel '" + WCase->Src->Channel->Name +
+                 "' matches patterns in two processes");
+        return false;
+      }
+      Owner = static_cast<int>(R);
+    }
+    return F(R, RC) && !FirstOnly;
+  });
+}
+
+bool Machine::readerAdmits(unsigned Reader, unsigned Case, const MsgDisc &D,
+                           const std::vector<Value> &Values) {
+  const CCase &RCase = caseOf(Reader, Case);
+  return !discRejects(RCase.Disc, D) &&
+         matchValues(Reader, RCase.Pat, Values, MatchMode::Try);
+}
+
+//===----------------------------------------------------------------------===//
 // Transfer
 //===----------------------------------------------------------------------===//
 
@@ -973,8 +1031,7 @@ bool Machine::transfer(int WriterIndex, unsigned WriterCase, int ReaderIndex,
   std::vector<Value> Values;
   const CCase *WCase = nullptr;
   if (WriterIndex >= 0) {
-    WCase = &CP.Procs[WriterIndex].Insts[Procs[WriterIndex].PC]
-                 .Cases[WriterCase];
+    WCase = &caseOf(static_cast<unsigned>(WriterIndex), WriterCase);
     if (!outValues(static_cast<unsigned>(WriterIndex), WriterCase, Values))
       return false;
   } else {
@@ -985,8 +1042,7 @@ bool Machine::transfer(int WriterIndex, unsigned WriterCase, int ReaderIndex,
   // 2. Deliver to the reader side.
   const CCase *RCase = nullptr;
   if (ReaderIndex >= 0) {
-    RCase = &CP.Procs[ReaderIndex].Insts[Procs[ReaderIndex].PC]
-                 .Cases[ReaderCase];
+    RCase = &caseOf(static_cast<unsigned>(ReaderIndex), ReaderCase);
     if (!matchValues(static_cast<unsigned>(ReaderIndex), RCase->Pat, Values,
                      MatchMode::Try)) {
       if (!Error)
@@ -1008,17 +1064,8 @@ bool Machine::transfer(int WriterIndex, unsigned WriterCase, int ReaderIndex,
 
   // 3. Writer-side cleanup and advance.
   if (WriterIndex >= 0) {
-    if (WCase->ElideRecordAlloc) {
-      const RecordLitExpr *R = ast_cast<RecordLitExpr>(WCase->Src->Out);
-      for (size_t F = 0, NF = R->getElems().size(); F != NF; ++F)
-        dropSenderTemp(R->getElems()[F], Values[F]);
-    } else {
-      dropSenderTemp(WCase->Src->Out, Values[0]);
-    }
-    unsigned Target = WCase->Target;
-    releaseLosingCases(static_cast<unsigned>(WriterIndex), WriterCase);
-    Procs[WriterIndex].PC = Target;
-    Procs[WriterIndex].St = ProcState::Status::Ready;
+    dropOutValues(*WCase, Values);
+    resume(static_cast<unsigned>(WriterIndex), WriterCase);
   } else {
     // Environment-produced values are owned temps; release them now that
     // the receiver has acquired what it binds.
@@ -1027,12 +1074,8 @@ bool Machine::transfer(int WriterIndex, unsigned WriterCase, int ReaderIndex,
   }
 
   // 4. Reader-side advance.
-  if (ReaderIndex >= 0) {
-    unsigned Target = RCase->Target;
-    releaseLosingCases(static_cast<unsigned>(ReaderIndex), ReaderCase);
-    Procs[ReaderIndex].PC = Target;
-    Procs[ReaderIndex].St = ProcState::Status::Ready;
-  }
+  if (ReaderIndex >= 0)
+    resume(static_cast<unsigned>(ReaderIndex), ReaderCase);
   return !Error;
 }
 
@@ -1054,8 +1097,7 @@ int Machine::popReady() {
 }
 
 bool Machine::tryExternalOut(unsigned ProcIndex, unsigned CaseIndex) {
-  const CCase &Case =
-      CP.Procs[ProcIndex].Insts[Procs[ProcIndex].PC].Cases[CaseIndex];
+  const CCase &Case = caseOf(ProcIndex, CaseIndex);
   ExternalReader *Reader = Readers[Case.ChanId].get();
   if (!Reader || !Reader->isReady())
     return false;
@@ -1082,11 +1124,8 @@ bool Machine::tryExternalOut(unsigned ProcIndex, unsigned CaseIndex) {
       Obs->onSend(*this, Case.ChanId, static_cast<int>(ProcIndex));
       Obs->onRecv(*this, Case.ChanId, -1);
     }
-    dropSenderTemp(Case.Src->Out, V);
-    unsigned Target = Case.Target;
-    releaseLosingCases(ProcIndex, CaseIndex);
-    Procs[ProcIndex].PC = Target;
-    Procs[ProcIndex].St = ProcState::Status::Ready;
+    dropOutValues(Case, Values);
+    resume(ProcIndex, CaseIndex);
     return true;
   }
   fail(RuntimeErrorKind::NoMatchingPattern, Case.Src->Loc,
@@ -1100,132 +1139,76 @@ bool Machine::tryPair(unsigned ProcIndex) {
   ProcState &P = Procs[ProcIndex];
   if (P.St != ProcState::Status::Blocked)
     return false;
+  const int Self = static_cast<int>(ProcIndex);
   const CInst &I = CP.Procs[ProcIndex].Insts[P.PC];
   size_t N = I.Cases.size();
+  std::vector<Value> Values;
   for (size_t CO = 0; CO != N; ++CO) {
     // Rotate the starting case to avoid starving later alternatives.
-    size_t C = (CO + PollRotor) % N;
+    unsigned C = static_cast<unsigned>((CO + PollRotor) % N);
     if (!P.CaseEnabled[C])
       continue;
     const CCase &Case = I.Cases[C];
+    int Peer = -1;
+    unsigned PeerCase = 0;
+    // A MatchFree lazy writer pairs without materializing its value:
+    // allocation is postponed to the commit (§6.1).
+    bool Lazy = !Case.IsIn && Case.LazyOut && Case.MatchFree;
     if (Case.IsIn) {
-      // Scan the channel's blocked-writer bitmask (LSB-first, so writers
-      // are visited in ascending process order, same as the old scan).
-      const uint64_t *Mask = outWait(Case.ChanId);
-      for (unsigned Word = 0; Word != CP.MaskWords; ++Word) {
-        for (uint64_t Bits = Mask[Word]; Bits; Bits &= Bits - 1) {
-          unsigned W =
-              Word * 64 + static_cast<unsigned>(std::countr_zero(Bits));
-          if (W == ProcIndex || Procs[W].St != ProcState::Status::Blocked)
-            continue;
-          const CInst &WI = CP.Procs[W].Insts[Procs[W].PC];
-          for (size_t WC = 0, NW = WI.Cases.size(); WC != NW; ++WC) {
-            const CCase &WCase = WI.Cases[WC];
-            if (WCase.IsIn || WCase.ChanId != Case.ChanId ||
-                !Procs[W].CaseEnabled[WC])
-              continue;
-            // A MatchFree lazy writer pairs without materializing its
-            // value: allocation is postponed to the commit (§6.1).
-            if (!(WCase.LazyOut && WCase.MatchFree)) {
-              std::vector<Value> Values;
-              if (!outValues(W, static_cast<unsigned>(WC), Values))
-                return false;
-              if (discRejects(Case.Disc, discOfValues(Values)))
-                continue;
-              if (!matchValues(ProcIndex, Case.Pat, Values,
-                               MatchMode::Try)) {
-                if (Error)
-                  return false;
-                continue;
-              }
-            }
-            if (!transfer(static_cast<int>(W), static_cast<unsigned>(WC),
-                          static_cast<int>(ProcIndex),
-                          static_cast<unsigned>(C), nullptr))
-              return false;
-            // Stack-based policy: the peer joins the ready queue; the
-            // initiator goes to the front so the next pop continues it.
-            ReadyQueue.push_back(W);
-            ReadyQueue.push_front(ProcIndex);
-            return true;
-          }
+      // The first blocked writer whose message our pattern admits.
+      auto TakeWriter = [&](unsigned W, unsigned WC) {
+        const CCase &WCase = caseOf(W, WC);
+        Lazy = WCase.LazyOut && WCase.MatchFree;
+        if (!Lazy) {
+          if (!outValues(W, WC, Values))
+            return false;
+          if (discRejects(Case.Disc, discOfValues(Values)) ||
+              !matchValues(ProcIndex, Case.Pat, Values, MatchMode::Try))
+            return !Error;
         }
-      }
+        Peer = static_cast<int>(W);
+        PeerCase = WC;
+        return false;
+      };
+      forEachWaiter(Case.ChanId, /*WantIn=*/false, Self, TakeWriter);
+      // The message may match readers in other processes too: check
+      // ambiguity from the writer's side, as when the writer starts.
+      if (Peer >= 0 && !CP.Channels[Case.ChanId].Disjoint)
+        forEachMatchingReader(Case.ChanId, Peer, &caseOf(Peer, PeerCase),
+                              Lazy ? nullptr : &Values,
+                              [](unsigned, unsigned) { return true; });
     } else {
-      // Find the blocked internal reader whose pattern matches our value;
-      // two matching readers is a dispatch-disjointness violation. When
-      // the channel's reader patterns are statically disjoint the first
-      // match is provably the only one and the scan stops there.
-      const bool NeedValue = !(Case.LazyOut && Case.MatchFree);
-      std::vector<Value> Values;
-      if (NeedValue &&
-          !outValues(ProcIndex, static_cast<unsigned>(C), Values))
+      if (!Lazy && !outValues(ProcIndex, C, Values))
         return false;
-      MsgDisc D;
-      if (NeedValue)
-        D = discOfValues(Values);
-      int FoundReader = -1;
-      unsigned FoundCase = 0;
-      const bool Disjoint = CP.Channels[Case.ChanId].Disjoint;
-      bool Stop = false;
-      const uint64_t *Mask = inWait(Case.ChanId);
-      for (unsigned Word = 0; Word != CP.MaskWords && !Stop; ++Word) {
-        for (uint64_t Bits = Mask[Word]; Bits && !Stop; Bits &= Bits - 1) {
-          unsigned R =
-              Word * 64 + static_cast<unsigned>(std::countr_zero(Bits));
-          if (R == ProcIndex || Procs[R].St != ProcState::Status::Blocked)
-            continue;
-          const CInst &RI = CP.Procs[R].Insts[Procs[R].PC];
-          for (size_t RC = 0, NR = RI.Cases.size(); RC != NR; ++RC) {
-            const CCase &RCase = RI.Cases[RC];
-            if (!RCase.IsIn || RCase.ChanId != Case.ChanId ||
-                !Procs[R].CaseEnabled[RC])
-              continue;
-            if (NeedValue) {
-              if (discRejects(RCase.Disc, D))
-                continue;
-              if (!matchValues(R, RCase.Pat, Values, MatchMode::Try)) {
-                if (Error)
-                  return false;
-                continue;
-              }
-            }
-            if (FoundReader >= 0 && FoundReader != static_cast<int>(R)) {
-              fail(RuntimeErrorKind::AmbiguousDispatch, Case.Src->Loc,
-                   static_cast<int>(ProcIndex),
-                   "message on channel '" + Case.Src->Channel->Name +
-                       "' matches patterns in two processes");
-              return false;
-            }
-            if (FoundReader < 0) {
-              FoundReader = static_cast<int>(R);
-              FoundCase = static_cast<unsigned>(RC);
-              if (Disjoint) {
-                Stop = true;
-                break;
-              }
-            }
-          }
+      auto KeepFirst = [&](unsigned R, unsigned RC) {
+        if (Peer < 0) {
+          Peer = static_cast<int>(R);
+          PeerCase = RC;
         }
-      }
-      if (FoundReader >= 0) {
-        if (!transfer(static_cast<int>(ProcIndex),
-                      static_cast<unsigned>(C), FoundReader, FoundCase,
-                      nullptr))
-          return false;
-        ReadyQueue.push_back(static_cast<unsigned>(FoundReader));
-        ReadyQueue.push_front(ProcIndex);
         return true;
-      }
-      // Or hand it to an external reader.
-      if (Readers[Case.ChanId] &&
-          tryExternalOut(ProcIndex, static_cast<unsigned>(C))) {
-        ReadyQueue.push_back(ProcIndex);
-        return true;
-      }
-      if (Error)
-        return false;
+      };
+      forEachMatchingReader(Case.ChanId, Self, &Case,
+                            Lazy ? nullptr : &Values, KeepFirst);
     }
+    if (Error)
+      return false;
+    if (Peer >= 0) {
+      if (!(Case.IsIn ? transfer(Peer, PeerCase, Self, C, nullptr)
+                      : transfer(Self, C, Peer, PeerCase, nullptr)))
+        return false;
+      // Stack-based policy: the peer joins the ready queue; the initiator
+      // goes to the front so the next pop continues it.
+      ReadyQueue.push_back(static_cast<unsigned>(Peer));
+      ReadyQueue.push_front(ProcIndex);
+      return true;
+    }
+    // Or hand it to an external reader.
+    if (!Case.IsIn && Readers[Case.ChanId] && tryExternalOut(ProcIndex, C)) {
+      ReadyQueue.push_back(ProcIndex);
+      return true;
+    }
+    if (Error)
+      return false;
   }
   return false;
 }
@@ -1339,11 +1322,9 @@ bool Machine::deliverExternalIn(unsigned ChannelId) {
   int CaseIndex = Writer->isReady();
   if (CaseIndex <= 0)
     return false;
-  const ChannelDecl *Chan = nullptr;
-  for (const std::unique_ptr<ChannelDecl> &C : Module.Prog->Channels)
-    if (C->Id == ChannelId)
-      Chan = C.get();
-  assert(Chan && Chan->Interface && "bad external channel");
+  // Channel ids are declaration indices.
+  const ChannelDecl *Chan = Module.Prog->Channels[ChannelId].get();
+  assert(Chan->Id == ChannelId && Chan->Interface && "bad external channel");
   const InterfaceCase &ICase =
       Chan->Interface->Cases[static_cast<size_t>(CaseIndex) - 1];
 
@@ -1355,53 +1336,42 @@ bool Machine::deliverExternalIn(unsigned ChannelId) {
   if (!V)
     return false;
 
-  // Find the blocked reader whose pattern matches.
+  // The first blocked reader whose pattern matches takes the message.
   std::vector<Value> Values = {*V};
-  MsgDisc D = discOfValues(Values);
-  const uint64_t *Mask = inWait(ChannelId);
-  for (unsigned Word = 0; Word != CP.MaskWords; ++Word) {
-    for (uint64_t Bits = Mask[Word]; Bits; Bits &= Bits - 1) {
-      unsigned R = Word * 64 + static_cast<unsigned>(std::countr_zero(Bits));
-      if (Procs[R].St != ProcState::Status::Blocked)
-        continue;
-      const CInst &RI = CP.Procs[R].Insts[Procs[R].PC];
-      for (size_t RC = 0, NR = RI.Cases.size(); RC != NR; ++RC) {
-        const CCase &RCase = RI.Cases[RC];
-        if (!RCase.IsIn || RCase.ChanId != ChannelId ||
-            !Procs[R].CaseEnabled[RC])
-          continue;
-        if (discRejects(RCase.Disc, D))
-          continue;
-        if (!matchValues(R, RCase.Pat, Values, MatchMode::Try)) {
-          if (Error)
-            return false;
-          continue;
-        }
-        if (!matchValues(R, RCase.Pat, Values, MatchMode::CommitAcquire))
-          return false;
-        Writer->accepted(CaseIndex);
-        if (Obs) {
-          Obs->onSend(*this, ChannelId, -1);
-          Obs->onRecv(*this, ChannelId, static_cast<int>(R));
-        }
-        dropValueTemp(*V, ICase.Loc, -1);
-        unsigned Target = RCase.Target;
-        releaseLosingCases(R, static_cast<unsigned>(RC));
-        Procs[R].PC = Target;
-        Procs[R].St = ProcState::Status::Ready;
-        ReadyQueue.push_back(R);
-        ++Stats.ExternalDeliveries;
-        ++Stats.Rendezvous;
-        return true;
-      }
-    }
+  int R = -1;
+  unsigned RC = 0;
+  auto TakeFirst = [&](unsigned Reader, unsigned ReaderCase) {
+    R = static_cast<int>(Reader);
+    RC = ReaderCase;
+    return false;
+  };
+  forEachMatchingReader(ChannelId, /*Writer=*/-1, nullptr, &Values,
+                        TakeFirst);
+  if (Error)
+    return false;
+  if (R < 0) {
+    // No process is waiting for this message right now; drop it back. A
+    // real firmware would leave it in the device queue; our bindings are
+    // required to re-offer it on the next poll, so releasing the built
+    // value is safe.
+    dropValueTemp(*V, ICase.Loc, -1);
+    return false;
   }
-  // No process is waiting for this message right now; drop it back. A
-  // real firmware would leave it in the device queue; our bindings are
-  // required to re-offer it on the next poll, so releasing the built
-  // value is safe.
+  unsigned Reader = static_cast<unsigned>(R);
+  if (!matchValues(Reader, caseOf(Reader, RC).Pat, Values,
+                   MatchMode::CommitAcquire))
+    return false;
+  Writer->accepted(CaseIndex);
+  if (Obs) {
+    Obs->onSend(*this, ChannelId, -1);
+    Obs->onRecv(*this, ChannelId, R);
+  }
   dropValueTemp(*V, ICase.Loc, -1);
-  return false;
+  resume(Reader, RC);
+  ReadyQueue.push_back(Reader);
+  ++Stats.ExternalDeliveries;
+  ++Stats.Rendezvous;
+  return true;
 }
 
 bool Machine::pollExternals() {
@@ -1523,13 +1493,7 @@ std::vector<Move> Machine::enumerateMoves() {
       const CCase &Case = Ins.Cases[C];
       if (!P.PreparedValid[C] || Case.IsIn || !Case.LazyOut)
         continue;
-      if (Case.ElideRecordAlloc) {
-        const RecordLitExpr *R = ast_cast<RecordLitExpr>(Case.Src->Out);
-        for (size_t F = 0, NF = R->getElems().size(); F != NF; ++F)
-          dropSenderTemp(R->getElems()[F], P.Prepared[C][F]);
-      } else if (Case.Src->Out) {
-        dropSenderTemp(Case.Src->Out, P.Prepared[C][0]);
-      }
+      dropOutValues(Case, P.Prepared[C]);
       P.Prepared[C].clear();
       P.PreparedValid[C] = false;
     }
@@ -1546,98 +1510,48 @@ std::vector<Move> Machine::enumerateMovesImpl() {
     if (Procs[W].St != ProcState::Status::Blocked)
       continue;
     const CInst &WI = CP.Procs[W].Insts[Procs[W].PC];
-    for (size_t WC = 0, NW = WI.Cases.size(); WC != NW; ++WC) {
+    for (unsigned WC = 0, NW = static_cast<unsigned>(WI.Cases.size());
+         WC != NW; ++WC) {
       const CCase &WCase = WI.Cases[WC];
       if (WCase.IsIn || !Procs[W].CaseEnabled[WC])
         continue;
       std::vector<Value> Values;
-      if (!outValues(W, static_cast<unsigned>(WC), Values))
+      if (!outValues(W, WC, Values))
         return Moves;
-      MsgDisc D = discOfValues(Values);
-      const bool Disjoint = CP.Channels[WCase.ChanId].Disjoint;
-      int MatchingReaderOwner = -1;
-      bool Stop = false;
-      const uint64_t *Mask = inWait(WCase.ChanId);
-      for (unsigned Word = 0; Word != CP.MaskWords && !Stop; ++Word) {
-        for (uint64_t Bits = Mask[Word]; Bits && !Stop; Bits &= Bits - 1) {
-          unsigned R =
-              Word * 64 + static_cast<unsigned>(std::countr_zero(Bits));
-          if (R == W || Procs[R].St != ProcState::Status::Blocked)
-            continue;
-          const CInst &RI = CP.Procs[R].Insts[Procs[R].PC];
-          for (size_t RC = 0, NR = RI.Cases.size(); RC != NR; ++RC) {
-            const CCase &RCase = RI.Cases[RC];
-            if (!RCase.IsIn || RCase.ChanId != WCase.ChanId ||
-                !Procs[R].CaseEnabled[RC])
-              continue;
-            if (discRejects(RCase.Disc, D))
-              continue;
-            if (!matchValues(R, RCase.Pat, Values, MatchMode::Try)) {
-              if (Error)
-                return Moves;
-              continue;
-            }
-            if (MatchingReaderOwner >= 0 &&
-                MatchingReaderOwner != static_cast<int>(R)) {
-              fail(RuntimeErrorKind::AmbiguousDispatch, WCase.Src->Loc,
-                   static_cast<int>(W),
-                   "message on channel '" + WCase.Src->Channel->Name +
-                       "' matches patterns in two processes");
-              return Moves;
-            }
-            MatchingReaderOwner = static_cast<int>(R);
-            Move M;
-            M.K = Move::Kind::Rendezvous;
-            M.Channel = WCase.ChanId;
-            M.Writer = static_cast<int>(W);
-            M.WriterCase = static_cast<unsigned>(WC);
-            M.Reader = static_cast<int>(R);
-            M.ReaderCase = static_cast<unsigned>(RC);
-            Moves.push_back(M);
-            if (Disjoint) {
-              Stop = true;
-              break;
-            }
-          }
-        }
-      }
-      // Environment receive.
-      const bool EnvDrives =
-          Env && EnvTab->Channels[WCase.ChanId].NumVariants != 0;
-      if (Env && !EnvDrives &&
-          WCase.Src->Channel->Role == ChannelRole::ExternalReader) {
-        Move M;
-        M.K = Move::Kind::EnvRecv;
-        M.Channel = WCase.ChanId;
-        M.Writer = static_cast<int>(W);
-        M.WriterCase = static_cast<unsigned>(WC);
-        Moves.push_back(M);
-      }
-      // In per-process harness mode the environment consumes from any
-      // channel it does not drive and no other process can ever read
-      // (the precomputed static-reader masks answer that in O(words)).
-      if (Env && WCase.Src->Channel->Role != ChannelRole::ExternalReader &&
-          !EnvDrives && MatchingReaderOwner < 0) {
-        bool AnyInternalReader = false;
-        const ChannelInfo &CInfo = CP.Channels[WCase.ChanId];
+      const uint32_t Chan = WCase.ChanId;
+      const size_t NumRendezvous = Moves.size();
+      auto AddRendezvous = [&](unsigned R, unsigned RC) {
+        Moves.push_back({.K = Move::Kind::Rendezvous, .Channel = Chan,
+                         .Writer = static_cast<int>(W), .WriterCase = WC,
+                         .Reader = static_cast<int>(R), .ReaderCase = RC});
+        return true;
+      };
+      forEachMatchingReader(Chan, static_cast<int>(W), &WCase, &Values,
+                            AddRendezvous);
+      if (Error)
+        return Moves;
+      // Environment receive, on a channel the environment does not drive:
+      // an external-reader channel, or (per-process harness mode) one no
+      // reader matched and no other process can ever read (the
+      // precomputed static-reader masks answer that in O(words)).
+      auto OtherStaticReader = [&] {
+        const std::vector<uint64_t> &Bits = CP.Channels[Chan].StaticReaders;
         for (unsigned Word = 0; Word != CP.MaskWords; ++Word) {
-          uint64_t Bits = CInfo.StaticReaders[Word];
+          uint64_t Others = Bits[Word];
           if (Word == W / 64)
-            Bits &= ~(uint64_t(1) << (W % 64));
-          if (Bits) {
-            AnyInternalReader = true;
-            break;
-          }
+            Others &= ~(uint64_t(1) << (W % 64));
+          if (Others)
+            return true;
         }
-        if (!AnyInternalReader) {
-          Move M;
-          M.K = Move::Kind::EnvRecv;
-          M.Channel = WCase.ChanId;
-          M.Writer = static_cast<int>(W);
-          M.WriterCase = static_cast<unsigned>(WC);
-          Moves.push_back(M);
-        }
-      }
+        return false;
+      };
+      if (Env && EnvTab->Channels[Chan].NumVariants == 0 &&
+          (WCase.Src->Channel->Role == ChannelRole::ExternalReader ||
+           (Moves.size() == NumRendezvous && !OtherStaticReader())))
+        Moves.push_back({.K = Move::Kind::EnvRecv,
+                         .Channel = Chan,
+                         .Writer = static_cast<int>(W),
+                         .WriterCase = WC});
     }
   }
 
@@ -1653,58 +1567,36 @@ std::vector<Move> Machine::enumerateMovesImpl() {
         EnvSends[ChanId] >= Options.EnvSendBudget)
       continue;
     EnvReaders.clear();
-    const uint64_t *Mask = inWait(ChanId);
-    for (unsigned Word = 0; Word != CP.MaskWords; ++Word) {
-      for (uint64_t Bits = Mask[Word]; Bits; Bits &= Bits - 1) {
-        unsigned R = Word * 64 + static_cast<unsigned>(std::countr_zero(Bits));
-        if (Procs[R].St != ProcState::Status::Blocked)
-          continue;
-        const CInst &RI = CP.Procs[R].Insts[Procs[R].PC];
-        for (size_t RC = 0, NR = RI.Cases.size(); RC != NR; ++RC) {
-          const CCase &RCase = RI.Cases[RC];
-          if (RCase.IsIn && RCase.ChanId == ChanId &&
-              Procs[R].CaseEnabled[RC])
-            EnvReaders.push_back({R, static_cast<unsigned>(RC)});
-        }
-      }
-    }
+    forEachWaiter(ChanId, /*WantIn=*/true, /*Self=*/-1,
+                  [&](unsigned R, unsigned RC) {
+                    EnvReaders.push_back({R, RC});
+                    return true;
+                  });
     if (EnvReaders.empty())
       continue;
     const EnvChannel &EC = EnvTab->Channels[ChanId];
-    auto caseOf = [&](const std::pair<unsigned, unsigned> &Reader)
-        -> const CCase & {
-      return CP.Procs[Reader.first].Insts[Procs[Reader.first].PC]
-          .Cases[Reader.second];
-    };
     for (unsigned Variant = 0; Variant != EC.NumVariants; ++Variant) {
       if (!EC.Discs.empty() &&
           std::all_of(EnvReaders.begin(), EnvReaders.end(), [&](auto &Rd) {
-            return discRejects(caseOf(Rd).Disc, EC.Discs[Variant]);
+            return discRejects(caseOf(Rd.first, Rd.second).Disc,
+                               EC.Discs[Variant]);
           }))
         continue;
-      Value V = Env->makeVariant(EC.Decl, Variant, H);
-      std::vector<Value> Values = {V};
+      std::vector<Value> Values = {Env->makeVariant(EC.Decl, Variant, H)};
       MsgDisc D = discOfValues(Values);
-      for (const std::pair<unsigned, unsigned> &Rd : EnvReaders) {
-        const CCase &RCase = caseOf(Rd);
-        if (discRejects(RCase.Disc, D))
-          continue;
-        if (!matchValues(Rd.first, RCase.Pat, Values, MatchMode::Try)) {
+      for (auto [R, RC] : EnvReaders) {
+        if (!readerAdmits(R, RC, D, Values)) {
           if (Error)
             return Moves;
           continue;
         }
-        Move M;
-        M.K = Move::Kind::EnvSend;
-        M.Channel = ChanId;
-        M.Reader = static_cast<int>(Rd.first);
-        M.ReaderCase = Rd.second;
-        M.EnvVariant = Variant;
-        Moves.push_back(M);
+        Moves.push_back({.K = Move::Kind::EnvSend, .Channel = ChanId,
+                         .Reader = static_cast<int>(R), .ReaderCase = RC,
+                         .EnvVariant = Variant});
       }
       // Undo the probe allocation so enumeration does not perturb the
       // state.
-      dropValueTemp(V, SourceLoc(), -1);
+      dropValueTemp(Values[0], SourceLoc(), -1);
       if (Error)
         return Moves;
     }

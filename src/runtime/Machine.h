@@ -481,9 +481,19 @@ private:
   bool outValues(unsigned ProcIndex, unsigned CaseIndex,
                  std::vector<Value> &Values);
 
-  /// Releases the temp reference of prepared-but-unused out values when a
-  /// different case of the alt commits.
-  void releaseLosingCases(unsigned ProcIndex, unsigned WinnerCase);
+  /// Blocked process \p ProcIndex's case \p CaseIndex.
+  const CCase &caseOf(unsigned ProcIndex, unsigned CaseIndex) const {
+    return CP.Procs[ProcIndex].Insts[Procs[ProcIndex].PC].Cases[CaseIndex];
+  }
+
+  /// Drops the sender-side temp references of out case \p Case's values
+  /// (one per field when the record allocation is elided).
+  void dropOutValues(const CCase &Case, const std::vector<Value> &Values);
+
+  /// Commits case \p CaseIndex of blocked process \p ProcIndex: releases
+  /// the prepared values of the losing cases, moves the PC to the case's
+  /// target and marks the process Ready.
+  void resume(unsigned ProcIndex, unsigned CaseIndex);
 
   /// Grants the receiver its reference for each aggregate bound by the
   /// pattern: rc++ in sharing mode, deep copy in verification mode.
@@ -494,6 +504,25 @@ private:
   /// allocation.
   void dropSenderTemp(const Expr *OutExpr, const Value &V);
   void dropValueTemp(const Value &V, SourceLoc Loc, int ProcIndex);
+
+  /// The one partner search of both modes. Walks the blocked readers
+  /// (\p WantIn) or writers of channel \p Chan in ascending process id
+  /// (LSB-first over the wait mask), skipping process \p Self, and calls
+  /// F(Proc, Case) for every enabled case of matching direction on
+  /// \p Chan, in case order. Stops when F returns false.
+  template <typename Fn>
+  void forEachWaiter(uint32_t Chan, bool WantIn, int Self, Fn &&F);
+
+  /// Calls F(Reader, Case) for every blocked reader case on \p Chan that
+  /// admits the message \p Values (dispatch-table prefilter, then a dry
+  /// run of the pattern); a null \p Values is a MatchFree lazy writer,
+  /// which every reader admits. For a process writer (\p WCase set),
+  /// matches in two processes are an AmbiguousDispatch error, and on a
+  /// statically disjoint channel the walk stops at the first match. Stops
+  /// when F returns false or on a machine error.
+  template <typename Fn>
+  void forEachMatchingReader(uint32_t Chan, int Writer, const CCase *WCase,
+                             const std::vector<Value> *Values, Fn &&F);
 
   /// Performs a committed rendezvous between a writer and a reader case.
   /// Either side may be the environment/externals.
@@ -522,6 +551,13 @@ private:
       return Case.Scalar != D.Scalar;
     return false;
   }
+
+  /// Whether blocked reader case (\p Reader, \p Case) accepts the message
+  /// \p Values, whose discriminant is \p D: the dispatch-table prefilter,
+  /// then a dry run of the pattern. False with the machine error set when
+  /// the dry run faults.
+  bool readerAdmits(unsigned Reader, unsigned Case, const MsgDisc &D,
+                    const std::vector<Value> &Values);
 
   /// Sets/clears process \p ProcIndex's bit in the wait mask of every
   /// channel one of its enabled cases blocks on. The masks are an

@@ -8,7 +8,9 @@
 // search reports bit-identical verdict, states explored, states stored,
 // and transitions. The counts below are golden values captured from the
 // IR-walking interpreter; any drift means the fast path changed
-// semantics, not just speed.
+// semantics, not just speed. The MoveOrder goldens pin one level deeper:
+// the exact sequence enumerateMoves returns, which fixes the order the
+// search visits successors in.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +23,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -167,6 +171,133 @@ TEST(Determinism, ExamplesWholeSystemCounts) {
     EXPECT_EQ(Result.StatesStored, G.Stored) << G.File;
     EXPECT_EQ(Result.Transitions, G.Transitions) << G.File;
   }
+}
+
+/// Walks a verification-mode machine over \p Module for up to \p Steps
+/// states, applying move Step % N in each. Returns, per state, the
+/// enumerated moves as Move::str plus [writer case/reader case], and the
+/// number of pattern nodes the enumeration tried.
+std::vector<std::string> moveOrder(const ModuleIR &Module,
+                                   const EnvModel *Env, unsigned Steps) {
+  MachineOptions MO;
+  MO.MaxObjects = 64;
+  MO.DeepCopyTransfers = true;
+  Machine M(Module, MO);
+  M.setEnvModel(Env);
+  M.start();
+  std::vector<std::string> States;
+  for (unsigned Step = 0; Step != Steps && !M.error(); ++Step) {
+    uint64_t Tried = M.stats().PatternMatchesTried;
+    std::vector<Move> Moves = M.enumerateMoves();
+    std::string Line;
+    for (const Move &Mv : Moves)
+      Line += Mv.str(Module) + " [" + std::to_string(Mv.WriterCase) + "/" +
+              std::to_string(Mv.ReaderCase) + "]; ";
+    Line += "tried " +
+            std::to_string(M.stats().PatternMatchesTried - Tried);
+    States.push_back(Line);
+    if (Moves.empty() ||
+        M.applyMove(Moves[Step % Moves.size()]) != StepResult::Progress)
+      break;
+  }
+  return States;
+}
+
+/// Compiles \p Source and runs moveOrder over the processes in \p Keep
+/// (all when empty), with the environment driving \p Driven.
+std::vector<std::string> moveOrder(const std::string &Source,
+                                   const std::vector<std::string> &Keep,
+                                   const std::set<std::string> &Driven,
+                                   unsigned Steps = 8) {
+  SourceManager SM;
+  DiagnosticEngine Diags(SM);
+  CompileResult R = compileBuffer(SM, Diags, "moves.esp", Source);
+  EXPECT_TRUE(R.Success) << Diags.renderAll();
+  if (!R.Success)
+    return {};
+  ModuleIR Module;
+  Module.Prog = R.Module.Prog;
+  for (ProcIR &P : R.Module.Procs)
+    if (Keep.empty() ||
+        std::find(Keep.begin(), Keep.end(), P.Proc->Name) != Keep.end())
+      Module.Procs.push_back(std::move(P));
+  BoundedEnvModel Env(Driven);
+  return moveOrder(Module, Driven.empty() ? nullptr : &Env, Steps);
+}
+
+TEST(MoveOrder, DisjointChannelStopsAtFirstReader) {
+  // The constant first fields make `c`'s readers statically disjoint, and
+  // a record pattern has no dispatch-table entry: only the stop keeps
+  // the first state from dry-running rb's pattern after ra matched.
+  const char *Source = R"(
+channel c: record of { k: int, v: int }
+channel done: int
+process ra { in(c, { 1, $x }); out(done, x); }
+process rb { in(c, { 2, $y }); out(done, y); }
+process w {
+  out(c, { 1, 7 });
+  out(c, { 2, 3 });
+  in(done, $p);
+  in(done, $q);
+}
+)";
+  std::vector<std::string> Expected = {
+      "w -> ra on c [0/0]; tried 3",
+      "w -> rb on c [0/0]; tried 3",
+      "ra -> w on done [0/0]; rb -> w on done [0/0]; tried 2",
+      "rb -> w on done [0/0]; tried 1",
+  };
+  EXPECT_EQ(moveOrder(Source, {}, {}), Expected);
+}
+
+TEST(MoveOrder, NonDisjointChannelListsEveryMatchingCase) {
+  // Sema cannot prove `other`'s pattern disjoint from `r`'s. `{ 1, 5 }`
+  // matches both of r's cases (two moves, one process: no ambiguity)
+  // and `other` rejects it in the dry run.
+  const char *Source = R"(
+channel c: record of { k: int, v: int }
+channel d: int
+process r {
+  alt {
+    case( in(c, { 1, $x })) { out(d, x); }
+    case( in(c, { $k, 5 })) { out(d, k); }
+  }
+}
+process other { $two = 2; in(c, { two, 6 }); out(d, two); }
+process w { out(c, { 1, 5 }); in(d, $y); out(c, { 2, 6 }); in(d, $y2); }
+)";
+  std::vector<std::string> Expected = {
+      "w -> r on c [0/0]; w -> r on c [0/1]; tried 8",
+      "r -> w on d [0/0]; tried 1",
+      "w -> other on c [0/0]; tried 3",
+      "other -> w on d [0/0]; tried 1",
+  };
+  EXPECT_EQ(moveOrder(Source, {}, {}), Expected);
+}
+
+TEST(MoveOrder, HarnessEnvironmentSendsAndReceives) {
+  // translator alone, as its per-process harness: the environment drives
+  // userReqC (the update variants are rejected by the disc table, so only
+  // the two lookup variants are tried) and ptReplyC; it receives on
+  // ptReqC, which no kept process reads, and on resultC, an
+  // external-reader channel.
+  std::vector<std::string> Expected = {
+      "env[0] -> translator on userReqC [0/0]; "
+      "env[1] -> translator on userReqC [0/0]; tried 6",
+      "translator -> env on ptReqC [0/0]; tried 0",
+      "env[0] -> translator on ptReplyC [0/0]; "
+      "env[2] -> translator on ptReplyC [0/0]; tried 10",
+      "translator -> env on resultC [0/0]; tried 0",
+      "env[0] -> translator on userReqC [0/0]; "
+      "env[1] -> translator on userReqC [0/0]; tried 6",
+      "translator -> env on ptReqC [0/0]; tried 0",
+      "env[0] -> translator on ptReplyC [0/0]; "
+      "env[2] -> translator on ptReplyC [0/0]; tried 10",
+      "translator -> env on resultC [0/0]; tried 0",
+  };
+  EXPECT_EQ(moveOrder(readExample("pagetable.esp"), {"translator"},
+                      {"userReqC", "ptReplyC"}),
+            Expected);
 }
 
 } // namespace

@@ -474,4 +474,24 @@ TEST(Machine, StepResultIsTheNamespaceScopeEnum) {
   EXPECT_TRUE(R == StepResult::Progress || R == StepResult::Quiescent);
 }
 
+TEST(Machine, AmbiguousDispatchWhicheverSideStartsThePairing) {
+  // Sema cannot prove `{ a, $x }` and `{ b, $y }` disjoint, so it defers
+  // the check to run time, and `{ 1, 5 }` matches both readers. With the
+  // readers declared first, a reader starts the pairing.
+  const std::string Chan = "channel c: record of { k: int, v: int }\n";
+  const std::string Readers = "process ra { $a = 1; in(c, { a, $x }); }\n"
+                              "process rb { $b = 1; in(c, { b, $y }); }\n";
+  const std::string Writer = "process w { out(c, { 1, 5 }); }\n";
+  for (bool ReadersFirst : {true, false}) {
+    auto C = compile(Chan + (ReadersFirst ? Readers + Writer
+                                          : Writer + Readers));
+    ASSERT_TRUE(C);
+    Machine M(C->Module, MachineOptions());
+    M.start();
+    EXPECT_EQ(M.run(1000), StepResult::Errored);
+    EXPECT_EQ(M.error().Kind, RuntimeErrorKind::AmbiguousDispatch)
+        << (ReadersFirst ? "readers first" : "writer first");
+  }
+}
+
 } // namespace

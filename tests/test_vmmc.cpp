@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 using namespace esp;
 using namespace esp::vmmc;
 
@@ -136,6 +138,52 @@ TEST(VmmcLoc, EspSourceLineCountsMatchPaperScale) {
   EXPECT_GT(Decl, 30u);
   EXPECT_GT(Proc, 80u);
   EXPECT_LT(Decl + Proc, 600u);
+}
+
+/// The ESP firmware, handing its machine's final ExecStats to \p Out.
+class StatsKeepingFirmware : public EspFirmware {
+public:
+  explicit StatsKeepingFirmware(ExecStats &Out) : Out(Out) {}
+  ~StatsKeepingFirmware() override { Out = machine().stats(); }
+
+private:
+  ExecStats &Out;
+};
+
+std::array<uint64_t, 7> statsFields(const ExecStats &S) {
+  return {S.Instructions,       S.ContextSwitches,  S.Rendezvous,
+          S.ExternalDeliveries, S.ExternalConsumes, S.PollRounds,
+          S.PatternMatchesTried};
+}
+
+TEST(VmmcExecStats, PingpongCountsArePinned) {
+  // Every ExecStats field of both NICs' machines after a Figure 5(a)
+  // pingpong of 16 round trips (plus warmup). The simulator charges
+  // firmware cycles from these counts, so any drift moves simulated time.
+  struct Golden {
+    uint32_t Bytes;
+    std::array<uint64_t, 7> Node[2];
+  };
+  static const Golden Goldens[] = {
+      {4,
+       {{2536, 220, 181, 61, 60, 122, 1922},
+        {2494, 218, 179, 60, 60, 119, 1894}}},
+      {4096,
+       {{3032, 244, 232, 112, 120, 224, 2144},
+        {3032, 242, 232, 112, 120, 224, 2144}}},
+  };
+  for (const Golden &G : Goldens) {
+    ExecStats Got[2];
+    unsigned Node = 0;
+    WorkloadResult R = runPingpongWith(
+        [&] { return std::make_unique<StatsKeepingFirmware>(Got[Node++]); },
+        G.Bytes, /*Iterations=*/16);
+    ASSERT_TRUE(R.Completed);
+    ASSERT_EQ(Node, 2u);
+    for (unsigned N = 0; N != 2; ++N)
+      EXPECT_EQ(statsFields(Got[N]), G.Node[N])
+          << G.Bytes << " B, node " << N;
+  }
 }
 
 } // namespace
