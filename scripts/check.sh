@@ -50,6 +50,14 @@ if [ "$status" != 2 ]; then
   exit 1
 fi
 
+echo "== esplint: --interference report (text and JSON) =="
+# The conflict-class report runs over the corpus and the VMMC firmware
+# in both formats; it must exit 0 and its JSON must parse.
+"$ESPLINT" --interference "$REPO_ROOT"/examples/esp/*.esp --builtin-vmmc \
+  > /dev/null
+"$ESPLINT" --interference --format=json "$REPO_ROOT"/examples/esp/*.esp \
+  --builtin-vmmc | python3 -m json.tool > /dev/null
+
 ESPMC="$BUILD_DIR/src/tools/espmc"
 
 echo "== espmc: --por golden harnesses =="

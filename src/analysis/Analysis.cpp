@@ -6,6 +6,8 @@
 
 #include "analysis/Analysis.h"
 
+#include "analysis/CommGraph.h"
+
 #include "support/Diagnostics.h"
 #include "support/SourceManager.h"
 
@@ -57,14 +59,15 @@ unsigned AnalysisResult::numWarnings() const {
 AnalysisResult esp::analyzeProgram(const Program &Prog, const ModuleIR &Module,
                                    const AnalysisOptions &Options) {
   AnalysisResult Result;
+  CommGraph Graph = CommGraph::build(Module);
   if (Options.CheckDeadlock)
-    detail::checkDeadlock(Prog, Module, Options, Result);
+    detail::checkDeadlock(Graph, Options, Result);
   if (Options.CheckLinkBalance)
     detail::checkLinkBalance(Prog, Module, Result);
   if (Options.CheckReachability)
-    detail::checkReachability(Prog, Module, Result);
+    detail::checkReachability(Prog, Graph, Result);
   if (Options.CheckInterference || Options.ReportInterference)
-    detail::checkInterference(Prog, Module, Options, Result);
+    detail::checkInterference(Graph, Options, Result);
 
   // Deterministic presentation order: by location, then severity (errors
   // first), keeping the per-detector insertion order as the tiebreak.

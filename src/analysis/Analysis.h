@@ -7,20 +7,24 @@
 /// \file
 /// The esplint static analyzers: compile-time detection of a useful
 /// subset of the defects the paper finds with SPIN (§5), with no test
-/// harness at all. Three cooperating whole-program passes run over the
-/// instantiated AST and the state-machine IR:
+/// harness at all. Four cooperating whole-program passes run over the
+/// instantiated AST and the state-machine IR; three of them share one
+/// communication skeleton (CommGraph), built once per analysis:
 ///
 ///  * deadlock: a reachability search over the product of the per-process
-///    communication skeletons (CommGraph) that reports configurations in
-///    which every process is blocked and no rendezvous can fire, with a
-///    witness wait-for cycle,
+///    communication skeletons that reports configurations in which every
+///    process is blocked and no rendezvous can fire, with a witness
+///    wait-for cycle,
 ///  * link balance: a forward dataflow over each process's IR that flags
 ///    objects that are never unlinked (static leak, the compile-time
 ///    analogue of the paper's objectId-table exhaustion check, §5.2) and
 ///    unlinks of already-released objects (refcount underflow),
 ///  * reachability: states that can never execute or never receive,
 ///    alt cases with statically-false guards, and channels whose only
-///    readers or writers are unreachable.
+///    readers or writers are unreachable,
+///  * interference: channels whose send and receive ends all sit in one
+///    process (self-rendezvous), and on request the conflict classes of
+///    the communication sites that `espmc --por` reduces over.
 ///
 /// Severities are calibrated so that an *error* is only reported when the
 /// defect holds on every abstract path (see docs/analysis.md for each
@@ -43,6 +47,7 @@ namespace esp {
 
 class DiagnosticEngine;
 class SourceManager;
+struct CommGraph;
 
 enum class AnalysisKind : uint8_t {
   Deadlock,
@@ -124,16 +129,15 @@ obs::JsonValue renderFindingsJson(const AnalysisResult &Result,
 
 namespace detail {
 
-/// The individual passes; exposed for unit tests. Each appends to
+/// The individual passes, run by analyzeProgram. Each appends to
 /// \p Result.Findings.
-void checkDeadlock(const Program &Prog, const ModuleIR &Module,
-                   const AnalysisOptions &Options, AnalysisResult &Result);
+void checkDeadlock(const CommGraph &Graph, const AnalysisOptions &Options,
+                   AnalysisResult &Result);
 void checkLinkBalance(const Program &Prog, const ModuleIR &Module,
                       AnalysisResult &Result);
-void checkReachability(const Program &Prog, const ModuleIR &Module,
+void checkReachability(const Program &Prog, const CommGraph &Graph,
                        AnalysisResult &Result);
-void checkInterference(const Program &Prog, const ModuleIR &Module,
-                       const AnalysisOptions &Options,
+void checkInterference(const CommGraph &Graph, const AnalysisOptions &Options,
                        AnalysisResult &Result);
 
 } // namespace detail

@@ -9,6 +9,7 @@
 #include "frontend/Sema.h"
 
 #include <algorithm>
+#include <set>
 
 using namespace esp;
 
@@ -49,32 +50,15 @@ bool esp::mayPair(const AbsPattern &In, const AbsPattern &Out) {
 
 void esp::prunedSuccessors(const ProcIR &Proc, unsigned Index,
                            std::vector<unsigned> &Succs) {
-  Succs.clear();
   const Inst &I = Proc.Insts[Index];
-  switch (I.Kind) {
-  case InstKind::Branch: {
+  if (I.Kind == InstKind::Branch) {
     // "If Cond is false, jump to Target; otherwise fall through."
     if (std::optional<int64_t> V = tryEvalStatic(I.Cond, Proc.Proc)) {
-      Succs.push_back(*V != 0 ? Index + 1 : I.Target);
+      Succs.assign(1, *V != 0 ? Index + 1 : I.Target);
       return;
     }
-    Succs.push_back(Index + 1);
-    Succs.push_back(I.Target);
-    return;
   }
-  case InstKind::Jump:
-    Succs.push_back(I.Target);
-    return;
-  case InstKind::Block:
-    for (const IRCase &Case : I.Cases)
-      Succs.push_back(Case.Target);
-    return;
-  case InstKind::Halt:
-    return;
-  default:
-    Succs.push_back(Index + 1);
-    return;
-  }
+  collectSuccessors(I, Index, Succs);
 }
 
 namespace {
@@ -82,9 +66,10 @@ namespace {
 /// Collects the stops (Block instructions or TerminalStop) a process may
 /// next block at starting *from* instruction \p Start, without crossing
 /// another stop. \p BlockStop maps instruction index to stop index.
+/// \p CrossesUnlink is set when the walk passes an Unlink instruction.
 std::vector<unsigned> nextStops(const ProcIR &Proc,
                                 const std::vector<int> &BlockStop,
-                                unsigned Start) {
+                                unsigned Start, bool &CrossesUnlink) {
   std::vector<unsigned> Stops;
   std::vector<bool> Seen(Proc.Insts.size() + 1, false);
   std::vector<unsigned> Worklist = {Start};
@@ -111,6 +96,7 @@ std::vector<unsigned> nextStops(const ProcIR &Proc,
       AddStop(ProcComm::TerminalStop);
       continue;
     }
+    CrossesUnlink |= Proc.Insts[I].Kind == InstKind::Unlink;
     prunedSuccessors(Proc, I, Succs);
     for (unsigned S : Succs)
       Worklist.push_back(S);
@@ -138,8 +124,9 @@ bool environmentMayPair(const ChannelDecl *Chan, const AbsPattern &Abs) {
 CommGraph CommGraph::build(const ModuleIR &Module) {
   CommGraph Graph;
   Graph.Module = &Module;
-  Graph.Writers.resize(Module.Prog->Channels.size());
-  Graph.Readers.resize(Module.Prog->Channels.size());
+  const unsigned NumChannels = Module.Prog->Channels.size();
+  Graph.Writers.resize(NumChannels);
+  Graph.Readers.resize(NumChannels);
 
   for (unsigned P = 0, NP = Module.Procs.size(); P != NP; ++P) {
     const ProcIR &Proc = Module.Procs[P];
@@ -163,13 +150,15 @@ CommGraph CommGraph::build(const ModuleIR &Module) {
 
     // Stop points: every Block instruction (reachable or not, so the
     // reachability pass can name the unreachable ones).
-    std::vector<int> BlockStop(Proc.Insts.size(), -1);
+    Comm.StopOfInst.assign(Proc.Insts.size(), -1);
     for (unsigned I = 0, E = Proc.Insts.size(); I != E; ++I) {
       if (Proc.Insts[I].Kind != InstKind::Block)
         continue;
-      BlockStop[I] = static_cast<int>(Comm.States.size());
+      Comm.StopOfInst[I] = static_cast<int>(Comm.States.size());
       CommState State;
       State.InstIndex = I;
+      State.ReachIn.assign(NumChannels, false);
+      State.ReachOut.assign(NumChannels, false);
       Comm.States.push_back(std::move(State));
     }
 
@@ -188,12 +177,48 @@ CommGraph CommGraph::build(const ModuleIR &Module) {
         CC.External = Case.Channel->Role != ChannelRole::Internal;
         if (CC.External && !CC.GuardFalse)
           CC.ExternalFireable = environmentMayPair(Case.Channel, CC.Abs);
-        CC.Succs = nextStops(Proc, BlockStop, Case.Target);
+        bool Unlinks = false;
+        CC.Succs = nextStops(Proc, Comm.StopOfInst, Case.Target, Unlinks);
+        bool Halts = std::find(CC.Succs.begin(), CC.Succs.end(),
+                               ProcComm::TerminalStop) != CC.Succs.end();
+        CC.HeapUnsafe = Unlinks || Halts;
+        if (!CC.GuardFalse)
+          (Case.IsIn ? State.ReachIn : State.ReachOut)[Case.Channel->Id] =
+              true;
         State.Cases.push_back(std::move(CC));
       }
     }
 
-    Comm.InitialStops = nextStops(Proc, BlockStop, 0);
+    // Transitive endpoint reachability: fixpoint over the stop graph.
+    // Guard-false cases can never commit, so their successors contribute
+    // nothing either.
+    bool Changed = true;
+    while (Changed) {
+      Changed = false;
+      for (CommState &State : Comm.States)
+        for (const CommCase &CC : State.Cases) {
+          if (CC.GuardFalse)
+            continue;
+          for (unsigned Succ : CC.Succs) {
+            if (Succ == ProcComm::TerminalStop)
+              continue;
+            const CommState &T = Comm.States[Succ];
+            for (unsigned C = 0; C != NumChannels; ++C) {
+              if (T.ReachIn[C] && !State.ReachIn[C]) {
+                State.ReachIn[C] = true;
+                Changed = true;
+              }
+              if (T.ReachOut[C] && !State.ReachOut[C]) {
+                State.ReachOut[C] = true;
+                Changed = true;
+              }
+            }
+          }
+        }
+    }
+
+    bool Unused = false;
+    Comm.InitialStops = nextStops(Proc, Comm.StopOfInst, 0, Unused);
     Graph.Procs.push_back(std::move(Comm));
   }
 
@@ -207,6 +232,32 @@ CommGraph CommGraph::build(const ModuleIR &Module) {
         ChannelEnd End{P, S, C};
         (CC.IR->IsIn ? Graph.Readers : Graph.Writers)[ChanId].push_back(End);
       }
+    }
+  }
+
+  // Visibility cliques: a channel without pairwise-disjoint reader
+  // patterns whose internal writer may pair with reader ends in two or
+  // more distinct processes can raise AmbiguousDispatch, a predicate over
+  // the joint configuration of the writer and all candidate readers.
+  for (const std::unique_ptr<ChannelDecl> &Chan : Module.Prog->Channels) {
+    const std::vector<ChannelEnd> &Writers = Graph.Writers[Chan->Id];
+    const std::vector<ChannelEnd> &Readers = Graph.Readers[Chan->Id];
+    if (Writers.empty() || Readers.empty() ||
+        channelReadersDisjoint(*Module.Prog, Chan.get()))
+      continue;
+    for (const ChannelEnd &W : Writers) {
+      if (!Graph.isSite(W))
+        continue;
+      std::set<unsigned> ReaderProcs;
+      for (const ChannelEnd &R : Readers)
+        if (Graph.isSite(R) &&
+            mayPair(Graph.caseAt(R).Abs, Graph.caseAt(W).Abs))
+          ReaderProcs.insert(R.Proc);
+      if (ReaderProcs.size() < 2)
+        continue;
+      Graph.Procs[W.Proc].InClique = true;
+      for (unsigned RP : ReaderProcs)
+        Graph.Procs[RP].InClique = true;
     }
   }
   return Graph;

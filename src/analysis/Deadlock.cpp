@@ -185,12 +185,9 @@ std::vector<unsigned> findWaitCycle(
 
 } // namespace
 
-void esp::detail::checkDeadlock(const Program &Prog, const ModuleIR &Module,
+void esp::detail::checkDeadlock(const CommGraph &Graph,
                                 const AnalysisOptions &Options,
                                 AnalysisResult &Result) {
-  (void)Prog;
-  CommGraph Graph = CommGraph::build(Module);
-
   // Only processes that communicate at all participate; a process with
   // no block point can never hold up a rendezvous.
   std::vector<unsigned> Parts;

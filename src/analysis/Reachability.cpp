@@ -32,10 +32,8 @@ void addWarning(AnalysisResult &Result, SourceLoc Loc, std::string Message) {
 } // namespace
 
 void esp::detail::checkReachability(const Program &Prog,
-                                    const ModuleIR &Module,
+                                    const CommGraph &Graph,
                                     AnalysisResult &Result) {
-  CommGraph Graph = CommGraph::build(Module);
-
   // 1. Communication points the process can never reach.
   for (const ProcComm &Comm : Graph.Procs)
     for (const CommState &State : Comm.States)

@@ -16,18 +16,6 @@ using namespace esp;
 
 namespace {
 
-bool exprIsAllocation(const Expr *E) {
-  switch (E->getKind()) {
-  case ExprKind::RecordLit:
-  case ExprKind::UnionLit:
-  case ExprKind::ArrayLit:
-  case ExprKind::Cast:
-    return true;
-  default:
-    return false;
-  }
-}
-
 /// Collects every distinct aggregate type used by the program and emits
 /// one static descriptor per type.
 class TypeTable {

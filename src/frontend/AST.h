@@ -117,6 +117,21 @@ private:
   const Type *ExprType = nullptr;
 };
 
+/// Does evaluating \p E allocate a fresh heap object (a record, union or
+/// array literal, or a cast)? Such a value starts with the one reference
+/// its consumer takes over; any other aggregate value is borrowed.
+inline bool exprIsAllocation(const Expr *E) {
+  switch (E->getKind()) {
+  case ExprKind::RecordLit:
+  case ExprKind::UnionLit:
+  case ExprKind::ArrayLit:
+  case ExprKind::Cast:
+    return true;
+  default:
+    return false;
+  }
+}
+
 class IntLitExpr : public Expr {
 public:
   IntLitExpr(SourceLoc Loc, int64_t Value)

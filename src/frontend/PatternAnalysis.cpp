@@ -173,6 +173,17 @@ esp::collectChannelReaders(const Program &Prog, const ChannelDecl *Chan) {
   return Readers;
 }
 
+bool esp::channelReadersDisjoint(const Program &Prog,
+                                 const ChannelDecl *Chan) {
+  std::vector<ChannelReader> Readers = collectChannelReaders(Prog, Chan);
+  for (size_t I = 0; I != Readers.size(); ++I)
+    for (size_t J = I + 1; J != Readers.size(); ++J)
+      if (AbsPattern::overlap(Readers[I].Abs, Readers[J].Abs) !=
+          AbsPattern::Overlap::Disjoint)
+        return false;
+  return true;
+}
+
 //===----------------------------------------------------------------------===//
 // Whole-program check
 //===----------------------------------------------------------------------===//

@@ -66,6 +66,12 @@ bool checkChannelPatterns(Program &Prog, DiagnosticEngine &Diags);
 std::vector<ChannelReader> collectChannelReaders(const Program &Prog,
                                                  const ChannelDecl *Chan);
 
+/// Are the reader patterns of \p Chan pairwise provably disjoint? On such
+/// a channel dispatch stops at the first match and AmbiguousDispatch can
+/// never be raised (the runtime's ChannelInfo::Disjoint flag, and why the
+/// channel creates no visibility clique in CommGraph).
+bool channelReadersDisjoint(const Program &Prog, const ChannelDecl *Chan);
+
 } // namespace esp
 
 #endif // ESP_FRONTEND_PATTERNANALYSIS_H

@@ -89,6 +89,12 @@ struct Inst {
   std::vector<IRCase> Cases;
 };
 
+/// Replaces \p Succs with the CFG successors of \p I, the instruction at
+/// \p Index. An index one past the last instruction means the process
+/// falls off its end.
+void collectSuccessors(const Inst &I, unsigned Index,
+                       std::vector<unsigned> &Succs);
+
 /// The lowered form of one process.
 struct ProcIR {
   const ProcessDecl *Proc = nullptr;

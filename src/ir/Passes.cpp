@@ -160,8 +160,10 @@ void collectInstUsesDefs(const Inst &I, SlotSet &Uses, SlotSet &Defs) {
   }
 }
 
-void collectSuccessors(const Inst &I, unsigned Index,
-                       std::vector<unsigned> &Succs) {
+} // namespace
+
+void esp::collectSuccessors(const Inst &I, unsigned Index,
+                            std::vector<unsigned> &Succs) {
   Succs.clear();
   switch (I.Kind) {
   case InstKind::Branch:
@@ -182,8 +184,6 @@ void collectSuccessors(const Inst &I, unsigned Index,
     return;
   }
 }
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // Liveness

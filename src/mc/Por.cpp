@@ -28,66 +28,63 @@ uint64_t participants(const Move &Mv) {
 } // namespace
 
 PorContext::PorContext(const ModuleIR &Module, bool EnvBudgeted)
-    : Info(buildIndependence(Module)), EnvBudgeted(EnvBudgeted) {
-  for (size_t P = 0; P != Info.Procs.size() && P < 64; ++P)
-    if (Info.Procs[P].InClique)
+    : Graph(CommGraph::build(Module)), EnvBudgeted(EnvBudgeted) {
+  for (size_t P = 0; P != Graph.Procs.size() && P < 64; ++P)
+    if (Graph.Procs[P].InClique)
       CliqueMask |= 1ull << P;
   markCycleClosingCases();
 }
 
 void PorContext::markCycleClosingCases() {
-  // Environment-driven channels: no writer end anywhere in the module,
-  // so every commit of a receive on one is an environment send.
-  std::vector<bool> Written(Info.NumChannels, false);
-  for (const IndepProc &P : Info.Procs)
-    for (const IndepStop &S : P.Stops)
-      for (const IndepCase &C : S.Cases)
-        if (!C.IsIn)
-          Written[C.Channel] = true;
-  // Edges that can lie on a cycle of the state graph. Under a budget an
-  // environment send bumps its channel's counter, which never goes down
-  // and is part of the state, so no cycle contains one.
-  auto OnSkeleton = [&](const IndepCase &C) {
+  // Edges that can lie on a cycle of the state graph. A receive on an
+  // environment-driven channel (no writer end anywhere in the module) is
+  // an environment send; under a budget it bumps its channel's counter,
+  // which never goes down and is part of the state, so no cycle contains
+  // one.
+  auto OnSkeleton = [&](const CommCase &C) {
     if (C.GuardFalse)
       return false;
-    return !(EnvBudgeted && C.IsIn && !Written[C.Channel]);
+    return !(EnvBudgeted && C.IR->IsIn &&
+             Graph.Writers[C.IR->Channel->Id].empty());
   };
 
-  Closing.resize(Info.Procs.size());
-  for (size_t P = 0; P != Info.Procs.size(); ++P) {
-    const IndepProc &IP = Info.Procs[P];
-    Closing[P].resize(IP.Stops.size());
-    for (size_t S = 0; S != IP.Stops.size(); ++S)
-      Closing[P][S].assign(IP.Stops[S].Cases.size(), false);
+  Closing.resize(Graph.Procs.size());
+  for (size_t P = 0; P != Graph.Procs.size(); ++P) {
+    const ProcComm &PC = Graph.Procs[P];
+    Closing[P].resize(PC.States.size());
+    for (size_t S = 0; S != PC.States.size(); ++S)
+      Closing[P][S].assign(PC.States[S].Cases.size(), false);
 
     // Iterative DFS; an edge into a stop still on the DFS stack is a
-    // back edge and marks its case.
+    // back edge and marks its case. Halting is no stop to return from.
     enum : uint8_t { Unvisited, OnStack, Finished };
-    std::vector<uint8_t> Color(IP.Stops.size(), Unvisited);
+    std::vector<uint8_t> Color(PC.States.size(), Unvisited);
     struct Cursor {
       unsigned Stop, Case = 0, Succ = 0;
     };
     std::vector<Cursor> Stack;
     auto visit = [&](unsigned Root) {
-      if (Color[Root] != Unvisited)
+      if (Root == ProcComm::TerminalStop || Color[Root] != Unvisited)
         return;
       Color[Root] = OnStack;
       Stack.push_back({Root});
       while (!Stack.empty()) {
         Cursor &Top = Stack.back();
-        const std::vector<IndepCase> &Cases = IP.Stops[Top.Stop].Cases;
+        const std::vector<CommCase> &Cases = PC.States[Top.Stop].Cases;
         if (Top.Case == Cases.size()) {
           Color[Top.Stop] = Finished;
           Stack.pop_back();
           continue;
         }
-        const IndepCase &C = Cases[Top.Case];
+        const CommCase &C = Cases[Top.Case];
         if (!OnSkeleton(C) || Top.Succ == C.Succs.size()) {
           ++Top.Case;
           Top.Succ = 0;
           continue;
         }
         unsigned Next = C.Succs[Top.Succ++];
+        if (Next == ProcComm::TerminalStop)
+          continue;
         if (Color[Next] == OnStack)
           Closing[P][Top.Stop][Top.Case] = true;
         else if (Color[Next] == Unvisited) {
@@ -96,9 +93,9 @@ void PorContext::markCycleClosingCases() {
         }
       }
     };
-    for (unsigned S : IP.InitialStops)
+    for (unsigned S : PC.InitialStops)
       visit(S);
-    for (unsigned S = 0; S != IP.Stops.size(); ++S)
+    for (unsigned S = 0; S != PC.States.size(); ++S)
       visit(S);
   }
 }
@@ -114,29 +111,31 @@ uint64_t PorContext::closure(const Machine &M, const int *Stop,
     unsigned Q = Work[--WorkSize];
     if (Stop[Q] < 0)
       continue; // Done/Failed: no future endpoints.
-    const IndepStop &S = Info.Procs[Q].Stops[Stop[Q]];
+    const CommState &S = Graph.Procs[Q].States[Stop[Q]];
     const ProcState &PS = M.proc(Q);
     for (size_t K = 0; K != S.Cases.size(); ++K) {
-      const IndepCase &C = S.Cases[K];
+      const CommCase &C = S.Cases[K];
       if (C.GuardFalse)
         continue;
       // Guards are frozen while the process is blocked, so a case that
       // is dynamically disabled here stays disabled until Q moves.
       if (K < PS.CaseEnabled.size() && !PS.CaseEnabled[K])
         continue;
+      const bool IsIn = C.IR->IsIn;
+      const unsigned Chan = C.IR->Channel->Id;
       for (unsigned R = 0; R != NumProcs; ++R) {
         if ((Closed >> R) & 1)
           continue;
         if (Stop[R] < 0)
           continue;
-        const IndepStop &RS = Info.Procs[R].Stops[Stop[R]];
-        bool Pull = C.IsIn ? RS.ReachOut[C.Channel] : RS.ReachIn[C.Channel];
+        const CommState &RS = Graph.Procs[R].States[Stop[R]];
+        bool Pull = IsIn ? RS.ReachOut[Chan] : RS.ReachIn[Chan];
         // Under a finite per-channel environment budget two receives
         // from the same channel are dependent through the shared
         // counter (one can consume the last unit and disable the
         // other), so same-direction reader endpoints get pulled too.
-        if (!Pull && EnvBudgeted && C.IsIn)
-          Pull = RS.ReachIn[C.Channel];
+        if (!Pull && EnvBudgeted && IsIn)
+          Pull = RS.ReachIn[Chan];
         if (Pull) {
           Closed |= 1ull << R;
           Work[WorkSize++] = R;
@@ -153,11 +152,11 @@ bool PorContext::moveHeapUnsafe(const Move &Mv, const int *Stop) const {
       return false; // Environment side: nothing to free.
     if (Stop[P] < 0)
       return true; // Should not happen for an enabled move; be safe.
-    const IndepStop &S = Info.Procs[P].Stops[Stop[P]];
+    const CommState &S = Graph.Procs[P].States[Stop[P]];
     if (CaseIndex >= S.Cases.size())
       return true;
-    const IndepCase &C = S.Cases[CaseIndex];
-    if (C.Channel != Mv.Channel)
+    const CommCase &C = S.Cases[CaseIndex];
+    if (C.IR->Channel->Id != Mv.Channel)
       return true; // Static/dynamic disagreement: be safe.
     return C.HeapUnsafe;
   };
@@ -181,7 +180,7 @@ size_t PorContext::selectAmple(const Machine &M, std::vector<Move> &Moves,
   if (NumMoves <= 1)
     return NumMoves; // A singleton expansion is already minimal.
   const unsigned NumProcs = M.numProcesses();
-  if (NumProcs == 0 || NumProcs > 64 || Info.Procs.size() != NumProcs)
+  if (NumProcs == 0 || NumProcs > 64 || Graph.Procs.size() != NumProcs)
     return NumMoves;
 
   // Current stop per process; bail to full expansion when a blocked
@@ -190,7 +189,8 @@ size_t PorContext::selectAmple(const Machine &M, std::vector<Move> &Moves,
   for (unsigned P = 0; P != NumProcs; ++P) {
     const ProcState &PS = M.proc(P);
     if (PS.St == ProcState::Status::Blocked) {
-      int S = Info.stopIndex(P, PS.PC);
+      const std::vector<int> &StopOfInst = Graph.Procs[P].StopOfInst;
+      int S = PS.PC < StopOfInst.size() ? StopOfInst[PS.PC] : -1;
       if (S < 0)
         return NumMoves;
       Stop[P] = S;

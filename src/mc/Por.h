@@ -6,9 +6,10 @@
 ///
 /// \file
 /// The ample-set selector behind `espmc --por`. Built once per search
-/// from the static independence analysis (src/analysis/Independence.h),
-/// then consulted at every expanded state to pick a subset of the
-/// enabled moves that provably suffices for the checked properties.
+/// from the communication skeleton and its independence facts
+/// (src/analysis/CommGraph.h, the skeleton esplint also analyzes), then
+/// consulted at every expanded state to pick a subset of the enabled
+/// moves that provably suffices for the checked properties.
 ///
 /// The selection discharges the classic ample-set side conditions:
 ///
@@ -19,7 +20,8 @@
 ///    closure pulls in every process that could reach the opposite end
 ///    of a channel one of the closed processes has a dynamically-enabled
 ///    case on (guards are frozen while a process is blocked, and
-///    endpoint reachability is the analysis's transitive per-stop fact).
+///    endpoint reachability is the skeleton's transitive per-stop fact:
+///    CommState::ReachIn / ReachOut).
 ///    The ample set is then every enabled move whose participants lie
 ///    inside the closure — a persistent set: the first move touching a
 ///    closed process on any path of the full graph is an ample move.
@@ -33,17 +35,18 @@
 ///    Each process's stop graph (stop -> case -> successor stops) is
 ///    walked depth-first from its initial stops, then from any stop not
 ///    yet visited, and a case is *cycle-closing* when one of its edges
-///    is a back edge of that walk. Guard-false cases are left out of the
-///    graph, and so are receives on environment-driven channels (no
-///    writer end in the module) under an environment budget: those bump
-///    a per-channel counter that never goes down, so they cannot lie on
-///    a cycle. An ample set may not contain a move that takes a
-///    cycle-closing case for either participant. Every cycle of the
-///    state graph moves each participant around a closed walk of its
-///    skeleton, every closed walk contains a back edge, so the state
-///    taking that move on the cycle is fully expanded. The proviso
-///    depends only on the state, so the reduced graph, and with it the
-///    counts of a completed search, are the same at every `--jobs N`.
+///    is a back edge of that walk. Guard-false cases and halting edges
+///    are left out of the graph, and so are receives on
+///    environment-driven channels (no writer end in the module) under an
+///    environment budget: those bump a per-channel counter that never
+///    goes down, so they cannot lie on a cycle. An ample set may not
+///    contain a move that takes a cycle-closing case for either
+///    participant. Every cycle of the state graph moves each participant
+///    around a closed walk of its skeleton, every closed walk contains a
+///    back edge, so the state taking that move on the cycle is fully
+///    expanded. The proviso depends only on the state, so the reduced
+///    graph, and with it the counts of a completed search, are the same
+///    at every `--jobs N`.
 ///
 /// Whenever a condition cannot be discharged the selector falls back to
 /// full expansion, so `--por` can never weaken a verdict. Counts can
@@ -55,7 +58,7 @@
 #ifndef ESP_MC_POR_H
 #define ESP_MC_POR_H
 
-#include "analysis/Independence.h"
+#include "analysis/CommGraph.h"
 #include "runtime/Machine.h"
 
 #include <cstddef>
@@ -99,7 +102,7 @@ private:
   /// Fills Closing from each process's stop skeleton.
   void markCycleClosingCases();
 
-  IndependenceInfo Info;
+  CommGraph Graph;
   /// Closing[P][S][K]: case K of stop S of process P is cycle-closing.
   std::vector<std::vector<std::vector<bool>>> Closing;
   uint64_t CliqueMask = 0;

@@ -15,18 +15,6 @@ using namespace esp;
 
 namespace {
 
-bool exprIsAllocation(const Expr *E) {
-  switch (E->getKind()) {
-  case ExprKind::RecordLit:
-  case ExprKind::UnionLit:
-  case ExprKind::ArrayLit:
-  case ExprKind::Cast:
-    return true;
-  default:
-    return false;
-  }
-}
-
 /// Compiles expressions and patterns of one process into the flat arrays.
 class ProcCompiler {
 public:
@@ -412,16 +400,8 @@ CompiledProgram CompiledProgram::build(const ModuleIR &Module) {
           CP.Channels[Case.Channel->Id].StaticReaders[P / 64] |=
               uint64_t(1) << (P % 64);
     }
-  for (const std::unique_ptr<ChannelDecl> &Chan : Module.Prog->Channels) {
-    std::vector<ChannelReader> Readers =
-        collectChannelReaders(*Module.Prog, Chan.get());
-    bool Disjoint = true;
-    for (size_t A = 0; A != Readers.size() && Disjoint; ++A)
-      for (size_t B = A + 1; B != Readers.size() && Disjoint; ++B)
-        if (AbsPattern::overlap(Readers[A].Abs, Readers[B].Abs) !=
-            AbsPattern::Overlap::Disjoint)
-          Disjoint = false;
-    CP.Channels[Chan->Id].Disjoint = Disjoint;
-  }
+  for (const std::unique_ptr<ChannelDecl> &Chan : Module.Prog->Channels)
+    CP.Channels[Chan->Id].Disjoint =
+        channelReadersDisjoint(*Module.Prog, Chan.get());
   return CP;
 }

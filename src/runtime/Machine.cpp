@@ -241,18 +241,6 @@ void Machine::rebuildWaitBits() {
 
 namespace {
 
-bool exprIsAllocation(const Expr *E) {
-  switch (E->getKind()) {
-  case ExprKind::RecordLit:
-  case ExprKind::UnionLit:
-  case ExprKind::ArrayLit:
-  case ExprKind::Cast:
-    return true;
-  default:
-    return false;
-  }
-}
-
 SourceLoc plainStoreTargetLoc(const CInst &I) {
   return ast_cast<MatchPattern>(I.Src->LHS)->getValue()->getLoc();
 }

@@ -570,6 +570,102 @@ TEST(AnalysisInterference, ReportSummarizesConflictClasses) {
       << allMessages(R);
 }
 
+TEST(AnalysisInterference, ReportPinsCliquesConflictsAndHeapLabels) {
+  // ra and rb cannot be proved disjoint readers of c, and w's { 1, 5 }
+  // may pair with both: the three form a dispatch visibility clique.
+  // Every commit body but selfy's out halts, which is heap-visible.
+  auto C = compile(R"(
+channel c: record of { k: int, v: int }
+channel s: int
+process ra { $a = 1; in(c, { a, $x }); }
+process rb { $b = 1; in(c, { b, $y }); }
+process w { out(c, { 1, 5 }); }
+process selfy { out(s, 3); in(s, $z); }
+)");
+  ASSERT_TRUE(C);
+  AnalysisOptions Options;
+  Options.ReportInterference = true;
+  AnalysisResult R = analyze(*C, Options);
+  const AnalysisFinding *Report = nullptr;
+  for (const AnalysisFinding &F : R.Findings)
+    if (F.Kind == AnalysisKind::Interference &&
+        F.Severity == AnalysisSeverity::Note)
+      Report = &F;
+  ASSERT_NE(Report, nullptr) << allMessages(R);
+  EXPECT_EQ(Report->Message, "5 communication site(s), 10 site pair(s), 4 "
+                             "conflicting; 60.0% statically commuting");
+  std::vector<std::string> Notes;
+  for (const AnalysisFinding::Note &N : Report->Notes)
+    Notes.push_back(N.Message);
+  EXPECT_EQ(Notes,
+            (std::vector<std::string>{
+                "site 0: process 'ra' in(c), conflicts with 2 site(s), "
+                "heap-visible commit body, in a dispatch visibility clique",
+                "site 1: process 'rb' in(c), conflicts with 2 site(s), "
+                "heap-visible commit body, in a dispatch visibility clique",
+                "site 2: process 'w' out(c), conflicts with 2 site(s), "
+                "heap-visible commit body, in a dispatch visibility clique",
+                "site 3: process 'selfy' out(s), conflicts with 1 site(s)",
+                "site 4: process 'selfy' in(s), conflicts with 1 site(s), "
+                "heap-visible commit body",
+            }));
+  EXPECT_TRUE(hasFinding(R, AnalysisKind::Interference,
+                         AnalysisSeverity::Warning,
+                         "channel 's': send and receive endpoints are both "
+                         "in process 'selfy'"))
+      << allMessages(R);
+}
+
+//===----------------------------------------------------------------------===//
+// The communication skeleton's independence facts
+//===----------------------------------------------------------------------===//
+
+TEST(AnalysisCommGraph, HeapUnsafeFollowsTheCommitBody) {
+  // p's first commit body unlinks before the next stop, its second loops
+  // back to a stop cleanly (the pruned CFG drops the loop exit, which
+  // RUN == 1 makes dead), and r's only commit body halts.
+  auto C = compile(R"(
+const RUN = 1;
+type t = record of { v: int }
+channel a: t
+channel b: int
+channel h: int
+process p {
+  while (RUN == 1) { in( a, $x); unlink(x); in( b, $y); }
+}
+process r { in( h, $z); }
+process w { $m: t = { 1 }; out( a, m); unlink(m); out( b, 2); out( h, 3); }
+)");
+  ASSERT_TRUE(C);
+  CommGraph Graph = CommGraph::build(C->Module);
+  ASSERT_EQ(Graph.Procs.size(), 3u);
+  const ProcComm &P = Graph.Procs[0];
+  const ProcComm &Rp = Graph.Procs[1];
+  ASSERT_EQ(P.States.size(), 2u);
+  ASSERT_EQ(Rp.States.size(), 1u);
+  EXPECT_TRUE(P.States[0].Cases[0].HeapUnsafe);   // in(a): unlinks.
+  EXPECT_FALSE(P.States[1].Cases[0].HeapUnsafe);  // in(b): loops back.
+  EXPECT_TRUE(Rp.States[0].Cases[0].HeapUnsafe);  // in(h): halts.
+
+  // StopOfInst inverts States[S].InstIndex and is -1 everywhere else.
+  for (const ProcComm &PC : Graph.Procs) {
+    unsigned Stops = 0;
+    for (unsigned I = 0; I != PC.StopOfInst.size(); ++I) {
+      if (PC.StopOfInst[I] < 0)
+        continue;
+      ++Stops;
+      EXPECT_EQ(PC.States[PC.StopOfInst[I]].InstIndex, I);
+    }
+    EXPECT_EQ(Stops, PC.States.size());
+  }
+
+  // in(b) reaches a receive on a only through its successor stop.
+  unsigned A = C->Prog->Channels[0]->Id, H = C->Prog->Channels[2]->Id;
+  EXPECT_TRUE(P.States[1].ReachIn[A]);
+  EXPECT_FALSE(P.States[1].ReachIn[H]);
+  EXPECT_FALSE(P.States[1].ReachOut[A]);
+}
+
 //===----------------------------------------------------------------------===//
 // Reporting and rendering
 //===----------------------------------------------------------------------===//
