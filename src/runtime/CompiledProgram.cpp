@@ -354,10 +354,14 @@ void compileInst(ProcCompiler &PC, CompiledProc &Out, const Inst &I) {
           C.ElideFields.push_back(PC.expr(Elem));
           C.ElideFieldIsAlloc.push_back(exprIsAllocation(Elem) ? 1 : 0);
         }
+        C.PrepCount = static_cast<uint32_t>(C.ElideFields.size());
       } else {
         C.Out = PC.expr(Case.Out);
         C.OutIsAlloc = exprIsAllocation(Case.Out);
+        C.PrepCount = 1;
       }
+      C.PrepBegin = Out.Insts[Index].PrepSize;
+      Out.Insts[Index].PrepSize += C.PrepCount;
       Out.Insts[Index].Cases.push_back(std::move(C));
     }
     // Discriminants need the pattern pool to be final for these cases.
@@ -400,8 +404,13 @@ CompiledProgram CompiledProgram::build(const ModuleIR &Module) {
           CP.Channels[Case.Channel->Id].StaticReaders[P / 64] |=
               uint64_t(1) << (P % 64);
     }
-  for (const std::unique_ptr<ChannelDecl> &Chan : Module.Prog->Channels)
+  for (const std::unique_ptr<ChannelDecl> &Chan : Module.Prog->Channels) {
     CP.Channels[Chan->Id].Disjoint =
         channelReadersDisjoint(*Module.Prog, Chan.get());
+    if (Chan->Role == ChannelRole::ExternalWriter)
+      CP.ExternalWriterChans.push_back(Chan->Id);
+    else if (Chan->Role == ChannelRole::ExternalReader)
+      CP.ExternalReaderChans.push_back(Chan->Id);
+  }
   return CP;
 }

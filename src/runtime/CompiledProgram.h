@@ -135,6 +135,11 @@ struct CCase {
   bool ElideRecordAlloc = false;
   bool MatchFree = false;
   bool OutIsAlloc = false; ///< Out expression is a fresh allocation.
+  /// Where this case's out values sit in its process's prepared-value
+  /// array (ProcState::Prepared): one value per record field when the
+  /// allocation is elided, else one; none for an in case.
+  uint32_t PrepBegin = 0;
+  uint32_t PrepCount = 0;
   const IRCase *Src = nullptr; ///< ChannelDecl, Loc, Out expr for diags.
 };
 
@@ -158,6 +163,7 @@ struct CInst {
   bool RhsIsAlloc = false;   ///< Destructure RHS is a fresh allocation.
 
   std::vector<CCase> Cases; ///< Block.
+  uint32_t PrepSize = 0;    ///< Block: out values of all its cases.
   const Inst *Src = nullptr; ///< Diagnostics only.
 };
 
@@ -185,6 +191,10 @@ struct CompiledProgram {
   std::vector<CompiledProc> Procs;
   std::vector<ChannelInfo> Channels;
   uint32_t MaskWords = 0; ///< ceil(numProcs / 64): words per process mask.
+  /// Ids of the channels whose writer / reader is external (an interface
+  /// implemented outside ESP), ascending.
+  std::vector<uint32_t> ExternalWriterChans;
+  std::vector<uint32_t> ExternalReaderChans;
 
   static CompiledProgram build(const ModuleIR &Module);
 };

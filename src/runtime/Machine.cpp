@@ -169,6 +169,7 @@ void Machine::bindReader(const std::string &InterfaceName,
 void Machine::start() {
   assert(!Started && "machine already started");
   Started = true;
+  ScanPairs = true;
   for (unsigned I = 0, E = Procs.size(); I != E; ++I) {
     ProcState &P = Procs[I];
     P.PC = 0;
@@ -614,7 +615,7 @@ bool Machine::execStore(unsigned ProcIndex, const CInst &I) {
     // Destructuring match. Local matches bind without acquiring references
     // (assignment never manages reference counts, §4.4); a failed match is
     // a runtime error.
-    std::vector<Value> Values = {RHS};
+    std::span<const Value> Values(&RHS, 1);
     if (!matchValues(ProcIndex, I.Pat, Values, MatchMode::Try)) {
       if (!Error)
         fail(RuntimeErrorKind::MatchFailed, I.Src->Loc,
@@ -743,9 +744,9 @@ void Machine::prepareBlock(unsigned ProcIndex) {
   ProcState &P = Procs[ProcIndex];
   const CInst &I = CP.Procs[ProcIndex].Insts[P.PC];
   size_t N = I.Cases.size();
-  P.CaseEnabled.assign(N, false);
-  P.Prepared.assign(N, {});
-  P.PreparedValid.assign(N, false);
+  P.CaseEnabled.assign(N, 0);
+  P.Prepared.assign(I.PrepSize, Value());
+  P.PreparedValid.assign(N, 0);
   for (size_t C = 0; C != N; ++C) {
     const CCase &Case = I.Cases[C];
     if (!Case.Guard.empty()) {
@@ -759,43 +760,34 @@ void Machine::prepareBlock(unsigned ProcIndex) {
     if (!P.CaseEnabled[C] || Case.IsIn || Case.LazyOut)
       continue;
     // Eagerly prepare the out value(s).
-    std::vector<Value> Values;
+    std::span<const Value> Values;
     if (!outValues(ProcIndex, static_cast<unsigned>(C), Values))
       return;
-    (void)Values;
   }
   addWaitBits(ProcIndex);
 }
 
 bool Machine::outValues(unsigned ProcIndex, unsigned CaseIndex,
-                        std::vector<Value> &Values) {
+                        std::span<const Value> &Values) {
   ProcState &P = Procs[ProcIndex];
-  if (P.PreparedValid[CaseIndex]) {
-    Values = P.Prepared[CaseIndex];
-    return true;
-  }
-  const CCase &Case = CP.Procs[ProcIndex].Insts[P.PC].Cases[CaseIndex];
-  Values.clear();
-  if (Case.ElideRecordAlloc) {
-    for (const XRange &FieldCode : Case.ElideFields) {
-      Value V;
-      if (!evalCode(ProcIndex, FieldCode, V))
-        return false;
-      Values.push_back(V);
-    }
-  } else {
-    Value V;
-    if (!evalCode(ProcIndex, Case.Out, V))
+  const CCase &Case = caseOf(ProcIndex, CaseIndex);
+  if (!P.PreparedValid[CaseIndex]) {
+    Value *Out = P.Prepared.data() + Case.PrepBegin;
+    if (Case.ElideRecordAlloc) {
+      for (size_t F = 0, NF = Case.ElideFields.size(); F != NF; ++F)
+        if (!evalCode(ProcIndex, Case.ElideFields[F], Out[F]))
+          return false;
+    } else if (!evalCode(ProcIndex, Case.Out, Out[0])) {
       return false;
-    Values.push_back(V);
+    }
+    P.PreparedValid[CaseIndex] = 1;
   }
-  P.Prepared[CaseIndex] = Values;
-  P.PreparedValid[CaseIndex] = true;
+  Values = prepared(P, Case);
   return true;
 }
 
 void Machine::dropOutValues(const CCase &Case,
-                            const std::vector<Value> &Values) {
+                            std::span<const Value> Values) {
   if (!Case.ElideRecordAlloc) {
     dropSenderTemp(Case.Src->Out, Values[0]);
     return;
@@ -819,7 +811,7 @@ void Machine::resume(unsigned ProcIndex, unsigned CaseIndex) {
   }
   for (size_t C = 0, N = I.Cases.size(); C != N; ++C)
     if (C != CaseIndex && P.PreparedValid[C])
-      dropOutValues(I.Cases[C], P.Prepared[C]);
+      dropOutValues(I.Cases[C], prepared(P, I.Cases[C]));
   P.Prepared.clear();
   P.PreparedValid.clear();
   P.CaseEnabled.clear();
@@ -913,7 +905,7 @@ bool Machine::matchC(unsigned ReaderIndex, uint32_t PatIndex, const Value &V,
 }
 
 bool Machine::matchValues(unsigned ReaderIndex, uint32_t PatIndex,
-                          const std::vector<Value> &Values, MatchMode Mode) {
+                          std::span<const Value> Values, MatchMode Mode) {
   if (Values.size() == 1)
     return matchC(ReaderIndex, PatIndex, Values[0], Mode);
   // Elided record: the pattern is guaranteed to be a record pattern.
@@ -929,7 +921,7 @@ bool Machine::matchValues(unsigned ReaderIndex, uint32_t PatIndex,
 }
 
 Machine::MsgDisc
-Machine::discOfValues(const std::vector<Value> &Values) const {
+Machine::discOfValues(std::span<const Value> Values) const {
   if (Values.size() != 1)
     return MsgDisc();
   return discOfValue(H, Values[0]);
@@ -978,7 +970,7 @@ void Machine::forEachWaiter(uint32_t Chan, bool WantIn, int Self, Fn &&F) {
 template <typename Fn>
 void Machine::forEachMatchingReader(uint32_t Chan, int Writer,
                                     const CCase *WCase,
-                                    const std::vector<Value> *Values,
+                                    const std::span<const Value> *Values,
                                     Fn &&F) {
   const MsgDisc D = Values ? discOfValues(*Values) : MsgDisc();
   // Statically disjoint reader patterns: the first match is provably the
@@ -1002,7 +994,7 @@ void Machine::forEachMatchingReader(uint32_t Chan, int Writer,
 }
 
 bool Machine::readerAdmits(unsigned Reader, unsigned Case, const MsgDisc &D,
-                           const std::vector<Value> &Values) {
+                           std::span<const Value> Values) {
   const CCase &RCase = caseOf(Reader, Case);
   return !discRejects(RCase.Disc, D) &&
          matchValues(Reader, RCase.Pat, Values, MatchMode::Try);
@@ -1013,18 +1005,16 @@ bool Machine::readerAdmits(unsigned Reader, unsigned Case, const MsgDisc &D,
 //===----------------------------------------------------------------------===//
 
 bool Machine::transfer(int WriterIndex, unsigned WriterCase, int ReaderIndex,
-                       unsigned ReaderCase,
-                       const std::vector<Value> *EnvValues) {
+                       unsigned ReaderCase, std::span<const Value> EnvValues) {
   // 1. Obtain the value(s) from the writer side.
-  std::vector<Value> Values;
+  std::span<const Value> Values = EnvValues;
   const CCase *WCase = nullptr;
   if (WriterIndex >= 0) {
     WCase = &caseOf(static_cast<unsigned>(WriterIndex), WriterCase);
     if (!outValues(static_cast<unsigned>(WriterIndex), WriterCase, Values))
       return false;
   } else {
-    assert(EnvValues && "environment send without values");
-    Values = *EnvValues;
+    assert(!EnvValues.empty() && "environment send without values");
   }
 
   // 2. Deliver to the reader side.
@@ -1084,12 +1074,36 @@ int Machine::popReady() {
   return -1;
 }
 
+namespace {
+
+/// The binder values of one external message, in a buffer borrowed from
+/// the calling thread and given back, capacity and all: the machines on a
+/// thread share it, so external traffic neither allocates nor costs
+/// memory per machine. A nested borrow (a binding that drives another
+/// machine) finds the spare empty and allocates.
+struct BinderBuffer {
+  static thread_local std::vector<Value> Spare;
+  std::vector<Value> Values = std::move(Spare);
+
+  BinderBuffer() = default;
+  ~BinderBuffer() {
+    Values.clear();
+    Spare = std::move(Values);
+  }
+  BinderBuffer(const BinderBuffer &) = delete;
+  BinderBuffer &operator=(const BinderBuffer &) = delete;
+};
+
+thread_local std::vector<Value> BinderBuffer::Spare;
+
+} // namespace
+
 bool Machine::tryExternalOut(unsigned ProcIndex, unsigned CaseIndex) {
   const CCase &Case = caseOf(ProcIndex, CaseIndex);
   ExternalReader *Reader = Readers[Case.ChanId].get();
   if (!Reader || !Reader->isReady())
     return false;
-  std::vector<Value> Values;
+  std::span<const Value> Values;
   if (!outValues(ProcIndex, CaseIndex, Values))
     return false;
   // Dispatch over the interface cases to find the matching one and
@@ -1099,8 +1113,10 @@ bool Machine::tryExternalOut(unsigned ProcIndex, unsigned CaseIndex) {
   assert(!Case.ElideRecordAlloc &&
          "record elision is disabled on external channels");
   const Value &V = Values[0];
+  BinderBuffer Buffer;
+  std::vector<Value> &Binders = Buffer.Values;
   for (size_t C = 0, N = Iface->Cases.size(); C != N; ++C) {
-    std::vector<Value> Binders;
+    Binders.clear();
     if (!extractInterfaceBinders(Iface->Cases[C].Pat, V, Binders)) {
       if (Error)
         return false;
@@ -1130,7 +1146,7 @@ bool Machine::tryPair(unsigned ProcIndex) {
   const int Self = static_cast<int>(ProcIndex);
   const CInst &I = CP.Procs[ProcIndex].Insts[P.PC];
   size_t N = I.Cases.size();
-  std::vector<Value> Values;
+  std::span<const Value> Values;
   for (size_t CO = 0; CO != N; ++CO) {
     // Rotate the starting case to avoid starving later alternatives.
     unsigned C = static_cast<unsigned>((CO + PollRotor) % N);
@@ -1181,8 +1197,8 @@ bool Machine::tryPair(unsigned ProcIndex) {
     if (Error)
       return false;
     if (Peer >= 0) {
-      if (!(Case.IsIn ? transfer(Peer, PeerCase, Self, C, nullptr)
-                      : transfer(Self, C, Peer, PeerCase, nullptr)))
+      if (!(Case.IsIn ? transfer(Peer, PeerCase, Self, C)
+                      : transfer(Self, C, Peer, PeerCase)))
         return false;
       // Stack-based policy: the peer joins the ready queue; the initiator
       // goes to the front so the next pop continues it.
@@ -1280,9 +1296,9 @@ bool Machine::extractInterfaceBinders(const Pattern *Pat, const Value &V,
            "external dispatch on freed object");
       return false;
     }
-    std::vector<Value> Elems = Obj->Elems;
+    // The walk allocates no heap object, so Obj stays valid throughout.
     for (size_t I = 0, N = R->getElems().size(); I != N; ++I)
-      if (!extractInterfaceBinders(R->getElems()[I], Elems[I], Out))
+      if (!extractInterfaceBinders(R->getElems()[I], Obj->Elems[I], Out))
         return false;
     return true;
   }
@@ -1316,7 +1332,8 @@ bool Machine::deliverExternalIn(unsigned ChannelId) {
   const InterfaceCase &ICase =
       Chan->Interface->Cases[static_cast<size_t>(CaseIndex) - 1];
 
-  std::vector<Value> Binders;
+  BinderBuffer Buffer;
+  std::vector<Value> &Binders = Buffer.Values;
   Writer->produce(CaseIndex, H, Binders);
   size_t Next = 0;
   std::optional<Value> V =
@@ -1325,7 +1342,7 @@ bool Machine::deliverExternalIn(unsigned ChannelId) {
     return false;
 
   // The first blocked reader whose pattern matches takes the message.
-  std::vector<Value> Values = {*V};
+  std::span<const Value> Values(&*V, 1);
   int R = -1;
   unsigned RC = 0;
   auto TakeFirst = [&](unsigned Reader, unsigned ReaderCase) {
@@ -1362,36 +1379,54 @@ bool Machine::deliverExternalIn(unsigned ChannelId) {
   return true;
 }
 
+bool Machine::tryExternalOuts(unsigned CaseRotor) {
+  for (unsigned Word = 0; Word != CP.MaskWords; ++Word) {
+    // The processes of this word with a writer bit on an external-reader
+    // channel.
+    uint64_t Waiting = 0;
+    for (uint32_t Chan : CP.ExternalReaderChans)
+      Waiting |= outWait(Chan)[Word];
+    for (uint64_t Bits = Waiting; Bits; Bits &= Bits - 1) {
+      unsigned P = Word * 64 + static_cast<unsigned>(std::countr_zero(Bits));
+      if (Procs[P].St != ProcState::Status::Blocked)
+        continue;
+      const CInst &I = CP.Procs[P].Insts[Procs[P].PC];
+      for (size_t CO = 0, N = I.Cases.size(); CO != N; ++CO) {
+        unsigned C = static_cast<unsigned>((CO + CaseRotor) % N);
+        const CCase &Case = I.Cases[C];
+        if (Case.IsIn || !Procs[P].CaseEnabled[C] || !Readers[Case.ChanId])
+          continue;
+        if (tryExternalOut(P, C)) {
+          ReadyQueue.push_back(P);
+          return true;
+        }
+        if (Error)
+          return false;
+      }
+    }
+  }
+  return false;
+}
+
 bool Machine::pollExternals() {
   ++Stats.PollRounds;
-  unsigned NumChannels = static_cast<unsigned>(Writers.size());
-  // Poll external writers (message arrival).
-  for (unsigned Off = 0; Off != NumChannels; ++Off) {
-    unsigned Chan = (Off + PollRotor) % NumChannels;
-    if (deliverExternalIn(Chan))
-      return true;
-    if (Error)
-      return false;
-  }
-  // Poll external readers (blocked processes wanting to emit).
-  for (unsigned P = 0, NP = static_cast<unsigned>(Procs.size()); P != NP;
-       ++P) {
-    if (Procs[P].St != ProcState::Status::Blocked)
-      continue;
-    const CInst &I = CP.Procs[P].Insts[Procs[P].PC];
-    for (size_t C = 0, N = I.Cases.size(); C != N; ++C) {
-      const CCase &Case = I.Cases[C];
-      if (Case.IsIn || !Procs[P].CaseEnabled[C] || !Readers[Case.ChanId])
-        continue;
-      if (tryExternalOut(P, static_cast<unsigned>(C))) {
-        ReadyQueue.push_back(P);
+  // Poll the external writers (message arrival) in the rotated
+  // channel-id order that starts at PollRotor; skipping the channels no
+  // external code writes leaves that order as it is.
+  const std::vector<uint32_t> &Chans = CP.ExternalWriterChans;
+  if (const size_t NW = Chans.size()) {
+    const uint32_t First = PollRotor % static_cast<uint32_t>(Writers.size());
+    const size_t Start =
+        std::lower_bound(Chans.begin(), Chans.end(), First) - Chans.begin();
+    for (size_t Off = 0; Off != NW; ++Off) {
+      if (deliverExternalIn(Chans[(Start + Off) % NW]))
         return true;
-      }
       if (Error)
         return false;
     }
   }
-  return false;
+  // Poll external readers (blocked processes wanting to emit).
+  return tryExternalOuts(/*CaseRotor=*/0);
 }
 
 StepResult Machine::step() {
@@ -1411,13 +1446,21 @@ StepResult Machine::stepImpl() {
   if (Next < 0) {
     if (allDone())
       return StepResult::Halted;
-    // Resolve any internal rendezvous between parked processes (this also
-    // kicks off the very first pairings after start()).
+    // Resolve any internal rendezvous between parked processes: the block
+    // points reached outside step(), while a scan still pairs. Past that,
+    // the scan can only find an external reader that became ready.
     bool Paired = false;
-    for (unsigned I = 0, E = Procs.size(); I != E && !Paired; ++I) {
-      if (Procs[I].St != ProcState::Status::Blocked)
-        continue;
-      Paired = tryPair(I);
+    if (ScanPairs) {
+      for (unsigned I = 0, E = Procs.size(); I != E && !Paired; ++I) {
+        if (Procs[I].St != ProcState::Status::Blocked)
+          continue;
+        Paired = tryPair(I);
+        if (Error)
+          return StepResult::Errored;
+      }
+      ScanPairs = Paired;
+    } else {
+      Paired = tryExternalOuts(PollRotor);
       if (Error)
         return StepResult::Errored;
     }
@@ -1481,9 +1524,8 @@ std::vector<Move> Machine::enumerateMoves() {
       const CCase &Case = Ins.Cases[C];
       if (!P.PreparedValid[C] || Case.IsIn || !Case.LazyOut)
         continue;
-      dropOutValues(Case, P.Prepared[C]);
-      P.Prepared[C].clear();
-      P.PreparedValid[C] = false;
+      dropOutValues(Case, prepared(P, Case));
+      P.PreparedValid[C] = 0;
     }
   }
   return Moves;
@@ -1503,7 +1545,7 @@ std::vector<Move> Machine::enumerateMovesImpl() {
       const CCase &WCase = WI.Cases[WC];
       if (WCase.IsIn || !Procs[W].CaseEnabled[WC])
         continue;
-      std::vector<Value> Values;
+      std::span<const Value> Values;
       if (!outValues(W, WC, Values))
         return Moves;
       const uint32_t Chan = WCase.ChanId;
@@ -1570,7 +1612,8 @@ std::vector<Move> Machine::enumerateMovesImpl() {
                                EC.Discs[Variant]);
           }))
         continue;
-      std::vector<Value> Values = {Env->makeVariant(EC.Decl, Variant, H)};
+      const Value V = Env->makeVariant(EC.Decl, Variant, H);
+      std::span<const Value> Values(&V, 1);
       MsgDisc D = discOfValues(Values);
       for (auto [R, RC] : EnvReaders) {
         if (!readerAdmits(R, RC, D, Values)) {
@@ -1584,7 +1627,7 @@ std::vector<Move> Machine::enumerateMovesImpl() {
       }
       // Undo the probe allocation so enumeration does not perturb the
       // state.
-      dropValueTemp(Values[0], SourceLoc(), -1);
+      dropValueTemp(V, SourceLoc(), -1);
       if (Error)
         return Moves;
     }
@@ -1594,9 +1637,10 @@ std::vector<Move> Machine::enumerateMovesImpl() {
 
 StepResult Machine::applyMove(const Move &M) {
   assert(!Error && "applying a move to a failed machine");
+  ScanPairs = true; // Its block points get no tryPair.
   switch (M.K) {
   case Move::Kind::Rendezvous: {
-    if (transfer(M.Writer, M.WriterCase, M.Reader, M.ReaderCase, nullptr)) {
+    if (transfer(M.Writer, M.WriterCase, M.Reader, M.ReaderCase)) {
       runToBlock(static_cast<unsigned>(M.Writer));
       if (!Error)
         runToBlock(static_cast<unsigned>(M.Reader));
@@ -1604,16 +1648,15 @@ StepResult Machine::applyMove(const Move &M) {
     break;
   }
   case Move::Kind::EnvSend: {
-    Value V =
+    const Value V =
         Env->makeVariant(EnvTab->Channels[M.Channel].Decl, M.EnvVariant, H);
-    std::vector<Value> Values = {V};
     ++EnvSends[M.Channel];
-    if (transfer(-1, 0, M.Reader, M.ReaderCase, &Values))
+    if (transfer(-1, 0, M.Reader, M.ReaderCase, {&V, 1}))
       runToBlock(static_cast<unsigned>(M.Reader));
     break;
   }
   case Move::Kind::EnvRecv: {
-    if (transfer(M.Writer, M.WriterCase, -1, 0, nullptr))
+    if (transfer(M.Writer, M.WriterCase, -1, 0))
       runToBlock(static_cast<unsigned>(M.Writer));
     break;
   }
@@ -1675,18 +1718,17 @@ void Machine::restore(const Snapshot &S) {
   EnvSends = S.EnvSends;
   ReadyQueue.clear();
   Current = -1;
+  ScanPairs = true;
   rebuildWaitBits();
 }
 
 size_t Machine::snapshotBytes() const {
   size_t Bytes = sizeof(Snapshot) + H.bytes() +
                  EnvSends.size() * sizeof(uint32_t) + Error.Message.size();
-  for (const ProcState &P : Procs) {
-    Bytes += sizeof(ProcState) + P.Slots.size() * sizeof(Value) +
-             (P.CaseEnabled.size() + P.PreparedValid.size()) / 8;
-    for (const std::vector<Value> &Values : P.Prepared)
-      Bytes += sizeof(Values) + Values.size() * sizeof(Value);
-  }
+  for (const ProcState &P : Procs)
+    Bytes += sizeof(ProcState) +
+             (P.Slots.size() + P.Prepared.size()) * sizeof(Value) +
+             P.CaseEnabled.size() + P.PreparedValid.size();
   return Bytes;
 }
 
@@ -1827,7 +1869,8 @@ std::string Machine::serializeState() const {
 
 size_t Machine::serializeState(std::string &Out) const {
   StateSerializer S(H, Out);
-  for (const ProcState &P : Procs) {
+  for (unsigned I = 0, E = static_cast<unsigned>(Procs.size()); I != E; ++I) {
+    const ProcState &P = Procs[I];
     S.byte(static_cast<uint8_t>(P.St));
     S.varint(P.PC);
     for (const Value &Slot : P.Slots)
@@ -1835,7 +1878,7 @@ size_t Machine::serializeState(std::string &Out) const {
     for (size_t C = 0; C != P.PreparedValid.size(); ++C) {
       S.byte(P.PreparedValid[C] ? 1 : 0);
       if (P.PreparedValid[C])
-        for (const Value &V : P.Prepared[C])
+        for (const Value &V : prepared(P, CP.Procs[I].Insts[P.PC].Cases[C]))
           S.value(V);
     }
   }
@@ -1869,14 +1912,15 @@ unsigned Machine::countLeakedObjects() const {
       Worklist.push_back(V.Ref);
     }
   };
-  for (const ProcState &P : Procs) {
+  for (unsigned I = 0, E = static_cast<unsigned>(Procs.size()); I != E; ++I) {
+    const ProcState &P = Procs[I];
     if (P.St == ProcState::Status::Done)
       continue; // A finished process can never unlink: its refs leak.
     for (const Value &Slot : P.Slots)
       root(Slot);
     for (size_t C = 0; C != P.PreparedValid.size(); ++C)
       if (P.PreparedValid[C])
-        for (const Value &V : P.Prepared[C])
+        for (const Value &V : prepared(P, CP.Procs[I].Insts[P.PC].Cases[C]))
           root(V);
   }
   while (!Worklist.empty()) {

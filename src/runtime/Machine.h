@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -243,11 +244,15 @@ struct ProcState {
   /// Cached guard results for the Block instruction at PC (valid while
   /// Blocked); guards cannot change while the process is blocked because
   /// no other process can touch its state.
-  std::vector<bool> CaseEnabled;
-  /// Eagerly prepared out values per case (empty vector = not prepared).
-  /// Elided cases prepare one value per record field.
-  std::vector<std::vector<Value>> Prepared;
-  std::vector<bool> PreparedValid;
+  std::vector<uint8_t> CaseEnabled;
+  /// Prepared out values of every case of the Block at PC, in one array:
+  /// case C's are its CCase's [PrepBegin, PrepBegin + PrepCount), and
+  /// they count only while PreparedValid[C] is set. Elided cases prepare
+  /// one value per record field. The array keeps its capacity from one
+  /// block point to the next, so a steady-state block/resume cycle does
+  /// not allocate.
+  std::vector<Value> Prepared;
+  std::vector<uint8_t> PreparedValid;
 };
 
 /// Execution statistics; the NIC simulator derives its cycle costs from
@@ -474,12 +479,20 @@ private:
               MatchMode Mode);
   /// Same over the 1-or-N values of a (possibly elided) transfer.
   bool matchValues(unsigned ReaderIndex, uint32_t PatIndex,
-                   const std::vector<Value> &Values, MatchMode Mode);
+                   std::span<const Value> Values, MatchMode Mode);
 
   /// Produces the out value(s) for case \p CaseIndex of blocked process
-  /// \p ProcIndex, using the prepared cache or evaluating lazily.
+  /// \p ProcIndex, using the prepared cache or evaluating lazily into it.
+  /// \p Values views the process's prepared array: valid until the
+  /// process resumes.
   bool outValues(unsigned ProcIndex, unsigned CaseIndex,
-                 std::vector<Value> &Values);
+                 std::span<const Value> &Values);
+
+  /// The prepared values of case \p Case of blocked process \p P.
+  static std::span<const Value> prepared(const ProcState &P,
+                                         const CCase &Case) {
+    return {P.Prepared.data() + Case.PrepBegin, Case.PrepCount};
+  }
 
   /// Blocked process \p ProcIndex's case \p CaseIndex.
   const CCase &caseOf(unsigned ProcIndex, unsigned CaseIndex) const {
@@ -488,7 +501,7 @@ private:
 
   /// Drops the sender-side temp references of out case \p Case's values
   /// (one per field when the record allocation is elided).
-  void dropOutValues(const CCase &Case, const std::vector<Value> &Values);
+  void dropOutValues(const CCase &Case, std::span<const Value> Values);
 
   /// Commits case \p CaseIndex of blocked process \p ProcIndex: releases
   /// the prepared values of the losing cases, moves the PC to the case's
@@ -522,12 +535,13 @@ private:
   /// when F returns false or on a machine error.
   template <typename Fn>
   void forEachMatchingReader(uint32_t Chan, int Writer, const CCase *WCase,
-                             const std::vector<Value> *Values, Fn &&F);
+                             const std::span<const Value> *Values, Fn &&F);
 
   /// Performs a committed rendezvous between a writer and a reader case.
-  /// Either side may be the environment/externals.
+  /// Either side may be the environment/externals; an environment writer
+  /// supplies \p EnvValues.
   bool transfer(int WriterIndex, unsigned WriterCase, int ReaderIndex,
-                unsigned ReaderCase, const std::vector<Value> *EnvValues);
+                unsigned ReaderCase, std::span<const Value> EnvValues = {});
 
   /// enumerateMoves without the purity cleanup (the raw probe walk).
   std::vector<Move> enumerateMovesImpl();
@@ -541,7 +555,7 @@ private:
     int64_t Scalar = 0;
   };
   static MsgDisc discOfValue(const Heap &H, const Value &V);
-  MsgDisc discOfValues(const std::vector<Value> &Values) const;
+  MsgDisc discOfValues(std::span<const Value> Values) const;
   /// True when the dispatch table proves \p Case cannot match a message
   /// with discriminant \p D (so the pattern walk is skipped entirely).
   static bool discRejects(const CaseDisc &Case, const MsgDisc &D) {
@@ -557,7 +571,7 @@ private:
   /// then a dry run of the pattern. False with the machine error set when
   /// the dry run faults.
   bool readerAdmits(unsigned Reader, unsigned Case, const MsgDisc &D,
-                    const std::vector<Value> &Values);
+                    std::span<const Value> Values);
 
   /// Sets/clears process \p ProcIndex's bit in the wait mask of every
   /// channel one of its enabled cases blocks on. The masks are an
@@ -582,6 +596,12 @@ private:
   bool pollExternals();
   bool deliverExternalIn(unsigned ChannelId);
   bool tryExternalOut(unsigned ProcIndex, unsigned CaseIndex);
+  /// Offers the enabled out cases of the processes blocked on an
+  /// external-reader channel to their bound readers: processes in
+  /// ascending id, each one's cases from \p CaseRotor modulo its case
+  /// count. The first case a reader takes puts its process on the ready
+  /// queue.
+  bool tryExternalOuts(unsigned CaseRotor);
 
   /// Builds the full channel value for an external-writer interface case
   /// from the binder values the binding produced.
@@ -622,6 +642,12 @@ private:
   std::deque<unsigned> ReadyQueue;
   int Current = -1;
   unsigned PollRotor = 0;
+  /// Whether the idle loop scans every blocked process for an internal
+  /// rendezvous. A process that blocks inside step() gets its own tryPair
+  /// at once, so only block points reached outside it (start(),
+  /// restore(), applyMove()) can still pair at idle: the scan runs from
+  /// those until it pairs nothing.
+  bool ScanPairs = true;
 
   // External bindings, indexed by channel id.
   std::vector<std::unique_ptr<ExternalWriter>> Writers;

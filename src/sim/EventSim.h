@@ -15,9 +15,9 @@
 #ifndef ESP_SIM_EVENTSIM_H
 #define ESP_SIM_EVENTSIM_H
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace esp {
@@ -37,7 +37,8 @@ public:
   void scheduleAt(SimTime At, Callback Fn) {
     if (At < Now)
       At = Now;
-    Heap.push(Event{At, NextSeq++, std::move(Fn)});
+    Heap.push_back(Event{At, NextSeq++, std::move(Fn)});
+    std::push_heap(Heap.begin(), Heap.end(), Later());
   }
 
   /// Schedules \p Fn \p Delay nanoseconds from now.
@@ -48,12 +49,14 @@ public:
   bool empty() const { return Heap.empty(); }
   size_t pending() const { return Heap.size(); }
 
-  /// Fires the next event; returns false when the queue is empty.
+  /// Fires the next event; returns false when the queue is empty. The
+  /// event is moved out of the heap, so its callback is never copied.
   bool step() {
     if (Heap.empty())
       return false;
-    Event E = Heap.top();
-    Heap.pop();
+    std::pop_heap(Heap.begin(), Heap.end(), Later());
+    Event E = std::move(Heap.back());
+    Heap.pop_back();
     Now = E.At;
     E.Fn();
     return true;
@@ -61,7 +64,7 @@ public:
 
   /// Runs until the queue drains or simulated time exceeds \p Until.
   void runUntil(SimTime Until) {
-    while (!Heap.empty() && Heap.top().At <= Until)
+    while (!Heap.empty() && Heap.front().At <= Until)
       step();
     if (Now < Until)
       Now = Until;
@@ -89,7 +92,8 @@ private:
 
   SimTime Now = 0;
   uint64_t NextSeq = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> Heap;
+  /// A binary heap under Later: front() is the earliest event.
+  std::vector<Event> Heap;
 };
 
 } // namespace sim

@@ -494,4 +494,143 @@ TEST(Machine, AmbiguousDispatchWhicheverSideStartsThePairing) {
   }
 }
 
+TEST(Machine, IdleScanFindsEveryInitialPair) {
+  // After start() two rendezvous are enabled at once (a-b and c-d); the
+  // idle scan pairs only the first it finds, so it must scan again while
+  // a scan pairs. b-e is enabled only by a-b and pairs from b's own
+  // tryPair.
+  auto C = compile(R"(
+channel ab: int
+channel cd: int
+channel be: int
+process a { out(ab, 1); }
+process b { in(ab, $x); out(be, x + 1); }
+process c { out(cd, 3); }
+process d { in(cd, $y); assert(y == 3); }
+process e { in(be, $z); assert(z == 2); }
+)");
+  ASSERT_TRUE(C);
+  Machine M(C->Module, MachineOptions());
+  M.start();
+  ASSERT_FALSE(M.error()) << M.error().Message;
+  EXPECT_EQ(M.run(1000), StepResult::Halted) << M.error().Message;
+  for (unsigned P = 0; P != M.numProcesses(); ++P)
+    EXPECT_EQ(M.proc(P).St, ProcState::Status::Done) << "process " << P;
+  const ExecStats &S = M.stats();
+  EXPECT_EQ(S.Instructions, 19u);
+  EXPECT_EQ(S.ContextSwitches, 5u);
+  EXPECT_EQ(S.Rendezvous, 3u);
+  EXPECT_EQ(S.ExternalDeliveries, 0u);
+  EXPECT_EQ(S.ExternalConsumes, 0u);
+  EXPECT_EQ(S.PollRounds, 0u);
+  EXPECT_EQ(S.PatternMatchesTried, 9u);
+}
+
+/// An always-ready external writer that logs \p Tag each time a message
+/// of its is delivered.
+class TaggedWriter : public ExternalWriter {
+public:
+  TaggedWriter(std::vector<int> &Log, int Tag) : Log(Log), Tag(Tag) {}
+  int isReady() override { return 1; }
+  void produce(int, Heap &, std::vector<Value> &Out) override {
+    Out.push_back(Value::makeInt(Tag));
+  }
+  void accepted(int) override { Log.push_back(Tag); }
+
+private:
+  std::vector<int> &Log;
+  int Tag;
+};
+
+TEST(Machine, ExternalPollOrderFollowsRotor) {
+  // Channel ids are declaration indices: the bound writers sit on ids 1
+  // and 3 of five, around id 2, whose interface stays unbound. Polling
+  // starts at the first bound id at or after the rotor (modulo five) and
+  // wraps.
+  auto C = compile(R"(
+channel c0: int
+channel xa: int
+interface XA(out xa) { Msg( $v ) }
+channel c2: int
+interface XC(out c2) { Msg( $v ) }
+channel xb: int
+interface XB(out xb) { Msg( $v ) }
+channel c4: int
+process ra { while (true) { in(xa, $v); } }
+process rb { while (true) { in(xb, $v); } }
+process idle {
+  alt {
+    case( in(c0, $a)) { }
+    case( in(c2, $b)) { }
+    case( in(c4, $d)) { }
+  }
+}
+)");
+  ASSERT_TRUE(C);
+  Machine M(C->Module, MachineOptions());
+  std::vector<int> Log;
+  M.bindWriter("XA", std::make_unique<TaggedWriter>(Log, 1));
+  M.bindWriter("XB", std::make_unique<TaggedWriter>(Log, 3));
+  M.start();
+  for (unsigned I = 0; I != 20; ++I)
+    ASSERT_EQ(M.step(), StepResult::Progress) << "step " << I;
+  // Every step is an idle poll that delivers, so the rotor (1, 2, 3, ...
+  // at the successive polls) picks the channel: ids 1, 3, 3, then a wrap
+  // to 1 from rotor 4 and 0.
+  EXPECT_EQ(Log, (std::vector<int>{1, 3, 3, 1, 1, 1, 3, 3, 1, 1,
+                                   1, 3, 3, 1, 1, 1, 3, 3, 1, 1}));
+  EXPECT_EQ(M.stats().PollRounds, 20u);
+}
+
+/// An external reader that logs \p Tag for each message it takes, and
+/// takes messages only while Open.
+class GatedReader : public ExternalReader {
+public:
+  GatedReader(std::vector<int> &Log, int Tag) : Log(Log), Tag(Tag) {}
+  bool Open = false;
+  bool isReady() override { return Open; }
+  void consume(int, Heap &, const std::vector<Value> &) override {
+    Log.push_back(Tag);
+  }
+
+private:
+  std::vector<int> &Log;
+  int Tag;
+};
+
+TEST(Machine, ReadyExternalReaderPrecedesWriterPoll) {
+  // src stays blocked on its external reader while that reader is
+  // closed. Once it opens, the idle loop hands src's message over before
+  // it polls the always-ready writer, and that costs no poll round.
+  auto C = compile(R"(
+channel xi: int
+interface XI(out xi) { Msg( $v ) }
+channel xo: int
+interface XO(in xo) { Msg( $v ) }
+process sink { while (true) { in(xi, $v); } }
+process src {
+  $i = 0;
+  while (true) { out(xo, i); i = i + 1; }
+}
+)");
+  ASSERT_TRUE(C);
+  Machine M(C->Module, MachineOptions());
+  std::vector<int> Log;
+  M.bindWriter("XI", std::make_unique<TaggedWriter>(Log, 1));
+  auto Reader = std::make_unique<GatedReader>(Log, 2);
+  GatedReader &Gate = *Reader;
+  M.bindReader("XO", std::move(Reader));
+  M.start();
+  for (unsigned I = 0; I != 3; ++I)
+    ASSERT_EQ(M.step(), StepResult::Progress) << "step " << I;
+  Gate.Open = true;
+  for (unsigned I = 0; I != 4; ++I)
+    ASSERT_EQ(M.step(), StepResult::Progress) << "step " << I;
+  // Three writer deliveries (tag 1) while the reader is closed. Then src
+  // feeds the reader (tag 2) from the idle loop and, being ready again
+  // at once, from its own tryPair at every later step.
+  EXPECT_EQ(Log, (std::vector<int>{1, 1, 1, 2, 2, 2, 2, 2}));
+  EXPECT_EQ(M.stats().PollRounds, 3u);
+}
+
 } // namespace
