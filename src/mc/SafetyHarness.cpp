@@ -67,7 +67,7 @@ Value BoundedEnvModel::buildVariant(const Type *T, uint64_t Index,
     return Value::makeBool(Index % 2 != 0);
   case TypeKind::Record: {
     std::optional<Value> Obj = H.allocate(T, T->getFields().size());
-    assert(Obj && "env allocation failed; raise MaxObjects");
+    assert(Obj && "templates are built in an unbounded heap");
     for (size_t I = 0, N = T->getFields().size(); I != N; ++I) {
       uint64_t N_I = countVariants(T->getFields()[I].FieldType);
       Value Elem = buildVariant(T->getFields()[I].FieldType, Index % N_I, H);
@@ -88,7 +88,7 @@ Value BoundedEnvModel::buildVariant(const Type *T, uint64_t Index,
     if (Arm >= T->getFields().size())
       Arm = T->getFields().size() - 1;
     std::optional<Value> Obj = H.allocate(T, 1);
-    assert(Obj && "env allocation failed; raise MaxObjects");
+    assert(Obj && "templates are built in an unbounded heap");
     Value Sub = buildVariant(T->getFields()[Arm].FieldType, Index, H);
     HeapObject *ObjPtr = H.deref(*Obj);
     ObjPtr->Arm = static_cast<int32_t>(Arm);
@@ -97,7 +97,7 @@ Value BoundedEnvModel::buildVariant(const Type *T, uint64_t Index,
   }
   case TypeKind::Array: {
     std::optional<Value> Obj = H.allocate(T, ArrayLen);
-    assert(Obj && "env allocation failed; raise MaxObjects");
+    assert(Obj && "templates are built in an unbounded heap");
     uint64_t PerElem = countVariants(T->getElementType());
     for (unsigned I = 0; I != ArrayLen; ++I) {
       Value Elem = buildVariant(T->getElementType(), Index % PerElem, H);

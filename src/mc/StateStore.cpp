@@ -13,7 +13,8 @@
 
 using namespace esp;
 
-// The FNV seed of the second bit-state probe.
+// Xored into the seed of the second bit-state probe, so the two probes
+// are independent hash functions for every swarm seed.
 static constexpr uint64_t SecondHashSeed = 0x9e3779b97f4a7c15ULL;
 
 /// Estimated memory of one stored exact-mode key: its bytes plus the
@@ -89,11 +90,9 @@ bool ConcurrentVisitedSet::insert(std::string_view Key) {
     // Two independent hash functions over one bit table (SPIN's
     // supertrace uses the same trick to cut collisions). A swarm seed
     // perturbs both probes so each worker prunes a different slice.
-    uint64_t H1 =
-        mix64(fnv1aHash(Key.data(), Key.size()) ^ Seed) & BitMask;
+    uint64_t H1 = xxHash64(Key.data(), Key.size(), Seed) & BitMask;
     uint64_t H2 =
-        mix64(fnv1aHash(Key.data(), Key.size(), SecondHashSeed) ^ Seed) &
-        BitMask;
+        xxHash64(Key.data(), Key.size(), Seed ^ SecondHashSeed) & BitMask;
     uint64_t Old1 = BitWords[H1 / 64].fetch_or(uint64_t(1) << (H1 % 64),
                                                std::memory_order_relaxed);
     uint64_t Old2 = BitWords[H2 / 64].fetch_or(uint64_t(1) << (H2 % 64),
@@ -109,7 +108,7 @@ bool ConcurrentVisitedSet::insert(std::string_view Key) {
   // Sharded backends: the shard index comes from the fingerprint's high
   // bits; the stored fingerprint is the full 64-bit value, so sharding
   // does not change the collision behavior.
-  uint64_t Fp = mix64(fnv1aHash(Key.data(), Key.size()));
+  uint64_t Fp = xxHash64(Key.data(), Key.size());
   Shard &S = *Shards[shardIndex(Fp, ShardBits)];
   switch (Kind) {
   case Impl::Exact: {

@@ -122,8 +122,8 @@ void Machine::reset() {
 }
 
 void Machine::setEnvModel(const EnvModel *Model) {
-  // Channels with more variants than this keep an empty disc table; the
-  // bounded models the checker uses stay far below it.
+  // Channels with more variants than this build their templates on first
+  // use instead; the bounded models the checker uses stay far below it.
   constexpr unsigned MaxTabulatedVariants = 4096;
   Env = Model;
   EnvTab.reset();
@@ -131,7 +131,6 @@ void Machine::setEnvModel(const EnvModel *Model) {
     return;
   EnvTab = std::make_unique<EnvTables>();
   EnvTab->Channels.resize(Module.Prog->Channels.size());
-  Heap Scratch;
   for (const std::unique_ptr<ChannelDecl> &Chan : Module.Prog->Channels) {
     EnvChannel &EC = EnvTab->Channels[Chan->Id];
     EC.Decl = Chan.get();
@@ -139,16 +138,23 @@ void Machine::setEnvModel(const EnvModel *Model) {
     if (EC.NumVariants == 0)
       continue;
     EnvTab->SendChannels.push_back(Chan->Id);
-    if (EC.NumVariants > MaxTabulatedVariants)
-      continue;
-    EC.Discs.reserve(EC.NumVariants);
-    for (unsigned Variant = 0; Variant != EC.NumVariants; ++Variant) {
-      Value V = Env->makeVariant(Chan.get(), Variant, Scratch);
-      EC.Discs.push_back(discOfValue(Scratch, V));
-      if (V.isRef())
-        Scratch.unlink(V);
-    }
+    if (EC.NumVariants <= MaxTabulatedVariants)
+      envChannel(Chan->Id);
   }
+}
+
+Machine::EnvChannel &Machine::envChannel(uint32_t Chan) {
+  EnvChannel &EC = EnvTab->Channels[Chan];
+  if (EC.Templates.size() == EC.NumVariants)
+    return EC;
+  Heap &TH = EnvTab->TemplateHeap;
+  EC.Templates.reserve(EC.NumVariants);
+  EC.Discs.reserve(EC.NumVariants);
+  for (unsigned Variant = 0; Variant != EC.NumVariants; ++Variant) {
+    EC.Templates.push_back(Env->makeVariant(EC.Decl, Variant, TH));
+    EC.Discs.push_back(discOfValue(TH, EC.Templates.back()));
+  }
+  return EC;
 }
 
 void Machine::bindWriter(const std::string &InterfaceName,
@@ -495,7 +501,7 @@ bool Machine::evalCode(unsigned ProcIndex, XRange R, Value &Result) {
     case XOp::K::CastCopy: {
       Value Sub = XS.back();
       XS.pop_back();
-      std::optional<Value> Copy = deepCopy(Sub);
+      std::optional<Value> Copy = deepCopy(H, Sub);
       if (!Copy) {
         if (!Error)
           fail(RuntimeErrorKind::OutOfObjects, Op.Origin->getLoc(),
@@ -518,26 +524,26 @@ bool Machine::evalCode(unsigned ProcIndex, XRange R, Value &Result) {
   return true;
 }
 
-std::optional<Value> Machine::deepCopy(const Value &V) {
+std::optional<Value> Machine::deepCopy(const Heap &From, const Value &V) {
   if (!V.isRef())
     return V;
-  const HeapObject *Src = H.deref(V);
+  const HeapObject *Src = From.deref(V);
   if (!Src) {
     fail(RuntimeErrorKind::UseAfterFree, SourceLoc(), -1,
          "deep copy of freed object");
     return std::nullopt;
   }
   const Type *T = Src->ObjType;
-  int32_t Arm = Src->Arm;
-  // Copy the element list first: allocate() may reallocate the object
-  // vector and invalidate Src.
-  std::vector<Value> SrcElems = Src->Elems;
-  std::optional<Value> Obj = H.allocate(T, SrcElems.size());
+  const int32_t Arm = Src->Arm;
+  const size_t N = Src->Elems.size();
+  std::optional<Value> Obj = H.allocate(T, N);
   if (!Obj)
     return std::nullopt;
   notifyAlloc(*Obj);
-  for (size_t I = 0, N = SrcElems.size(); I != N; ++I) {
-    std::optional<Value> Elem = deepCopy(SrcElems[I]);
+  for (size_t I = 0; I != N; ++I) {
+    // Re-dereference per element: when From is the state heap, allocate()
+    // may have reallocated the object table under Src.
+    std::optional<Value> Elem = deepCopy(From, From.deref(V)->Elems[I]);
     if (!Elem)
       return std::nullopt;
     H.deref(*Obj)->Elems[I] = *Elem;
@@ -616,14 +622,14 @@ bool Machine::execStore(unsigned ProcIndex, const CInst &I) {
     // (assignment never manages reference counts, §4.4); a failed match is
     // a runtime error.
     std::span<const Value> Values(&RHS, 1);
-    if (!matchValues(ProcIndex, I.Pat, Values, MatchMode::Try)) {
+    if (!matchValues(ProcIndex, I.Pat, Values, MatchMode::Try, H)) {
       if (!Error)
         fail(RuntimeErrorKind::MatchFailed, I.Src->Loc,
              static_cast<int>(ProcIndex),
              "value does not match the left-hand-side pattern");
       return false;
     }
-    if (!matchValues(ProcIndex, I.Pat, Values, MatchMode::CommitLocal)) {
+    if (!matchValues(ProcIndex, I.Pat, Values, MatchMode::CommitLocal, H)) {
       if (!Error)
         fail(RuntimeErrorKind::UseAfterFree, I.Src->Loc,
              static_cast<int>(ProcIndex), "destructuring a freed object");
@@ -823,11 +829,12 @@ void Machine::resume(unsigned ProcIndex, unsigned CaseIndex) {
 // Pattern matching over channel values
 //===----------------------------------------------------------------------===//
 
-std::optional<Value> Machine::receiverAcquire(const Value &V) {
+std::optional<Value> Machine::receiverAcquire(const Heap &From,
+                                             const Value &V) {
   if (!V.isRef())
     return V;
-  if (Options.DeepCopyTransfers)
-    return deepCopy(V);
+  if (Options.DeepCopyTransfers || &From != &H)
+    return deepCopy(From, V);
   if (H.link(V) != HeapStatus::OK) {
     fail(RuntimeErrorKind::UseAfterFree, SourceLoc(), -1,
          "receiving a freed object");
@@ -837,7 +844,7 @@ std::optional<Value> Machine::receiverAcquire(const Value &V) {
 }
 
 bool Machine::matchC(unsigned ReaderIndex, uint32_t PatIndex, const Value &V,
-                     MatchMode Mode) {
+                     MatchMode Mode, const Heap &From) {
   const CompiledProc &CProc = CP.Procs[ReaderIndex];
   const CPat &Pat = CProc.Pats[PatIndex];
   if (Mode != MatchMode::CommitLocal)
@@ -848,9 +855,14 @@ bool Machine::matchC(unsigned ReaderIndex, uint32_t PatIndex, const Value &V,
     case MatchMode::Try:
       return true;
     case MatchMode::CommitAcquire: {
-      std::optional<Value> Acquired = receiverAcquire(V);
-      if (!Acquired)
+      std::optional<Value> Acquired = receiverAcquire(From, V);
+      if (!Acquired) {
+        if (!Error)
+          fail(RuntimeErrorKind::OutOfObjects, Pat.Src->getLoc(),
+               static_cast<int>(ReaderIndex),
+               "object table exhausted receiving a message");
         return false;
+      }
       Procs[ReaderIndex].Slots[Pat.Slot] = *Acquired;
       return true;
     }
@@ -870,7 +882,7 @@ bool Machine::matchC(unsigned ReaderIndex, uint32_t PatIndex, const Value &V,
     return Expected.Scalar == V.Scalar;
   }
   case PatternKind::Record: {
-    const HeapObject *Obj = H.deref(V);
+    const HeapObject *Obj = From.deref(V);
     if (!Obj) {
       if (Mode != MatchMode::CommitLocal)
         fail(RuntimeErrorKind::UseAfterFree, Pat.Src->getLoc(),
@@ -878,17 +890,22 @@ bool Machine::matchC(unsigned ReaderIndex, uint32_t PatIndex, const Value &V,
       return false;
     }
     for (uint32_t I = 0; I != Pat.NumChildren; ++I) {
+      const uint32_t Child = CProc.PatChildren[Pat.ChildBegin + I];
+      if (Mode == MatchMode::Try &&
+          CProc.Pats[Child].Kind == PatternKind::Bind) {
+        ++Stats.PatternMatchesTried; // A binder's dry run always matches.
+        continue;
+      }
       // Re-dereference per child: a commit's deep copy may reallocate the
       // object table.
-      Value Elem = H.deref(V)->Elems[I];
-      if (!matchC(ReaderIndex, CProc.PatChildren[Pat.ChildBegin + I], Elem,
-                  Mode))
+      Value Elem = From.deref(V)->Elems[I];
+      if (!matchC(ReaderIndex, Child, Elem, Mode, From))
         return false;
     }
     return true;
   }
   case PatternKind::Union: {
-    const HeapObject *Obj = H.deref(V);
+    const HeapObject *Obj = From.deref(V);
     if (!Obj) {
       if (Mode != MatchMode::CommitLocal)
         fail(RuntimeErrorKind::UseAfterFree, Pat.Src->getLoc(),
@@ -898,16 +915,18 @@ bool Machine::matchC(unsigned ReaderIndex, uint32_t PatIndex, const Value &V,
     if (Obj->Arm != Pat.Arm)
       return false;
     Value Sub = Obj->Elems[0];
-    return matchC(ReaderIndex, CProc.PatChildren[Pat.ChildBegin], Sub, Mode);
+    return matchC(ReaderIndex, CProc.PatChildren[Pat.ChildBegin], Sub, Mode,
+                  From);
   }
   }
   return false;
 }
 
 bool Machine::matchValues(unsigned ReaderIndex, uint32_t PatIndex,
-                          std::span<const Value> Values, MatchMode Mode) {
+                          std::span<const Value> Values, MatchMode Mode,
+                          const Heap &From) {
   if (Values.size() == 1)
-    return matchC(ReaderIndex, PatIndex, Values[0], Mode);
+    return matchC(ReaderIndex, PatIndex, Values[0], Mode, From);
   // Elided record: the pattern is guaranteed to be a record pattern.
   const CompiledProc &CProc = CP.Procs[ReaderIndex];
   const CPat &Pat = CProc.Pats[PatIndex];
@@ -915,7 +934,7 @@ bool Machine::matchValues(unsigned ReaderIndex, uint32_t PatIndex,
          Pat.NumChildren == Values.size() && "elided field count mismatch");
   for (size_t I = 0, N = Values.size(); I != N; ++I)
     if (!matchC(ReaderIndex, CProc.PatChildren[Pat.ChildBegin + I],
-                Values[I], Mode))
+                Values[I], Mode, From))
       return false;
   return true;
 }
@@ -978,7 +997,7 @@ void Machine::forEachMatchingReader(uint32_t Chan, int Writer,
   const bool FirstOnly = WCase && CP.Channels[Chan].Disjoint;
   int Owner = -1;
   forEachWaiter(Chan, /*WantIn=*/true, Writer, [&](unsigned R, unsigned RC) {
-    if (Values && !readerAdmits(R, RC, D, *Values))
+    if (Values && !readerAdmits(R, RC, D, *Values, H))
       return !Error;
     if (WCase) {
       if (Owner >= 0 && Owner != static_cast<int>(R)) {
@@ -994,10 +1013,10 @@ void Machine::forEachMatchingReader(uint32_t Chan, int Writer,
 }
 
 bool Machine::readerAdmits(unsigned Reader, unsigned Case, const MsgDisc &D,
-                           std::span<const Value> Values) {
+                           std::span<const Value> Values, const Heap &From) {
   const CCase &RCase = caseOf(Reader, Case);
   return !discRejects(RCase.Disc, D) &&
-         matchValues(Reader, RCase.Pat, Values, MatchMode::Try);
+         matchValues(Reader, RCase.Pat, Values, MatchMode::Try, From);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1008,6 +1027,7 @@ bool Machine::transfer(int WriterIndex, unsigned WriterCase, int ReaderIndex,
                        unsigned ReaderCase, std::span<const Value> EnvValues) {
   // 1. Obtain the value(s) from the writer side.
   std::span<const Value> Values = EnvValues;
+  const Heap &From = WriterIndex >= 0 ? H : EnvTab->TemplateHeap;
   const CCase *WCase = nullptr;
   if (WriterIndex >= 0) {
     WCase = &caseOf(static_cast<unsigned>(WriterIndex), WriterCase);
@@ -1022,7 +1042,7 @@ bool Machine::transfer(int WriterIndex, unsigned WriterCase, int ReaderIndex,
   if (ReaderIndex >= 0) {
     RCase = &caseOf(static_cast<unsigned>(ReaderIndex), ReaderCase);
     if (!matchValues(static_cast<unsigned>(ReaderIndex), RCase->Pat, Values,
-                     MatchMode::Try)) {
+                     MatchMode::Try, From)) {
       if (!Error)
         fail(RuntimeErrorKind::NoMatchingPattern, RCase->Src->Loc,
              ReaderIndex,
@@ -1030,7 +1050,7 @@ bool Machine::transfer(int WriterIndex, unsigned WriterCase, int ReaderIndex,
       return false;
     }
     if (!matchValues(static_cast<unsigned>(ReaderIndex), RCase->Pat, Values,
-                     MatchMode::CommitAcquire))
+                     MatchMode::CommitAcquire, From))
       return false;
   }
   ++Stats.Rendezvous;
@@ -1040,15 +1060,11 @@ bool Machine::transfer(int WriterIndex, unsigned WriterCase, int ReaderIndex,
     Obs->onRecv(*this, Chan, ReaderIndex);
   }
 
-  // 3. Writer-side cleanup and advance.
+  // 3. Writer-side cleanup and advance. An environment template stays
+  // as it is: the receiver acquired copies of what it binds.
   if (WriterIndex >= 0) {
     dropOutValues(*WCase, Values);
     resume(static_cast<unsigned>(WriterIndex), WriterCase);
-  } else {
-    // Environment-produced values are owned temps; release them now that
-    // the receiver has acquired what it binds.
-    for (const Value &V : Values)
-      dropValueTemp(V, SourceLoc(), -1);
   }
 
   // 4. Reader-side advance.
@@ -1167,7 +1183,7 @@ bool Machine::tryPair(unsigned ProcIndex) {
           if (!outValues(W, WC, Values))
             return false;
           if (discRejects(Case.Disc, discOfValues(Values)) ||
-              !matchValues(ProcIndex, Case.Pat, Values, MatchMode::Try))
+              !matchValues(ProcIndex, Case.Pat, Values, MatchMode::Try, H))
             return !Error;
         }
         Peer = static_cast<int>(W);
@@ -1364,7 +1380,7 @@ bool Machine::deliverExternalIn(unsigned ChannelId) {
   }
   unsigned Reader = static_cast<unsigned>(R);
   if (!matchValues(Reader, caseOf(Reader, RC).Pat, Values,
-                   MatchMode::CommitAcquire))
+                   MatchMode::CommitAcquire, H))
     return false;
   Writer->accepted(CaseIndex);
   if (Obs) {
@@ -1587,8 +1603,8 @@ std::vector<Move> Machine::enumerateMovesImpl() {
 
   // Environment sends (per channel, skipped once that channel's finite
   // workload budget is spent). Only channels with a blocked reader cost
-  // anything, and a variant is built in the heap only when some reader
-  // case's dispatch entry admits its tabulated discriminant.
+  // anything, and a variant's template is matched only when some reader
+  // case's dispatch entry admits its discriminant. Nothing is allocated.
   if (!Env)
     return Moves;
   std::vector<std::pair<unsigned, unsigned>> &EnvReaders = EnvTab->Readers;
@@ -1604,19 +1620,16 @@ std::vector<Move> Machine::enumerateMovesImpl() {
                   });
     if (EnvReaders.empty())
       continue;
-    const EnvChannel &EC = EnvTab->Channels[ChanId];
+    const EnvChannel &EC = envChannel(ChanId);
     for (unsigned Variant = 0; Variant != EC.NumVariants; ++Variant) {
-      if (!EC.Discs.empty() &&
-          std::all_of(EnvReaders.begin(), EnvReaders.end(), [&](auto &Rd) {
-            return discRejects(caseOf(Rd.first, Rd.second).Disc,
-                               EC.Discs[Variant]);
+      const MsgDisc &D = EC.Discs[Variant];
+      if (std::all_of(EnvReaders.begin(), EnvReaders.end(), [&](auto &Rd) {
+            return discRejects(caseOf(Rd.first, Rd.second).Disc, D);
           }))
         continue;
-      const Value V = Env->makeVariant(EC.Decl, Variant, H);
-      std::span<const Value> Values(&V, 1);
-      MsgDisc D = discOfValues(Values);
+      std::span<const Value> Values(&EC.Templates[Variant], 1);
       for (auto [R, RC] : EnvReaders) {
-        if (!readerAdmits(R, RC, D, Values)) {
+        if (!readerAdmits(R, RC, D, Values, EnvTab->TemplateHeap)) {
           if (Error)
             return Moves;
           continue;
@@ -1625,11 +1638,6 @@ std::vector<Move> Machine::enumerateMovesImpl() {
                          .Reader = static_cast<int>(R), .ReaderCase = RC,
                          .EnvVariant = Variant});
       }
-      // Undo the probe allocation so enumeration does not perturb the
-      // state.
-      dropValueTemp(V, SourceLoc(), -1);
-      if (Error)
-        return Moves;
     }
   }
   return Moves;
@@ -1648,8 +1656,9 @@ StepResult Machine::applyMove(const Move &M) {
     break;
   }
   case Move::Kind::EnvSend: {
-    const Value V =
-        Env->makeVariant(EnvTab->Channels[M.Channel].Decl, M.EnvVariant, H);
+    // The receiver's pattern acquires a copy of the template, straight
+    // into the state heap.
+    const Value &V = envChannel(M.Channel).Templates[M.EnvVariant];
     ++EnvSends[M.Channel];
     if (transfer(-1, 0, M.Reader, M.ReaderCase, {&V, 1}))
       runToBlock(static_cast<unsigned>(M.Reader));

@@ -126,7 +126,9 @@ public:
 ///
 /// Both methods are const: one model instance is shared read-only by
 /// every worker Machine of a parallel search, so implementations must
-/// not mutate state (allocation goes into the caller's Heap).
+/// not mutate state (allocation goes into the caller's Heap). A Machine
+/// calls makeVariant once per (channel, variant), to build the frozen
+/// message template it matches and copies from.
 class EnvModel {
 public:
   virtual ~EnvModel() = default;
@@ -135,7 +137,7 @@ public:
   /// disables environment sends on that channel.
   virtual unsigned numVariants(const ChannelDecl *Chan) const = 0;
 
-  /// Materializes variant \p Index in \p H.
+  /// Materializes variant \p Index in \p H, which is unbounded.
   virtual Value makeVariant(const ChannelDecl *Chan, unsigned Index,
                             Heap &H) const = 0;
 };
@@ -329,9 +331,11 @@ public:
   void bindReader(const std::string &InterfaceName,
                   std::unique_ptr<ExternalReader> Reader);
   /// Sets the verification environment model (not owned) and tabulates
-  /// it by channel id: variant counts, plus each variant's top-level
-  /// discriminant, so enumeration neither queries the model per state nor
-  /// builds a variant that no blocked reader's dispatch entry admits.
+  /// it by channel id: variant counts, plus each variant's message, built
+  /// once as a frozen template outside the state heap, and its top-level
+  /// discriminant. Enumeration matches blocked readers against the
+  /// templates and allocates nothing; an applied environment send copies
+  /// its template into the state heap.
   void setEnvModel(const EnvModel *Model);
 
   /// Installs (or clears, with nullptr) the observation hook. Not owned.
@@ -476,10 +480,13 @@ private:
   /// \p V. Returns false on mismatch; sets the machine error on runtime
   /// faults (except CommitLocal, whose caller reports the error).
   bool matchC(unsigned ReaderIndex, uint32_t PatIndex, const Value &V,
-              MatchMode Mode);
+              MatchMode Mode, const Heap &From);
   /// Same over the 1-or-N values of a (possibly elided) transfer.
+  /// \p From is the heap the values live in: the state heap, or the
+  /// environment template heap for an environment send.
   bool matchValues(unsigned ReaderIndex, uint32_t PatIndex,
-                   std::span<const Value> Values, MatchMode Mode);
+                   std::span<const Value> Values, MatchMode Mode,
+                   const Heap &From);
 
   /// Produces the out value(s) for case \p CaseIndex of blocked process
   /// \p ProcIndex, using the prepared cache or evaluating lazily into it.
@@ -509,9 +516,13 @@ private:
   void resume(unsigned ProcIndex, unsigned CaseIndex);
 
   /// Grants the receiver its reference for each aggregate bound by the
-  /// pattern: rc++ in sharing mode, deep copy in verification mode.
-  std::optional<Value> receiverAcquire(const Value &V);
-  std::optional<Value> deepCopy(const Value &V);
+  /// pattern: rc++ in sharing mode, deep copy in verification mode, and
+  /// always a deep copy out of the environment template heap.
+  std::optional<Value> receiverAcquire(const Heap &From, const Value &V);
+  /// Copies \p V, which lives in \p From, into the state heap. Returns
+  /// std::nullopt when the object table fills (without setting the
+  /// machine error) or, with the error set, on a dead object.
+  std::optional<Value> deepCopy(const Heap &From, const Value &V);
 
   /// Drops the sender-side temp reference when the out expression was an
   /// allocation.
@@ -539,7 +550,7 @@ private:
 
   /// Performs a committed rendezvous between a writer and a reader case.
   /// Either side may be the environment/externals; an environment writer
-  /// supplies \p EnvValues.
+  /// supplies \p EnvValues, which live in the template heap.
   bool transfer(int WriterIndex, unsigned WriterCase, int ReaderIndex,
                 unsigned ReaderCase, std::span<const Value> EnvValues = {});
 
@@ -571,7 +582,7 @@ private:
   /// then a dry run of the pattern. False with the machine error set when
   /// the dry run faults.
   bool readerAdmits(unsigned Reader, unsigned Case, const MsgDisc &D,
-                    std::span<const Value> Values);
+                    std::span<const Value> Values, const Heap &From);
 
   /// Sets/clears process \p ProcIndex's bit in the wait mask of every
   /// channel one of its enabled cases blocks on. The masks are an
@@ -661,12 +672,17 @@ private:
   struct EnvChannel {
     const ChannelDecl *Decl = nullptr;
     unsigned NumVariants = 0;
-    /// Discriminant of each variant; empty when the channel has too many
-    /// variants to tabulate (enumeration then builds every variant).
+    /// Each variant's message in EnvTables::TemplateHeap, and its
+    /// top-level discriminant. Empty until first use on a channel with
+    /// too many variants to build up front.
+    std::vector<Value> Templates;
     std::vector<MsgDisc> Discs;
   };
   struct EnvTables {
     std::vector<EnvChannel> Channels; ///< Indexed by channel id.
+    /// The frozen environment messages. Never part of a state: nothing
+    /// links, unlinks or serializes its objects.
+    Heap TemplateHeap;
     /// Ids of the channels the environment sends on, in declaration
     /// order.
     std::vector<uint32_t> SendChannels;
@@ -675,6 +691,10 @@ private:
     std::vector<std::pair<unsigned, unsigned>> Readers;
   };
   std::unique_ptr<EnvTables> EnvTab;
+
+  /// The environment channel \p Chan with its templates built (on first
+  /// use, for a channel above setEnvModel's tabulation cap).
+  EnvChannel &envChannel(uint32_t Chan);
 };
 
 } // namespace esp

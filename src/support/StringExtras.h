@@ -12,6 +12,7 @@
 #ifndef ESP_SUPPORT_STRINGEXTRAS_H
 #define ESP_SUPPORT_STRINGEXTRAS_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -39,11 +40,18 @@ inline bool isIdentChar(char C) {
 /// True if \p C is an ASCII decimal digit.
 inline bool isDigit(char C) { return C >= '0' && C <= '9'; }
 
-/// FNV-1a over a byte string; used for state hashing in the model checker.
-uint64_t fnv1aHash(const void *Data, size_t Size, uint64_t Seed = 0xcbf29ce484222325ULL);
+/// xxHash64 of \p Size bytes at \p Data: the model checker's one state
+/// hash. Reads the input as little-endian 8-byte words in four
+/// independent lanes (so the multiply chains overlap), folds the tail
+/// in 8-, 4- and 1-byte steps, and ends with a full avalanche, so every
+/// output bit depends on every input bit. The visited set uses the
+/// value directly: its high bits pick a lock stripe, the whole value is
+/// the hash-compaction fingerprint, and two seeds give bit-state
+/// hashing its two probes.
+uint64_t xxHash64(const void *Data, size_t Size, uint64_t Seed = 0);
 
-/// splitmix64 finalizer: avalanches a 64-bit value. Applied on top of
-/// FNV-1a for the model checker's hash-compaction fingerprints.
+/// splitmix64 finalizer: avalanches a 64-bit value. The parallel search
+/// derives its per-worker and per-run random seeds with it.
 inline uint64_t mix64(uint64_t X) {
   X ^= X >> 30;
   X *= 0xbf58476d1ce4e5b9ULL;

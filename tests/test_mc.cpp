@@ -611,4 +611,127 @@ process ok {
   EXPECT_EQ(R.Verdict, McVerdict::OK) << R.report();
 }
 
+/// The cluster harness of verifyProcessClusterMemorySafety, opened up so
+/// that a counterexample can be replayed against the same module and
+/// environment.
+struct ClusterHarness {
+  ModuleIR Module;
+  std::unique_ptr<BoundedEnvModel> Env;
+
+  McResult check(McOptions Mc) const {
+    Mc.Env = Env.get();
+    return checkModel(Module, Mc);
+  }
+  bool replay(McOptions Mc, const McResult &R) const {
+    Mc.Env = Env.get();
+    return replayTrace(Module, Mc, R);
+  }
+};
+
+ClusterHarness makeClusterHarness(const Program &Prog,
+                                  const std::vector<std::string> &Names) {
+  ClusterHarness H;
+  ModuleIR Full = lowerProgram(Prog);
+  H.Module.Prog = Full.Prog;
+  for (ProcIR &P : Full.Procs)
+    if (std::find(Names.begin(), Names.end(), P.Proc->Name) != Names.end())
+      H.Module.Procs.push_back(std::move(P));
+  std::set<std::string> Read, Written;
+  for (const ProcIR &P : H.Module.Procs)
+    for (const Inst &I : P.Insts)
+      if (I.Kind == InstKind::Block)
+        for (const IRCase &Case : I.Cases)
+          (Case.IsIn ? Read : Written).insert(Case.Channel->Name);
+  std::set<std::string> Driven;
+  for (const std::string &Name : Read)
+    if (!Written.count(Name))
+      Driven.insert(Name);
+  H.Env = std::make_unique<BoundedEnvModel>(Driven);
+  return H;
+}
+
+TEST(SafetyHarness, EnvSendAtObjectLimitIsAViolation) {
+  // An environment send copies its message into the state heap. When the
+  // object table fills during that copy, the search reports OutOfObjects
+  // with a trace that replays, as for any other allocation.
+  auto C = compile(R"(
+type msgT = record of { v: int, data: array of int }
+channel c: msgT
+process holder {
+  while (true) {
+    in(c, $m);
+    unlink(m);
+  }
+}
+)");
+  ASSERT_TRUE(C);
+  ClusterHarness Holder = makeClusterHarness(*C->Prog, {"holder"});
+  McOptions Mc;
+  Mc.MaxObjects = 1; // The record fits, its array does not.
+  McResult R = Holder.check(Mc);
+  ASSERT_EQ(R.Verdict, McVerdict::Violation) << R.report();
+  EXPECT_EQ(R.Violation.Kind, RuntimeErrorKind::OutOfObjects);
+  EXPECT_NE(R.Violation.Message.find("receiving a message"),
+            std::string::npos)
+      << R.report();
+  EXPECT_TRUE(Holder.replay(Mc, R)) << R.report();
+  Mc.MaxObjects = 2; // The copy alone: the template is not in the table.
+  R = Holder.check(Mc);
+  EXPECT_EQ(R.Verdict, McVerdict::OK) << R.report();
+
+  // The budgeted VMMC cluster needs four live objects. Below that every
+  // limit is a violation with a replayable trace, never a crash; at and
+  // above it the search is the full one.
+  auto V = compile(vmmc::getVmmcEspSource());
+  ASSERT_TRUE(V);
+  ClusterHarness Cluster =
+      makeClusterHarness(*V->Prog, {"pageTable", "deliver"});
+  for (uint32_t Max = 1; Max <= 5; ++Max) {
+    McOptions Budgeted;
+    Budgeted.EnvSendBudget = 4;
+    Budgeted.MaxObjects = Max;
+    McResult Res = Cluster.check(Budgeted);
+    std::string Label = "MaxObjects=" + std::to_string(Max);
+    if (Max < 4) {
+      ASSERT_EQ(Res.Verdict, McVerdict::Violation) << Label;
+      EXPECT_EQ(Res.Violation.Kind, RuntimeErrorKind::OutOfObjects) << Label;
+      EXPECT_TRUE(Cluster.replay(Budgeted, Res)) << Label;
+      continue;
+    }
+    ASSERT_EQ(Res.Verdict, McVerdict::OK) << Label << "\n" << Res.report();
+    EXPECT_EQ(Res.StatesExplored, 697273u) << Label;
+    EXPECT_EQ(Res.StatesStored, 63393u) << Label;
+    EXPECT_EQ(Res.Transitions, 697272u) << Label;
+  }
+}
+
+// The whole firmware, every process at once, under a one-message
+// environment budget (`espmc vmmc.esp --process
+// userReq,pageTable,txWindow,rxDemux,deliver --env-budget 1`). Pinned so
+// that a change to the state hash, the environment templates or the
+// proviso shows up as a count change here.
+TEST(WholeFirmware, Budget1CountsArePinned) {
+  auto C = compile(vmmc::getVmmcEspSource());
+  ASSERT_TRUE(C);
+  const std::vector<std::string> All = {"userReq", "pageTable", "txWindow",
+                                        "rxDemux", "deliver"};
+  SafetyOptions Options;
+  Options.Mc.EnvSendBudget = 1;
+  Options.Mc.Jobs = 4;
+  McResult Full = verifyProcessClusterMemorySafety(*C->Prog, All, Options);
+  ASSERT_EQ(Full.Verdict, McVerdict::OK) << Full.report();
+  EXPECT_EQ(Full.StatesStored, 294991u);
+  EXPECT_EQ(Full.StatesExplored, 672919u);
+  EXPECT_EQ(Full.Transitions, 672918u);
+  Options.Mc.Por = true;
+  for (unsigned Jobs : {1u, 4u}) {
+    Options.Mc.Jobs = Jobs;
+    McResult Por = verifyProcessClusterMemorySafety(*C->Prog, All, Options);
+    std::string Label = "--por --jobs " + std::to_string(Jobs);
+    ASSERT_EQ(Por.Verdict, McVerdict::OK) << Label << "\n" << Por.report();
+    EXPECT_EQ(Por.StatesStored, 249053u) << Label;
+    EXPECT_EQ(Por.StatesExplored, 386845u) << Label;
+  }
+}
+
 } // namespace

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <set>
 #include <vector>
 
 using namespace esp;
@@ -148,13 +150,55 @@ TEST(StringExtras, Join) {
   EXPECT_EQ(join({"x"}, ","), "x");
 }
 
-TEST(StringExtras, Fnv1aIsStableAndSensitive) {
-  uint64_t A = fnv1aHash("hello", 5);
-  uint64_t B = fnv1aHash("hello", 5);
-  uint64_t C = fnv1aHash("hellp", 5);
-  EXPECT_EQ(A, B);
-  EXPECT_NE(A, C);
-  EXPECT_NE(fnv1aHash("x", 1, 1), fnv1aHash("x", 1, 2)); // Seeded.
+TEST(StringExtras, XxHash64IsStableAndMixesEveryBit) {
+  // Known answers of the reference xxHash64.
+  EXPECT_EQ(xxHash64("", 0), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(xxHash64("a", 1), 0xd24ec4f1a98c6e5bULL);
+  EXPECT_EQ(xxHash64("abc", 3), 0x44bc2cf5ad770999ULL);
+  EXPECT_EQ(xxHash64("xxhash", 6), 0x32dd38952c4bc720ULL);
+  EXPECT_EQ(xxHash64("xxhash", 6, 20141025), 0xb559b98d844e0635ULL);
+  const char *Long = "Nobody inspects the spammish repetition"; // 4 lanes.
+  EXPECT_EQ(xxHash64(Long, std::strlen(Long)), 0xfbcea83c8a378bf1ULL);
+
+  // Every length 0-64 of the same zero bytes hashes differently: the
+  // lane loop, the 8-, 4- and 1-byte tails all fold in the length.
+  std::vector<unsigned char> Zeros(64, 0);
+  std::set<uint64_t> ByLength;
+  for (size_t Len = 0; Len <= 64; ++Len)
+    ByLength.insert(xxHash64(Zeros.data(), Len));
+  EXPECT_EQ(ByLength.size(), 65u);
+
+  // A single-bit flip anywhere in a state-vector-sized key changes the
+  // fingerprint, and across flips each of the 6 high bits that pick a
+  // visited-set stripe flips about half the time.
+  std::vector<unsigned char> Key(236);
+  for (size_t I = 0; I != Key.size(); ++I)
+    Key[I] = static_cast<unsigned char>(I * 37 + 11);
+  const uint64_t Base = xxHash64(Key.data(), Key.size());
+  const unsigned Flips = static_cast<unsigned>(Key.size() * 8);
+  unsigned ShardMoved = 0;
+  unsigned HighBitFlips[6] = {};
+  for (unsigned Bit = 0; Bit != Flips; ++Bit) {
+    Key[Bit / 8] ^= static_cast<unsigned char>(1u << (Bit % 8));
+    const uint64_t Flipped = xxHash64(Key.data(), Key.size());
+    Key[Bit / 8] ^= static_cast<unsigned char>(1u << (Bit % 8));
+    ASSERT_NE(Flipped, Base) << "bit " << Bit;
+    const uint64_t Diff = Base ^ Flipped;
+    ShardMoved += (Diff >> 58) != 0;
+    for (unsigned H = 0; H != 6; ++H)
+      HighBitFlips[H] += (Diff >> (58 + H)) & 1;
+  }
+  EXPECT_GE(ShardMoved, Flips * 95 / 100); // 1/64 stay by chance.
+  for (unsigned H = 0; H != 6; ++H) {
+    EXPECT_GT(HighBitFlips[H], Flips * 2 / 5) << "high bit " << H;
+    EXPECT_LT(HighBitFlips[H], Flips * 3 / 5) << "high bit " << H;
+  }
+
+  // Seeds give independent functions (bit-state probes and swarm seeds).
+  std::set<uint64_t> BySeed;
+  for (uint64_t Seed = 0; Seed != 64; ++Seed)
+    BySeed.insert(xxHash64(Key.data(), Key.size(), Seed));
+  EXPECT_EQ(BySeed.size(), 64u);
 }
 
 TEST(StringExtras, CountEffectiveLines) {
