@@ -112,6 +112,28 @@ for order in readers_first writer_first; do
   expect_exit 3 "$ESPMC" "$SCRATCH_DIR/$order.esp"
 done
 
+echo "== integer overflow wraps, at compile time and at run time =="
+# INT64_MIN / -1 is the one overflowing division; it used to kill every
+# tool with SIGFPE (exit 136), folded as a constant or evaluated by the
+# machine. ESP arithmetic wraps (docs/runtime.md): the quotient is
+# INT64_MIN again, which both programs assert.
+cat > "$SCRATCH_DIR/overflow_const.esp" <<'EOF'
+const BIG = (0 - 9223372036854775807 - 1) / (0 - 1);
+channel c: int
+process p { out(c, BIG); }
+process q { in(c, $y); assert(y == BIG); }
+EOF
+cat > "$SCRATCH_DIR/overflow_run.esp" <<'EOF'
+channel c: int
+process p { $x = 0 - 9223372036854775807 - 1; $m = 0 - 1; out(c, x / m); }
+process q { in(c, $y); $x = 0 - 9223372036854775807 - 1; assert(y == x); }
+EOF
+for prog in overflow_const overflow_run; do
+  expect_exit 0 "$ESPC" --check "$SCRATCH_DIR/$prog.esp"
+  expect_exit 0 "$ESPC" --run "$SCRATCH_DIR/$prog.esp"
+  expect_exit 0 "$ESPMC" "$SCRATCH_DIR/$prog.esp"
+done
+
 ESPSERVE="$BUILD_DIR/src/tools/espserve"
 
 echo "== espserve: fleet smoke (single-worker deterministic + 4 workers) =="

@@ -40,7 +40,7 @@ std::optional<int64_t> esp::tryEvalStatic(const Expr *E,
     std::optional<int64_t> Sub = tryEvalStatic(U->getSub(), Proc);
     if (!Sub)
       return std::nullopt;
-    return U->getOp() == UnaryOp::Not ? (*Sub == 0 ? 1 : 0) : -*Sub;
+    return U->getOp() == UnaryOp::Not ? (*Sub == 0 ? 1 : 0) : wrapNeg(*Sub);
   }
   case ExprKind::Binary: {
     const BinaryExpr *B = ast_cast<BinaryExpr>(E);
@@ -49,34 +49,19 @@ std::optional<int64_t> esp::tryEvalStatic(const Expr *E,
     if (!L || !R)
       return std::nullopt;
     switch (B->getOp()) {
-    case BinaryOp::Add:
-      return *L + *R;
-    case BinaryOp::Sub:
-      return *L - *R;
-    case BinaryOp::Mul:
-      return *L * *R;
-    case BinaryOp::Div:
-      return *R == 0 ? std::nullopt : std::optional<int64_t>(*L / *R);
-    case BinaryOp::Mod:
-      return *R == 0 ? std::nullopt : std::optional<int64_t>(*L % *R);
-    case BinaryOp::Lt:
-      return *L < *R;
-    case BinaryOp::Le:
-      return *L <= *R;
-    case BinaryOp::Gt:
-      return *L > *R;
-    case BinaryOp::Ge:
-      return *L >= *R;
-    case BinaryOp::Eq:
-      return *L == *R;
-    case BinaryOp::Ne:
-      return *L != *R;
     case BinaryOp::And:
       return (*L != 0 && *R != 0) ? 1 : 0;
     case BinaryOp::Or:
       return (*L != 0 || *R != 0) ? 1 : 0;
+    case BinaryOp::Div:
+    case BinaryOp::Mod:
+      if (*R == 0)
+        return std::nullopt;
+      break;
+    default:
+      break;
     }
-    return std::nullopt;
+    return intOp(intOpOf(B->getOp()), *L, *R);
   }
   default:
     return std::nullopt;

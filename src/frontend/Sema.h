@@ -28,6 +28,7 @@
 #define ESP_FRONTEND_SEMA_H
 
 #include "frontend/AST.h"
+#include "support/IntArith.h"
 
 #include <optional>
 #include <string>
@@ -47,6 +48,18 @@ bool checkProgram(Program &Prog, DiagnosticEngine &Diags);
 /// and arithmetic/logic over those. Used by the pattern-dispatch analysis
 /// and by backends.
 std::optional<int64_t> tryEvalStatic(const Expr *E, const ProcessDecl *Proc);
+
+/// The integer operator of \p Op, which must not be And or Or. IntOp
+/// lists the other binary operators in BinaryOp's order.
+inline IntOp intOpOf(BinaryOp Op) {
+  static_assert(static_cast<int>(IntOp::Mod) ==
+                        static_cast<int>(BinaryOp::Mod) &&
+                    static_cast<int>(IntOp::Ne) ==
+                        static_cast<int>(BinaryOp::Ne),
+                "IntOp and BinaryOp disagree");
+  assert(Op != BinaryOp::And && Op != BinaryOp::Or && "not an integer op");
+  return static_cast<IntOp>(Op);
+}
 
 namespace detail {
 

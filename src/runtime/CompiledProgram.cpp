@@ -9,11 +9,57 @@
 #include "frontend/PatternAnalysis.h"
 #include "frontend/Sema.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace esp;
 
 namespace {
+
+/// How many operand-stack entries \p K adds, net. For AndJump/OrJump it
+/// is the fall-through path: a taken jump keeps its operand but skips
+/// the right-hand side, which would have gone at least as deep.
+int stackEffect(XOp::K K) {
+  switch (K) {
+  case XOp::K::PushInt:
+  case XOp::K::PushBool:
+  case XOp::K::LoadSlot:
+  case XOp::K::AllocRecord:
+  case XOp::K::AllocUnion:
+  case XOp::K::SlotImm:
+  case XOp::K::SlotIndex:
+    return 1;
+  case XOp::K::LoadField:
+  case XOp::K::LoadUnionField:
+  case XOp::K::Not:
+  case XOp::K::Neg:
+  case XOp::K::Boolify:
+  case XOp::K::AllocArray:
+  case XOp::K::CastCopy:
+  case XOp::K::BinImm:
+  case XOp::K::BinSlot:
+    return 0;
+  case XOp::K::LoadIndex:
+  case XOp::K::Add:
+  case XOp::K::Sub:
+  case XOp::K::Mul:
+  case XOp::K::Div:
+  case XOp::K::Mod:
+  case XOp::K::Lt:
+  case XOp::K::Le:
+  case XOp::K::Gt:
+  case XOp::K::Ge:
+  case XOp::K::Eq:
+  case XOp::K::Ne:
+  case XOp::K::AndJump:
+  case XOp::K::OrJump:
+  case XOp::K::SetElem:
+  case XOp::K::SetUnionElem:
+  case XOp::K::FillArray:
+    return -1;
+  }
+  return 0;
+}
 
 /// Compiles expressions and patterns of one process into the flat arrays.
 class ProcCompiler {
@@ -21,11 +67,19 @@ public:
   ProcCompiler(CompiledProc &Out, const ProcIR &PIR)
       : Out(Out), Proc(PIR.Proc) {}
 
+  /// Compiles \p E into a new range and raises MaxDepth to the deepest
+  /// operand stack the range needs.
   XRange expr(const Expr *E) {
     XRange R;
-    R.Begin = static_cast<uint32_t>(Out.Code.size());
+    R.Begin = size();
     emitExpr(E);
-    R.End = static_cast<uint32_t>(Out.Code.size());
+    R.End = size();
+    int Depth = 0;
+    for (uint32_t IP = R.Begin; IP != R.End; ++IP) {
+      Depth += stackEffect(Out.Code[IP].Op);
+      MaxDepth = std::max(MaxDepth, static_cast<uint32_t>(Depth));
+    }
+    assert(Depth == 1 && "expression bytecode leaves one value");
     return R;
   }
 
@@ -78,10 +132,59 @@ public:
     return Index;
   }
 
+  /// The deepest operand stack of the ranges compiled so far.
+  uint32_t MaxDepth = 0;
+
 private:
+  uint32_t size() const { return static_cast<uint32_t>(Out.Code.size()); }
+
   uint32_t emit(XOp Op) {
     Out.Code.push_back(Op);
-    return static_cast<uint32_t>(Out.Code.size() - 1);
+    return size() - 1;
+  }
+
+  /// Replaces the code from \p Begin on with the superinstruction \p Op.
+  /// A fused op takes the place of the first op it stands for, so a jump
+  /// that targeted that op (a target is always an op's start) still
+  /// lands on it.
+  void fuse(uint32_t Begin, XOp Op) {
+    Out.Code.resize(Begin);
+    emit(Op);
+  }
+
+  /// Emits `LHS op RHS`, whose operands were emitted at [LBegin, RBegin)
+  /// and [RBegin, end), as one superinstruction when the RHS is a single
+  /// constant or slot load. False when the shape does not fuse.
+  bool fuseBinary(const BinaryExpr *E, uint32_t LBegin, uint32_t RBegin) {
+    if (size() - RBegin != 1)
+      return false;
+    const XOp &Rhs = Out.Code[RBegin];
+    const IntOp Bin = intOpOf(E->getOp());
+    const bool Divides = Bin == IntOp::Div || Bin == IntOp::Mod;
+    XOp Op;
+    Op.Bin = Bin;
+    Op.Origin = E;
+    if (Rhs.Op == XOp::K::PushInt || Rhs.Op == XOp::K::PushBool) {
+      if (Divides && Rhs.Imm == 0)
+        return false; // Keeps the DivideByZero fault on the plain op.
+      Op.Imm = Rhs.Imm;
+      const XOp &Lhs = Out.Code[LBegin];
+      if (RBegin - LBegin == 1 && Lhs.Op == XOp::K::LoadSlot) {
+        Op.Op = XOp::K::SlotImm;
+        Op.A = Lhs.A;
+        fuse(LBegin, Op);
+      } else {
+        Op.Op = XOp::K::BinImm;
+        fuse(RBegin, Op);
+      }
+      return true;
+    }
+    if (Rhs.Op != XOp::K::LoadSlot || Divides)
+      return false;
+    Op.Op = XOp::K::BinSlot;
+    Op.A = Rhs.A;
+    fuse(RBegin, Op);
+    return true;
   }
 
   void emitExpr(const Expr *E) {
@@ -137,11 +240,22 @@ private:
     }
     case ExprKind::Index: {
       const IndexExpr *I = ast_cast<IndexExpr>(E);
+      const uint32_t Begin = size();
       emitExpr(I->getBase());
+      const uint32_t IndexBegin = size();
       emitExpr(I->getIndex());
       XOp Op;
-      Op.Op = XOp::K::LoadIndex;
       Op.Origin = E;
+      if (IndexBegin - Begin == 1 && size() - IndexBegin == 1 &&
+          Out.Code[Begin].Op == XOp::K::LoadSlot &&
+          Out.Code[IndexBegin].Op == XOp::K::LoadSlot) {
+        Op.Op = XOp::K::SlotIndex;
+        Op.A = Out.Code[Begin].A;
+        Op.Imm = Out.Code[IndexBegin].A;
+        fuse(Begin, Op);
+        return;
+      }
+      Op.Op = XOp::K::LoadIndex;
       emit(Op);
       return;
     }
@@ -171,8 +285,12 @@ private:
         Out.Code[JumpAt].A = static_cast<uint32_t>(Out.Code.size());
         return;
       }
+      const uint32_t LBegin = size();
       emitExpr(B->getLHS());
+      const uint32_t RBegin = size();
       emitExpr(B->getRHS());
+      if (fuseBinary(B, LBegin, RBegin))
+        return;
       XOp Op;
       Op.Origin = E;
       switch (B->getOp()) {
@@ -388,6 +506,7 @@ CompiledProgram CompiledProgram::build(const ModuleIR &Module) {
     Out.Insts.reserve(PIR.Insts.size());
     for (const Inst &I : PIR.Insts)
       compileInst(PC, Out, I);
+    CP.MaxEvalDepth = std::max(CP.MaxEvalDepth, PC.MaxDepth);
   }
 
   // Per-channel static dispatch data.

@@ -11,7 +11,11 @@
 ///
 ///  * expressions become a postfix bytecode (XOp) with every operand
 ///    resolved at compile time — slot indices, field indices, union arms,
-///    folded constants — so evaluation never chases AST pointers;
+///    folded constants — so evaluation never chases AST pointers. A
+///    peephole fuses the commonest shapes (a slot or a running value
+///    against a constant or a slot, an array slot indexed by a slot) into
+///    superinstructions, and each range's operand-stack depth is known,
+///    so the machine evaluates on a fixed stack;
 ///  * patterns become a flat node pool (CPat) with match constants folded
 ///    where they are static, plus a top-level *discriminant* (union arm or
 ///    scalar constant) used by the channel dispatch tables to reject
@@ -37,6 +41,7 @@
 #define ESP_RUNTIME_COMPILEDPROGRAM_H
 
 #include "ir/IR.h"
+#include "support/IntArith.h"
 
 #include <cstdint>
 #include <vector>
@@ -76,6 +81,16 @@ struct XOp {
     AllocArray,   ///< pop size, allocate array, push ref
     FillArray,    ///< pop init, fill the array ref at stack top
     CastCopy,     ///< pop v, push deep copy
+
+    // Superinstructions. Bin is the binary operator; Div and Mod fuse
+    // only with a nonzero constant divisor. Origin is the fused Binary
+    // (Index) expression, whose operand exprs name a faulting slot.
+    SlotImm,   ///< push Slots[A] Bin Imm       (LoadSlot; PushInt; op)
+    BinImm,    ///< replace top v by v Bin Imm  (PushInt; op)
+    BinSlot,   ///< replace top v by v Bin Slots[A], no Div/Mod
+               ///< (LoadSlot; op)
+    SlotIndex, ///< push Slots[A][Slots[Imm]]   (LoadSlot; LoadSlot;
+               ///< LoadIndex)
   };
 
   K Op = K::PushInt;
@@ -83,8 +98,9 @@ struct XOp {
   /// allocation) and needs a link edge. FillArray/CastCopy: the
   /// operand expression was a fresh allocation.
   uint8_t Flag = 0;
+  IntOp Bin = IntOp::Add; ///< SlotImm/BinImm/BinSlot: the operator.
   uint32_t A = 0;     ///< Slot / field index / arm / elem count / jump target.
-  int64_t Imm = 0;    ///< Folded constant.
+  int64_t Imm = 0;    ///< Folded constant; SlotIndex: the index slot.
   const Type *Ty = nullptr;     ///< Allocation type.
   const Expr *Origin = nullptr; ///< Diagnostics only (loc, names).
 };
@@ -195,6 +211,9 @@ struct CompiledProgram {
   /// implemented outside ESP), ascending.
   std::vector<uint32_t> ExternalWriterChans;
   std::vector<uint32_t> ExternalReaderChans;
+  /// The deepest operand stack any bytecode range of any process needs;
+  /// a Machine sizes its evaluation stack to it once.
+  uint32_t MaxEvalDepth = 0;
 
   static CompiledProgram build(const ModuleIR &Module);
 };

@@ -95,6 +95,8 @@ Machine::Machine(const ModuleIR &Module, MachineOptions Options,
   Writers.resize(Module.Prog->Channels.size());
   Readers.resize(Module.Prog->Channels.size());
   EnvSends.assign(Module.Prog->Channels.size(), 0);
+  EvalStack =
+      std::make_unique<Value[]>(std::max<uint32_t>(CP.MaxEvalDepth, 1));
 }
 
 void Machine::reset() {
@@ -113,7 +115,6 @@ void Machine::reset() {
   Stats = ExecStats();
   Started = false;
   std::fill(EnvSends.begin(), EnvSends.end(), 0);
-  EvalStack.clear();
   std::fill(InWait.begin(), InWait.end(), 0);
   std::fill(OutWait.begin(), OutWait.end(), 0);
   ReadyQueue.clear();
@@ -254,44 +255,100 @@ SourceLoc plainStoreTargetLoc(const CInst &I) {
 
 } // namespace
 
-bool Machine::evalCode(unsigned ProcIndex, XRange R, Value &Result) {
+bool Machine::evalStack(unsigned ProcIndex, XRange R, Value &Result) {
+  assert(!InEval && "expression evaluation re-entered");
+  InEval = true;
   const CompiledProc &CProc = CP.Procs[ProcIndex];
-  std::vector<Value> &XS = EvalStack;
-  const size_t Base = XS.size();
+  const std::vector<Value> &Slots = Procs[ProcIndex].Slots;
+  Value *const Bottom = EvalStack.get();
+  Value *Sp = Bottom; // One past the top entry.
   auto failEval = [&](RuntimeErrorKind Kind, SourceLoc Loc, std::string Msg) {
+    InEval = false;
     fail(Kind, Loc, static_cast<int>(ProcIndex), std::move(Msg));
-    XS.resize(Base);
     return false;
+  };
+  // A read of uninitialized slot variable \p Var; a fused op names the
+  // operand expression the plain LoadSlot would have had as its origin.
+  auto failUninit = [&](const Expr *Var) {
+    return failEval(RuntimeErrorKind::UninitializedRead, Var->getLoc(),
+                    "read of uninitialized variable '" +
+                        ast_cast<VarRefExpr>(Var)->getName() + "'");
+  };
+  // Element \p Index of array \p Arr into \p Out, for LoadIndex and
+  // SlotIndex (whose origin is the Index expression).
+  auto element = [&](const Value &Arr, const Value &Index, const XOp &Op,
+                     Value &Out) {
+    HeapObject *Obj = H.deref(Arr);
+    if (!Obj)
+      return failEval(RuntimeErrorKind::UseAfterFree, Op.Origin->getLoc(),
+                      "index access on freed object");
+    if (Index.Scalar < 0 ||
+        Index.Scalar >= static_cast<int64_t>(Obj->Elems.size()))
+      return failEval(RuntimeErrorKind::IndexOutOfBounds, Op.Origin->getLoc(),
+                      "index " + std::to_string(Index.Scalar) +
+                          " out of bounds for array of " +
+                          std::to_string(Obj->Elems.size()));
+    Out = Obj->Elems[Index.Scalar];
+    return true;
+  };
+  auto binary = [&](IntOp Bin) {
+    --Sp;
+    Sp[-1] = binaryValue(Bin, Sp[-1].Scalar, Sp->Scalar);
   };
   for (uint32_t IP = R.Begin; IP != R.End;) {
     const XOp &Op = CProc.Code[IP];
     switch (Op.Op) {
     case XOp::K::PushInt:
-      XS.push_back(Value::makeInt(Op.Imm));
+      *Sp++ = Value::makeInt(Op.Imm);
       break;
     case XOp::K::PushBool:
-      XS.push_back(Value::makeBool(Op.Imm != 0));
+      *Sp++ = Value::makeBool(Op.Imm != 0);
       break;
-    case XOp::K::LoadSlot: {
-      const Value &Slot = Procs[ProcIndex].Slots[Op.A];
+    case XOp::K::LoadSlot:
+      if (Slots[Op.A].isUninit())
+        return failUninit(Op.Origin);
+      *Sp++ = Slots[Op.A];
+      break;
+    case XOp::K::SlotImm: {
+      const Value &Slot = Slots[Op.A];
       if (Slot.isUninit())
-        return failEval(RuntimeErrorKind::UninitializedRead,
-                        Op.Origin->getLoc(),
-                        "read of uninitialized variable '" +
-                            ast_cast<VarRefExpr>(Op.Origin)->getName() + "'");
-      XS.push_back(Slot);
+        return failUninit(ast_cast<BinaryExpr>(Op.Origin)->getLHS());
+      *Sp++ = binaryValue(Op.Bin, Slot.Scalar, Op.Imm);
+      break;
+    }
+    case XOp::K::BinImm:
+      Sp[-1] = binaryValue(Op.Bin, Sp[-1].Scalar, Op.Imm);
+      break;
+    case XOp::K::BinSlot: {
+      const Value &Slot = Slots[Op.A];
+      if (Slot.isUninit())
+        return failUninit(ast_cast<BinaryExpr>(Op.Origin)->getRHS());
+      Sp[-1] = binaryValue(Op.Bin, Sp[-1].Scalar, Slot.Scalar);
+      break;
+    }
+    case XOp::K::SlotIndex: {
+      const IndexExpr *Ix = ast_cast<IndexExpr>(Op.Origin);
+      const Value &Arr = Slots[Op.A];
+      if (Arr.isUninit())
+        return failUninit(Ix->getBase());
+      const Value &Index = Slots[static_cast<size_t>(Op.Imm)];
+      if (Index.isUninit())
+        return failUninit(Ix->getIndex());
+      if (!element(Arr, Index, Op, *Sp))
+        return false;
+      ++Sp;
       break;
     }
     case XOp::K::LoadField: {
-      HeapObject *Obj = H.deref(XS.back());
+      HeapObject *Obj = H.deref(Sp[-1]);
       if (!Obj)
         return failEval(RuntimeErrorKind::UseAfterFree, Op.Origin->getLoc(),
                         "field access on freed object");
-      XS.back() = Obj->Elems[Op.A];
+      Sp[-1] = Obj->Elems[Op.A];
       break;
     }
     case XOp::K::LoadUnionField: {
-      HeapObject *Obj = H.deref(XS.back());
+      HeapObject *Obj = H.deref(Sp[-1]);
       if (!Obj)
         return failEval(RuntimeErrorKind::UseAfterFree, Op.Origin->getLoc(),
                         "field access on freed object");
@@ -301,116 +358,73 @@ bool Machine::evalCode(unsigned ProcIndex, XRange R, Value &Result) {
             "union field '" +
                 ast_cast<FieldExpr>(Op.Origin)->getFieldName() +
                 "' is not the valid field");
-      XS.back() = Obj->Elems[0];
+      Sp[-1] = Obj->Elems[0];
       break;
     }
     case XOp::K::LoadIndex: {
-      Value Index = XS.back();
-      XS.pop_back();
-      HeapObject *Obj = H.deref(XS.back());
-      if (!Obj)
-        return failEval(RuntimeErrorKind::UseAfterFree, Op.Origin->getLoc(),
-                        "index access on freed object");
-      if (Index.Scalar < 0 ||
-          Index.Scalar >= static_cast<int64_t>(Obj->Elems.size()))
-        return failEval(RuntimeErrorKind::IndexOutOfBounds,
-                        Op.Origin->getLoc(),
-                        "index " + std::to_string(Index.Scalar) +
-                            " out of bounds for array of " +
-                            std::to_string(Obj->Elems.size()));
-      XS.back() = Obj->Elems[Index.Scalar];
+      const Value Index = *--Sp;
+      if (!element(Sp[-1], Index, Op, Sp[-1]))
+        return false;
       break;
     }
     case XOp::K::Not:
-      XS.back() = Value::makeBool(!XS.back().asBool());
+      Sp[-1] = Value::makeBool(!Sp[-1].asBool());
       break;
     case XOp::K::Neg:
-      XS.back() = Value::makeInt(-XS.back().Scalar);
+      Sp[-1] = Value::makeInt(wrapNeg(Sp[-1].Scalar));
       break;
-    case XOp::K::Add: {
-      Value Rv = XS.back();
-      XS.pop_back();
-      XS.back() = Value::makeInt(XS.back().Scalar + Rv.Scalar);
+    case XOp::K::Add:
+      binary(IntOp::Add);
       break;
-    }
-    case XOp::K::Sub: {
-      Value Rv = XS.back();
-      XS.pop_back();
-      XS.back() = Value::makeInt(XS.back().Scalar - Rv.Scalar);
+    case XOp::K::Sub:
+      binary(IntOp::Sub);
       break;
-    }
-    case XOp::K::Mul: {
-      Value Rv = XS.back();
-      XS.pop_back();
-      XS.back() = Value::makeInt(XS.back().Scalar * Rv.Scalar);
+    case XOp::K::Mul:
+      binary(IntOp::Mul);
       break;
-    }
     case XOp::K::Div:
-    case XOp::K::Mod: {
-      Value Rv = XS.back();
-      XS.pop_back();
-      if (Rv.Scalar == 0)
+    case XOp::K::Mod:
+      if (Sp[-1].Scalar == 0)
         return failEval(RuntimeErrorKind::DivideByZero, Op.Origin->getLoc(),
                         "division by zero");
-      XS.back() = Value::makeInt(Op.Op == XOp::K::Div
-                                     ? XS.back().Scalar / Rv.Scalar
-                                     : XS.back().Scalar % Rv.Scalar);
+      binary(Op.Op == XOp::K::Div ? IntOp::Div : IntOp::Mod);
       break;
-    }
-    case XOp::K::Lt: {
-      Value Rv = XS.back();
-      XS.pop_back();
-      XS.back() = Value::makeBool(XS.back().Scalar < Rv.Scalar);
+    case XOp::K::Lt:
+      binary(IntOp::Lt);
       break;
-    }
-    case XOp::K::Le: {
-      Value Rv = XS.back();
-      XS.pop_back();
-      XS.back() = Value::makeBool(XS.back().Scalar <= Rv.Scalar);
+    case XOp::K::Le:
+      binary(IntOp::Le);
       break;
-    }
-    case XOp::K::Gt: {
-      Value Rv = XS.back();
-      XS.pop_back();
-      XS.back() = Value::makeBool(XS.back().Scalar > Rv.Scalar);
+    case XOp::K::Gt:
+      binary(IntOp::Gt);
       break;
-    }
-    case XOp::K::Ge: {
-      Value Rv = XS.back();
-      XS.pop_back();
-      XS.back() = Value::makeBool(XS.back().Scalar >= Rv.Scalar);
+    case XOp::K::Ge:
+      binary(IntOp::Ge);
       break;
-    }
-    case XOp::K::Eq: {
-      Value Rv = XS.back();
-      XS.pop_back();
-      XS.back() = Value::makeBool(XS.back().Scalar == Rv.Scalar);
+    case XOp::K::Eq:
+      binary(IntOp::Eq);
       break;
-    }
-    case XOp::K::Ne: {
-      Value Rv = XS.back();
-      XS.pop_back();
-      XS.back() = Value::makeBool(XS.back().Scalar != Rv.Scalar);
+    case XOp::K::Ne:
+      binary(IntOp::Ne);
       break;
-    }
     case XOp::K::Boolify:
-      XS.back() = Value::makeBool(XS.back().asBool());
+      Sp[-1] = Value::makeBool(Sp[-1].asBool());
       break;
     case XOp::K::AndJump:
-      if (!XS.back().asBool()) {
-        XS.back() = Value::makeBool(false);
+      if (!Sp[-1].asBool()) {
+        Sp[-1] = Value::makeBool(false);
         IP = Op.A;
         continue;
       }
-      XS.pop_back();
+      --Sp;
       break;
     case XOp::K::OrJump:
-      if (XS.back().asBool()) {
-        XS.back() = Value::makeBool(true);
+      if (Sp[-1].asBool()) {
+        Sp[-1] = Value::makeBool(true);
         IP = Op.A;
         continue;
       }
-      XS.pop_back();
+      --Sp;
       break;
     case XOp::K::AllocRecord: {
       std::optional<Value> Obj = H.allocate(Op.Ty, Op.A);
@@ -418,12 +432,11 @@ bool Machine::evalCode(unsigned ProcIndex, XRange R, Value &Result) {
         return failEval(RuntimeErrorKind::OutOfObjects, Op.Origin->getLoc(),
                         "object table exhausted while allocating record");
       notifyAlloc(*Obj);
-      XS.push_back(*Obj);
+      *Sp++ = *Obj;
       break;
     }
     case XOp::K::SetElem: {
-      Value V = XS.back();
-      XS.pop_back();
+      const Value V = *--Sp;
       // Ownership of the construction edge: a freshly allocated child
       // donates its creation reference; a borrowed child is linked.
       if (V.isRef() && Op.Flag) {
@@ -431,7 +444,7 @@ bool Machine::evalCode(unsigned ProcIndex, XRange R, Value &Result) {
           return failEval(RuntimeErrorKind::UseAfterFree, Op.Origin->getLoc(),
                           "storing freed object into record");
       }
-      H.deref(XS.back())->Elems[Op.A] = V;
+      H.deref(Sp[-1])->Elems[Op.A] = V;
       break;
     }
     case XOp::K::AllocUnion: {
@@ -440,25 +453,23 @@ bool Machine::evalCode(unsigned ProcIndex, XRange R, Value &Result) {
         return failEval(RuntimeErrorKind::OutOfObjects, Op.Origin->getLoc(),
                         "object table exhausted while allocating union");
       notifyAlloc(*Obj);
-      XS.push_back(*Obj);
+      *Sp++ = *Obj;
       break;
     }
     case XOp::K::SetUnionElem: {
-      Value V = XS.back();
-      XS.pop_back();
+      const Value V = *--Sp;
       if (V.isRef() && Op.Flag) {
         if (H.link(V) != HeapStatus::OK)
           return failEval(RuntimeErrorKind::UseAfterFree, Op.Origin->getLoc(),
                           "storing freed object into union");
       }
-      HeapObject *ObjPtr = H.deref(XS.back());
+      HeapObject *ObjPtr = H.deref(Sp[-1]);
       ObjPtr->Arm = static_cast<int32_t>(Op.A);
       ObjPtr->Elems[0] = V;
       break;
     }
     case XOp::K::AllocArray: {
-      Value Size = XS.back();
-      XS.pop_back();
+      const Value Size = Sp[-1];
       if (Size.Scalar < 0)
         return failEval(RuntimeErrorKind::IndexOutOfBounds,
                         Op.Origin->getLoc(), "negative array size");
@@ -468,13 +479,12 @@ bool Machine::evalCode(unsigned ProcIndex, XRange R, Value &Result) {
         return failEval(RuntimeErrorKind::OutOfObjects, Op.Origin->getLoc(),
                         "object table exhausted while allocating array");
       notifyAlloc(*Obj);
-      XS.push_back(*Obj);
+      Sp[-1] = *Obj;
       break;
     }
     case XOp::K::FillArray: {
-      Value Init = XS.back();
-      XS.pop_back();
-      Value Obj = XS.back();
+      const Value Init = *--Sp;
+      const Value Obj = Sp[-1];
       size_t N = H.deref(Obj)->Elems.size();
       if (Init.isRef()) {
         // N construction edges: the creation reference covers the first
@@ -499,28 +509,22 @@ bool Machine::evalCode(unsigned ProcIndex, XRange R, Value &Result) {
       break;
     }
     case XOp::K::CastCopy: {
-      Value Sub = XS.back();
-      XS.pop_back();
+      const Value Sub = Sp[-1];
       std::optional<Value> Copy = deepCopy(H, Sub);
-      if (!Copy) {
-        if (!Error)
-          fail(RuntimeErrorKind::OutOfObjects, Op.Origin->getLoc(),
-               static_cast<int>(ProcIndex),
-               "object table exhausted during cast");
-        XS.resize(Base);
-        return false;
-      }
+      if (!Copy)
+        return failEval(RuntimeErrorKind::OutOfObjects, Op.Origin->getLoc(),
+                        "object table exhausted during cast");
       if (Op.Flag)
         dropValueTemp(Sub, Op.Origin->getLoc(), static_cast<int>(ProcIndex));
-      XS.push_back(*Copy);
+      Sp[-1] = *Copy;
       break;
     }
     }
     ++IP;
   }
-  assert(XS.size() == Base + 1 && "expression bytecode left a bad stack");
-  Result = XS.back();
-  XS.pop_back();
+  assert(Sp == Bottom + 1 && "expression bytecode left a bad stack");
+  Result = *Bottom;
+  InEval = false;
   return true;
 }
 
@@ -890,16 +894,11 @@ bool Machine::matchC(unsigned ReaderIndex, uint32_t PatIndex, const Value &V,
       return false;
     }
     for (uint32_t I = 0; I != Pat.NumChildren; ++I) {
-      const uint32_t Child = CProc.PatChildren[Pat.ChildBegin + I];
-      if (Mode == MatchMode::Try &&
-          CProc.Pats[Child].Kind == PatternKind::Bind) {
-        ++Stats.PatternMatchesTried; // A binder's dry run always matches.
-        continue;
-      }
-      // Re-dereference per child: a commit's deep copy may reallocate the
-      // object table.
-      Value Elem = From.deref(V)->Elems[I];
-      if (!matchC(ReaderIndex, Child, Elem, Mode, From))
+      // Re-dereference per child, and copy the element out: a commit's
+      // deep copy may reallocate the object table.
+      const Value Elem = From.deref(V)->Elems[I];
+      if (!matchChild(ReaderIndex, CProc.PatChildren[Pat.ChildBegin + I],
+                      Elem, Mode, From))
         return false;
     }
     return true;
@@ -933,10 +932,26 @@ bool Machine::matchValues(unsigned ReaderIndex, uint32_t PatIndex,
   assert(Pat.Kind == PatternKind::Record &&
          Pat.NumChildren == Values.size() && "elided field count mismatch");
   for (size_t I = 0, N = Values.size(); I != N; ++I)
-    if (!matchC(ReaderIndex, CProc.PatChildren[Pat.ChildBegin + I],
-                Values[I], Mode, From))
+    if (!matchChild(ReaderIndex, CProc.PatChildren[Pat.ChildBegin + I],
+                    Values[I], Mode, From))
       return false;
   return true;
+}
+
+bool Machine::matchChild(unsigned ReaderIndex, uint32_t PatIndex,
+                         const Value &V, MatchMode Mode, const Heap &From) {
+  const CPat &Pat = CP.Procs[ReaderIndex].Pats[PatIndex];
+  // A binder's dry run always matches, and a scalar needs no acquiring:
+  // both are the recursive call's outcome and count, without the call.
+  if (Pat.Kind == PatternKind::Bind &&
+      (Mode == MatchMode::Try || !V.isRef())) {
+    if (Mode != MatchMode::CommitLocal)
+      ++Stats.PatternMatchesTried;
+    if (Mode != MatchMode::Try)
+      Procs[ReaderIndex].Slots[Pat.Slot] = V;
+    return true;
+  }
+  return matchC(ReaderIndex, PatIndex, V, Mode, From);
 }
 
 Machine::MsgDisc

@@ -39,9 +39,9 @@
 #include "ir/IR.h"
 #include "runtime/CompiledProgram.h"
 #include "runtime/Heap.h"
+#include "support/RingQueue.h"
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -451,7 +451,50 @@ private:
 
   /// Evaluates the bytecode range \p R of process \p ProcIndex's compiled
   /// code into \p Result. False on runtime fault (machine error set).
-  bool evalCode(unsigned ProcIndex, XRange R, Value &Result);
+  /// A one-op range that cannot fault here (a constant, an initialized
+  /// slot, a slot against a constant) is evaluated inline without the
+  /// operand stack; everything else, faults included, goes to evalStack.
+  [[gnu::always_inline]] bool evalCode(unsigned ProcIndex, XRange R,
+                                       Value &Result) {
+    if (R.End - R.Begin == 1) {
+      const XOp &Op = CP.Procs[ProcIndex].Code[R.Begin];
+      switch (Op.Op) {
+      case XOp::K::PushInt:
+        Result = Value::makeInt(Op.Imm);
+        return true;
+      case XOp::K::PushBool:
+        Result = Value::makeBool(Op.Imm != 0);
+        return true;
+      case XOp::K::LoadSlot: {
+        const Value &Slot = Procs[ProcIndex].Slots[Op.A];
+        if (Slot.isUninit())
+          break;
+        Result = Slot;
+        return true;
+      }
+      case XOp::K::SlotImm: {
+        const Value &Slot = Procs[ProcIndex].Slots[Op.A];
+        if (Slot.isUninit())
+          break;
+        Result = binaryValue(Op.Bin, Slot.Scalar, Op.Imm);
+        return true;
+      }
+      default:
+        break;
+      }
+    }
+    return evalStack(ProcIndex, R, Result);
+  }
+  /// The general evaluator: runs \p R on the fixed operand stack.
+  bool evalStack(unsigned ProcIndex, XRange R, Value &Result);
+  /// The value of \p L \p Op \p R: a bool for a comparison, else an int.
+  /// Div and Mod require \p R != 0.
+  static Value binaryValue(IntOp Op, int64_t L, int64_t R) {
+    Value V;
+    V.K = isCompare(Op) ? Value::Kind::Bool : Value::Kind::Int;
+    V.Scalar = intOp(Op, L, R);
+    return V;
+  }
   bool execStore(unsigned ProcIndex, const CInst &I);
   /// Runs process \p ProcIndex until it blocks, halts, or fails.
   void runToBlock(unsigned ProcIndex);
@@ -481,6 +524,10 @@ private:
   /// faults (except CommitLocal, whose caller reports the error).
   bool matchC(unsigned ReaderIndex, uint32_t PatIndex, const Value &V,
               MatchMode Mode, const Heap &From);
+  /// matchC on a child of a record pattern, with a binder that needs no
+  /// heap work (a dry run, or a scalar value) committed inline.
+  bool matchChild(unsigned ReaderIndex, uint32_t PatIndex, const Value &V,
+                  MatchMode Mode, const Heap &From);
   /// Same over the 1-or-N values of a (possibly elided) transfer.
   /// \p From is the heap the values live in: the state heap, or the
   /// environment template heap for an environment send.
@@ -640,9 +687,12 @@ private:
   /// is nonzero.
   std::vector<uint32_t> EnvSends;
 
-  /// Shared postfix evaluation stack (member so steady-state evaluation
-  /// is allocation-free; nested evaluations save/restore their base).
-  std::vector<Value> EvalStack;
+  /// The operand stack of evalStack, CP.MaxEvalDepth deep, sized once at
+  /// construction: a push is a store through a pointer, with no capacity
+  /// check. Evaluation never re-enters itself (InEval pins it), so every
+  /// evaluation starts at the bottom.
+  std::unique_ptr<Value[]> EvalStack;
+  bool InEval = false;
 
   /// Per-channel wait bitmasks, CP.MaskWords words per channel: bit P of
   /// InWait[chan] = process P blocks with an enabled in-case on chan.
@@ -650,7 +700,7 @@ private:
   std::vector<uint64_t> OutWait;
 
   // Execution-mode scheduler state.
-  std::deque<unsigned> ReadyQueue;
+  RingQueue<unsigned> ReadyQueue;
   int Current = -1;
   unsigned PollRotor = 0;
   /// Whether the idle loop scans every blocked process for an internal

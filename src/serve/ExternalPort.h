@@ -30,10 +30,11 @@
 #ifndef ESP_SERVE_EXTERNALPORT_H
 #define ESP_SERVE_EXTERNALPORT_H
 
+#include "support/RingQueue.h"
+
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 
 namespace esp {
@@ -104,7 +105,9 @@ public:
 
 private:
   mutable std::mutex M;
-  std::deque<ServeEvent> Q;
+  /// Allocates on the first push and grows to at most the cap's power
+  /// of two, so an idle connection's inbox costs no buffer.
+  RingQueue<ServeEvent> Q;
   size_t HighWater = 0;
   unsigned Cap;
 };

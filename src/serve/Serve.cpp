@@ -11,6 +11,7 @@
 #include "obs/TracingObserver.h"
 #include "runtime/Machine.h"
 #include "serve/ExternalPort.h"
+#include "support/RingQueue.h"
 #include "vmmc/ServeFirmware.h"
 
 #include <algorithm>
@@ -53,8 +54,8 @@ struct Slot {
   // Everything below is touched only by the worker currently Running the
   // slot; the Parked handoff (release store -> CAS -> queue mutex)
   // publishes it to the next runner.
-  std::deque<uint64_t> PendingT0; ///< T0 of delivered, unanswered requests.
-  uint64_t ConnResponses = 0;     ///< Responses since the last recycle.
+  RingQueue<uint64_t> PendingT0; ///< T0 of delivered, unanswered requests.
+  uint64_t ConnResponses = 0;    ///< Responses since the last recycle.
   uint64_t Frags = 0;
   uint64_t Bytes = 0;
   uint64_t Checksum = 0;

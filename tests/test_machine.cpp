@@ -633,4 +633,142 @@ process src {
   EXPECT_EQ(M.stats().PollRounds, 3u);
 }
 
+//===----------------------------------------------------------------------===//
+// Expression evaluation: fused ops, the fixed stack, integer overflow
+//===----------------------------------------------------------------------===//
+
+/// A runtime fault as a test compares it: kind, message, decoded position.
+struct FaultSite {
+  RuntimeErrorKind Kind = RuntimeErrorKind::None;
+  std::string Message;
+  unsigned Line = 0;
+  unsigned Column = 0;
+
+  friend bool operator==(const FaultSite &, const FaultSite &) = default;
+  friend std::ostream &operator<<(std::ostream &OS, const FaultSite &F) {
+    return OS << runtimeErrorKindName(F.Kind) << " '" << F.Message << "' at "
+              << F.Line << ":" << F.Column;
+  }
+};
+
+/// Runs \p Source, unoptimized and optimized, to its first fault; both
+/// lowerings must fault alike.
+FaultSite runToFault(const std::string &Source) {
+  FaultSite Sites[2];
+  for (int Optimized = 0; Optimized != 2; ++Optimized) {
+    OptOptions Options = OptOptions::all();
+    auto C = compile(Source, Optimized ? &Options : nullptr);
+    if (!C)
+      return {};
+    Machine M(C->Module, MachineOptions());
+    M.start();
+    M.run(1000);
+    DecodedLoc Loc = C->SM.decode(M.error().Loc);
+    Sites[Optimized] = {M.error().Kind, M.error().Message, Loc.Line,
+                        Loc.Column};
+  }
+  EXPECT_EQ(Sites[0], Sites[1]) << "optimized lowering faults differently";
+  return Sites[0];
+}
+
+/// A reader for the single value a fault program sends, and the program
+/// text around the sender's body.
+std::string faultProgram(const std::string &Body) {
+  return "channel c: int\nprocess q { in(c, $r); }\nprocess p {\n  $k = 0;\n" +
+         Body + "}\n";
+}
+
+// Each expected fault is the one the plain, unfused ops raise (kind,
+// message and location): a fused op names the operand expression that
+// the plain op it replaces would have named.
+TEST(MachineEval, FusedOpsFaultLikeThePlainOps) {
+  // `x + 1` with x uninitialized (LoadSlot; PushInt; Add -> SlotImm).
+  EXPECT_EQ(runToFault(faultProgram("  if (k == 1) { $x = 5; }\n"
+                                    "  out(c, x + 1);\n")),
+            (FaultSite{RuntimeErrorKind::UninitializedRead,
+                       "read of uninitialized variable 'x'", 6, 10}));
+  // `x < y` with y uninitialized (LoadSlot; LoadSlot; Lt -> BinSlot).
+  EXPECT_EQ(runToFault(faultProgram("  $x = 1;\n"
+                                    "  if (k == 1) { $y = 5; }\n"
+                                    "  if (x < y) { out(c, 1); }\n")),
+            (FaultSite{RuntimeErrorKind::UninitializedRead,
+                       "read of uninitialized variable 'y'", 7, 11}));
+  // `a[i]` with a, then i, uninitialized (-> SlotIndex).
+  EXPECT_EQ(runToFault(faultProgram(
+                "  if (k == 1) { $a: #array of int = #{ 4 -> 0 }; }\n"
+                "  $i = 2;\n"
+                "  out(c, a[i]);\n")),
+            (FaultSite{RuntimeErrorKind::UninitializedRead,
+                       "read of uninitialized variable 'a'", 7, 10}));
+  EXPECT_EQ(runToFault(faultProgram(
+                "  $a: #array of int = #{ 4 -> 0 };\n"
+                "  if (k == 1) { $i = 2; }\n"
+                "  out(c, a[i]);\n")),
+            (FaultSite{RuntimeErrorKind::UninitializedRead,
+                       "read of uninitialized variable 'i'", 7, 12}));
+  // `a[i]` out of bounds.
+  EXPECT_EQ(runToFault(faultProgram("  $a: #array of int = #{ 4 -> 0 };\n"
+                                    "  $i = 9;\n"
+                                    "  out(c, a[i]);\n")),
+            (FaultSite{RuntimeErrorKind::IndexOutOfBounds,
+                       "index 9 out of bounds for array of 4", 7, 11}));
+  // `x / 0`: a zero divisor never fuses.
+  EXPECT_EQ(runToFault(faultProgram("  $x = 7;\n"
+                                    "  out(c, x / 0);\n")),
+            (FaultSite{RuntimeErrorKind::DivideByZero, "division by zero", 6,
+                       12}));
+}
+
+TEST(MachineEval, DeepExpressionFitsTheCompiledStackBound) {
+  // 40 terms nested to the right keep 40 operands on the stack; nested to
+  // the left they fold into a chain of fused ops one entry deep.
+  std::string Right = "x", Left = "x";
+  for (int I = 40; I >= 1; --I) {
+    Right = std::to_string(I) + " + (" + Right + ")";
+    Left = "(" + Left + ") + " + std::to_string(I);
+  }
+  auto C = compile("channel c: int\n"
+                   "process p { $x = 5; out(c, " + Right + "); out(c, " +
+                   Left + "); }\n"
+                   "process q { in(c, $a); in(c, $b);\n"
+                   "  assert(a == 825); assert(b == 825); }\n");
+  ASSERT_TRUE(C);
+  Machine M(C->Module, MachineOptions());
+  EXPECT_GE(M.compiled().MaxEvalDepth, 40u);
+  M.start();
+  EXPECT_EQ(M.run(1000), StepResult::Halted) << M.error().Message;
+}
+
+TEST(MachineEval, IntegerOverflowWraps) {
+  // INT64_MIN / -1 and % -1 through the plain ops (divisor in a slot) and
+  // the fused ones (constant divisor), and wrapping + - * and unary -.
+  auto C = compile(R"(
+const NEG1 = 0 - 1;
+channel c: int
+process p {
+  $x = 0 - 9223372036854775807 - 1;
+  $m = 0 - 1;
+  out(c, x / m);
+}
+process q {
+  in(c, $y);
+  $x = 0 - 9223372036854775807 - 1;
+  $m = NEG1;
+  $big = 9223372036854775807;
+  assert(y == x);
+  assert(x % m == 0);
+  assert(x / NEG1 == x);
+  assert(x % NEG1 == 0);
+  assert(-x == x);
+  assert(big + 1 == x);
+  assert(x - 1 == big);
+  assert(big * 2 == 0 - 2);
+}
+)");
+  ASSERT_TRUE(C);
+  Machine M(C->Module, MachineOptions());
+  M.start();
+  EXPECT_EQ(M.run(1000), StepResult::Halted) << M.error().Message;
+}
+
 } // namespace

@@ -6,6 +6,8 @@
 
 #include "TestHelpers.h"
 
+#include <limits>
+
 using namespace esp;
 using namespace esp::test;
 
@@ -27,6 +29,29 @@ process q { in(c, $x); assert(x == 14); assert(FLAG); }
   ASSERT_TRUE(C);
   EXPECT_EQ(C->Prog->findConst("B")->Value, 14);
   EXPECT_EQ(C->Prog->findConst("FLAG")->Value, 1);
+}
+
+TEST(Sema, ConstArithmeticWraps) {
+  // Two's-complement wrap, as the machine computes at run time; the
+  // division used to trap (SIGFPE) in the folder.
+  auto C = compile(R"(
+const MIN = 0 - 9223372036854775807 - 1;
+const QUOT = MIN / (0 - 1);
+const REM = MIN % (0 - 1);
+const SUM = 9223372036854775807 + 1;
+const PROD = 9223372036854775807 * 2;
+const NEG = -MIN;
+channel c: int
+process p { out(c, QUOT); }
+process q { in(c, $x); assert(x == MIN); }
+)");
+  ASSERT_TRUE(C);
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(C->Prog->findConst("QUOT")->Value, Min);
+  EXPECT_EQ(C->Prog->findConst("REM")->Value, 0);
+  EXPECT_EQ(C->Prog->findConst("SUM")->Value, Min);
+  EXPECT_EQ(C->Prog->findConst("PROD")->Value, -2);
+  EXPECT_EQ(C->Prog->findConst("NEG")->Value, Min);
 }
 
 TEST(Sema, NonConstantInitializerRejected) {

@@ -5,6 +5,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Diagnostics.h"
+#include "support/IntArith.h"
+#include "support/RingQueue.h"
 #include "support/SourceManager.h"
 #include "support/StringExtras.h"
 #include "support/ToolArgs.h"
@@ -12,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <deque>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -211,6 +215,120 @@ TEST(StringExtras, CountEffectiveLines) {
             1u);
   EXPECT_EQ(countEffectiveLines("x(); /* inline */ y();\n"), 1u);
   EXPECT_EQ(countEffectiveLines("/* a */ code(); /* b\n still b */\n"), 1u);
+}
+
+/// Pops every element of \p Q, front first.
+std::vector<int> drain(RingQueue<int> &Q) {
+  std::vector<int> Out;
+  while (!Q.empty()) {
+    Out.push_back(Q.front());
+    Q.pop_front();
+  }
+  return Out;
+}
+
+TEST(RingQueue, EmptyQueueAllocatesNothing) {
+  RingQueue<int> Q;
+  EXPECT_TRUE(Q.empty());
+  EXPECT_EQ(Q.capacity(), 0u);
+  Q.clear();
+  EXPECT_EQ(Q.capacity(), 0u);
+}
+
+TEST(RingQueue, MixedPushFrontAndBackKeepDequeOrder) {
+  RingQueue<int> Q;
+  std::deque<int> Ref;
+  for (int I = 0; I != 40; ++I) {
+    if (I % 3 == 0) {
+      Q.push_front(I);
+      Ref.push_front(I);
+    } else {
+      Q.push_back(I);
+      Ref.push_back(I);
+    }
+  }
+  EXPECT_EQ(Q.size(), Ref.size());
+  EXPECT_EQ(drain(Q), std::vector<int>(Ref.begin(), Ref.end()));
+}
+
+TEST(RingQueue, WrapAroundKeepsFifoOrder) {
+  RingQueue<int> Q;
+  Q.push_back(0);
+  const size_t Cap = Q.capacity();
+  // Slide a window of Cap - 1 elements around the ring several times
+  // without ever filling it, so the buffer never grows.
+  int Next = 1, Expect = 0;
+  for (size_t I = 0; I + 2 < Cap; ++I)
+    Q.push_back(Next++);
+  for (int Round = 0; Round != 5 * static_cast<int>(Cap); ++Round) {
+    EXPECT_EQ(Q.front(), Expect++);
+    Q.pop_front();
+    Q.push_back(Next++);
+  }
+  EXPECT_EQ(Q.capacity(), Cap);
+  std::vector<int> Rest = drain(Q);
+  ASSERT_EQ(Rest.size(), Cap - 1);
+  for (int V : Rest)
+    EXPECT_EQ(V, Expect++);
+}
+
+TEST(RingQueue, GrowthWhileWrappedKeepsOrder) {
+  RingQueue<int> Q;
+  Q.push_back(0);
+  const size_t Cap = Q.capacity();
+  // Wrap the ring (head in the middle, both ends in use), then overfill
+  // it from both ends.
+  for (size_t I = 1; I != Cap; ++I)
+    Q.push_back(static_cast<int>(I));
+  for (size_t I = 0; I != Cap / 2; ++I)
+    Q.pop_front();
+  std::deque<int> Ref;
+  for (size_t I = Cap / 2; I != Cap; ++I)
+    Ref.push_back(static_cast<int>(I));
+  for (int I = 0; I != 3 * static_cast<int>(Cap); ++I) {
+    Q.push_back(100 + I);
+    Ref.push_back(100 + I);
+    Q.push_front(-1 - I);
+    Ref.push_front(-1 - I);
+  }
+  EXPECT_GT(Q.capacity(), Cap);
+  EXPECT_EQ(Q.capacity() & (Q.capacity() - 1), 0u) << "power of two";
+  EXPECT_EQ(drain(Q), std::vector<int>(Ref.begin(), Ref.end()));
+}
+
+TEST(RingQueue, ClearKeepsCapacity) {
+  RingQueue<int> Q;
+  for (int I = 0; I != 100; ++I)
+    Q.push_back(I);
+  const size_t Cap = Q.capacity();
+  ASSERT_GE(Cap, 100u);
+  Q.clear();
+  EXPECT_TRUE(Q.empty());
+  EXPECT_EQ(Q.capacity(), Cap);
+  for (int I = 0; I != 100; ++I)
+    Q.push_front(I);
+  EXPECT_EQ(Q.capacity(), Cap);
+  EXPECT_EQ(Q.front(), 99);
+}
+
+TEST(IntArith, WrapsInsteadOfOverflowing) {
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(intOp(IntOp::Div, Min, -1), Min);
+  EXPECT_EQ(intOp(IntOp::Mod, Min, -1), 0);
+  EXPECT_EQ(intOp(IntOp::Add, Max, 1), Min);
+  EXPECT_EQ(intOp(IntOp::Sub, Min, 1), Max);
+  EXPECT_EQ(intOp(IntOp::Mul, Max, 2), -2);
+  EXPECT_EQ(wrapNeg(Min), Min);
+  // The ordinary cases are C++'s: truncating division, sign of the
+  // dividend for the remainder, 0/1 comparisons.
+  EXPECT_EQ(intOp(IntOp::Div, -7, 2), -3);
+  EXPECT_EQ(intOp(IntOp::Mod, -7, 2), -1);
+  EXPECT_EQ(intOp(IntOp::Div, 7, -1), -7);
+  EXPECT_EQ(intOp(IntOp::Le, 3, 3), 1);
+  EXPECT_EQ(intOp(IntOp::Ne, 3, 3), 0);
+  EXPECT_TRUE(isCompare(IntOp::Lt));
+  EXPECT_FALSE(isCompare(IntOp::Mod));
 }
 
 } // namespace
