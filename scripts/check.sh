@@ -134,6 +134,32 @@ for prog in overflow_const overflow_run; do
   expect_exit 0 "$ESPMC" "$SCRATCH_DIR/$prog.esp"
 done
 
+echo "== espmc: bit-state counts repeat across processes =="
+# A bit-state search keeps one hash bit per state, so its stored count
+# depends on every byte of the state vector. Two processes get
+# different ASLR layouts: an address that leaked into the vector (as a
+# heap object's type pointer once did) makes the counts differ.
+python3 - "$REPO_ROOT/src/vmmc/EspFirmwareSource.h" "$SCRATCH_DIR/vmmc.esp" \
+  <<'EOF'
+import sys
+text = open(sys.argv[1]).read()
+open(sys.argv[2], "w").write(text.split('R"ESP(', 1)[1].split(')ESP"', 1)[0])
+EOF
+bitstate_counts() {
+  "$ESPMC" "$SCRATCH_DIR/vmmc.esp" --process pageTable,deliver \
+    --env-budget 4 --mode bitstate --bits 14 -q \
+    --stats-json "$SCRATCH_DIR/bits.json" > /dev/null 2>&1
+  python3 -c 'import json, sys; d = json.load(open(sys.argv[1]));
+print(d["states_stored"], d["states_explored"])' "$SCRATCH_DIR/bits.json"
+}
+first="$(bitstate_counts)"
+second="$(bitstate_counts)"
+if [ "$first" != "$second" ]; then
+  echo "check.sh: bit-state stored/explored $first in one process but" \
+    "$second in another" >&2
+  exit 1
+fi
+
 ESPSERVE="$BUILD_DIR/src/tools/espserve"
 
 echo "== espserve: fleet smoke (single-worker deterministic + 4 workers) =="

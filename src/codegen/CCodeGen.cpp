@@ -9,6 +9,7 @@
 #include "frontend/Sema.h"
 
 #include <cassert>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -142,6 +143,31 @@ private:
   static const char *valField(const Type *T) {
     return T->isAggregate() ? "o" : "i";
   }
+  /// A C literal of \p V. INT64_MIN has no literal of its own in C: the
+  /// digits of its magnitude overflow long long.
+  static std::string intLit(int64_t V) {
+    if (V == std::numeric_limits<int64_t>::min())
+      return "(-9223372036854775807LL - 1)";
+    return std::to_string(V) + "LL";
+  }
+  /// The prelude helper that computes \p Op with ESP's integer
+  /// semantics, or null for an operator C already gets right.
+  static const char *arithHelper(BinaryOp Op) {
+    switch (Op) {
+    case BinaryOp::Add:
+      return "esp_add";
+    case BinaryOp::Sub:
+      return "esp_sub";
+    case BinaryOp::Mul:
+      return "esp_mul";
+    case BinaryOp::Div:
+      return "esp_div";
+    case BinaryOp::Mod:
+      return "esp_mod";
+    default:
+      return nullptr;
+    }
+  }
 
   //===--- Expression compilation -------------------------------------------===//
 
@@ -151,7 +177,7 @@ private:
   std::string emitExpr(unsigned Proc, const Expr *E, std::ostream &Body) {
     switch (E->getKind()) {
     case ExprKind::IntLit:
-      return std::to_string(ast_cast<IntLitExpr>(E)->getValue()) + "LL";
+      return intLit(ast_cast<IntLitExpr>(E)->getValue());
     case ExprKind::BoolLit:
       return ast_cast<BoolLitExpr>(E)->getValue() ? "1LL" : "0LL";
     case ExprKind::SelfId:
@@ -159,7 +185,7 @@ private:
     case ExprKind::VarRef: {
       const VarRefExpr *V = ast_cast<VarRefExpr>(E);
       if (const ConstDecl *C = V->getConst())
-        return std::to_string(C->Value) + "LL";
+        return intLit(C->Value);
       return varName(Proc, V->getVar());
     }
     case ExprKind::Field: {
@@ -194,13 +220,15 @@ private:
     case ExprKind::Unary: {
       const UnaryExpr *U = ast_cast<UnaryExpr>(E);
       std::string Sub = emitExpr(Proc, U->getSub(), Body);
-      return std::string(U->getOp() == UnaryOp::Not ? "(!" : "(-") + Sub +
-             ")";
+      return std::string(U->getOp() == UnaryOp::Not ? "(!" : "esp_neg(") +
+             Sub + ")";
     }
     case ExprKind::Binary: {
       const BinaryExpr *B = ast_cast<BinaryExpr>(E);
       std::string L = emitExpr(Proc, B->getLHS(), Body);
       std::string R = emitExpr(Proc, B->getRHS(), Body);
+      if (const char *Helper = arithHelper(B->getOp()))
+        return std::string(Helper) + "(" + L + ", " + R + ")";
       return "(" + L + " " + binaryOpSpelling(B->getOp()) + " " + R + ")";
     }
     case ExprKind::RecordLit: {
@@ -848,7 +876,7 @@ private:
     case PatternKind::Match: {
       std::optional<int64_t> V =
           tryEvalStatic(ast_cast<MatchPattern>(Pat)->getValue(), nullptr);
-      return std::to_string(V ? *V : 0) + "LL";
+      return intLit(V ? *V : 0);
     }
     case PatternKind::Record: {
       const RecordPattern *R = ast_cast<RecordPattern>(Pat);
@@ -1015,6 +1043,26 @@ private:
         << "void esp_panic(const char *msg) {\n"
         << "  fprintf(stderr, \"esp_panic: %s\\n\", msg);\n"
         << "  exit(2);\n}\n\n"
+        << "/* ESP integer semantics (support/IntArith.h): 64-bit two's\n"
+           "   complement that wraps, INT64_MIN / -1 = INT64_MIN and\n"
+           "   INT64_MIN % -1 = 0; division by zero is an error. */\n"
+        << "static long long esp_add(long long a, long long b) {\n"
+        << "  return (long long)((unsigned long long)a + "
+           "(unsigned long long)b);\n}\n"
+        << "static long long esp_sub(long long a, long long b) {\n"
+        << "  return (long long)((unsigned long long)a - "
+           "(unsigned long long)b);\n}\n"
+        << "static long long esp_mul(long long a, long long b) {\n"
+        << "  return (long long)((unsigned long long)a * "
+           "(unsigned long long)b);\n}\n"
+        << "static long long esp_neg(long long a) {\n"
+        << "  return (long long)(0ULL - (unsigned long long)a);\n}\n"
+        << "static long long esp_div(long long a, long long b) {\n"
+        << "  if (b == 0) esp_panic(\"division by zero\");\n"
+        << "  return b == -1 ? esp_neg(a) : a / b;\n}\n"
+        << "static long long esp_mod(long long a, long long b) {\n"
+        << "  if (b == 0) esp_panic(\"division by zero\");\n"
+        << "  return b == -1 ? 0 : a % b;\n}\n\n"
         << "static esp_obj *esp_alloc(const esp_type *ty, unsigned n) {\n"
         << "  esp_obj *o = (esp_obj *)malloc(sizeof(esp_obj));\n"
         << "  o->ty = ty; o->rc = 1; o->arm = -1; o->n = n; o->freed = 0;\n"

@@ -96,6 +96,7 @@ const Type *TypeContext::intern(Type Candidate) {
   for (const std::unique_ptr<Type> &Existing : OwnedTypes)
     if (sameStructure(*Existing, Candidate))
       return Existing.get();
+  Candidate.Id = static_cast<uint32_t>(OwnedTypes.size());
   OwnedTypes.push_back(std::make_unique<Type>(std::move(Candidate)));
   return OwnedTypes.back().get();
 }

@@ -18,6 +18,7 @@
 #define ESP_FRONTEND_TYPE_H
 
 #include <cassert>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -74,6 +75,11 @@ public:
   /// every type recursively reachable from it must be immutable (§4.2).
   bool isSendable() const;
 
+  /// Dense id of this type within its TypeContext: its position in
+  /// creation order (Int = 0, Bool = 1). Injective within one program and
+  /// the same in every run, unlike the type's address.
+  uint32_t id() const { return Id; }
+
   /// Renders the type in ESP surface syntax, e.g.
   /// "#record of { dest: int, data: array of int }".
   std::string str() const;
@@ -86,6 +92,7 @@ private:
   bool Mutable = false;
   std::vector<TypeField> Fields; ///< Record/union only.
   const Type *Element = nullptr; ///< Array only.
+  uint32_t Id = 0;               ///< Set by TypeContext::intern.
 };
 
 /// Owns and uniques Type instances.

@@ -338,7 +338,8 @@ struct WorkerStats {
 };
 
 /// Everything a worker thread owns: its Machine over the shared
-/// read-only module, the scratch buffer of its state vectors, counters.
+/// read-only module and compiled program, the scratch buffer of its
+/// state vectors, counters.
 struct WorkerCtx {
   Machine M;
   WorkerStats Stats;
@@ -352,8 +353,10 @@ struct WorkerCtx {
   size_t CheckpointBudget = 0;
 
   WorkerCtx(const ModuleIR &Module, const McOptions &Options,
-            const MachineOptions &MO)
-      : M(Module, MO), Checkpoints(Options.SnapshotStride) {
+            const MachineOptions &MO,
+            std::shared_ptr<const CompiledProgram> Compiled)
+      : M(Module, MO, std::move(Compiled)),
+        Checkpoints(Options.SnapshotStride) {
     M.setEnvModel(Options.Env);
   }
 
@@ -372,7 +375,9 @@ class ParallelDfs {
 public:
   ParallelDfs(const ModuleIR &Module, const McOptions &Options, unsigned Jobs)
       : Module(Module), Options(Options), Jobs(Jobs),
-        MO(verifyMachineOptions(Options)), Queue(/*LowWaterMark=*/2 * Jobs) {
+        MO(verifyMachineOptions(Options)),
+        Compiled(Machine::compileProgram(Module)),
+        Queue(/*LowWaterMark=*/2 * Jobs) {
     // --por: one shared selector (const and thread-safe after
     // construction). Swarm shuffles move order per worker, which would
     // scatter the ample prefix, so it never reduces (espmc rejects the
@@ -408,6 +413,8 @@ private:
   const McOptions &Options;
   const unsigned Jobs;
   const MachineOptions MO;
+  /// Compiled once per search; every worker's Machine shares it.
+  const std::shared_ptr<const CompiledProgram> Compiled;
 
   WorkQueue Queue;
   ViolationSlot Slot;
@@ -641,7 +648,7 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
 }
 
 void ParallelDfs::workerMain(unsigned Wid, ConcurrentVisitedSet &Visited) {
-  WorkerCtx W(Module, Options, MO);
+  WorkerCtx W(Module, Options, MO, Compiled);
   W.Wid = Wid;
   // A lone worker never offloads: nobody else would take the item.
   const bool AllowOffload = Jobs > 1;
@@ -685,7 +692,7 @@ McResult ParallelDfs::run() {
 
   // Root state: counted, checked and inserted on the calling thread,
   // then handed to the workers as the first item.
-  WorkerCtx Root(Module, Options, MO);
+  WorkerCtx Root(Module, Options, MO, Compiled);
   Machine &M = Root.M;
   M.start();
   ++Result.StatesExplored;
@@ -752,7 +759,7 @@ McResult ParallelDfs::runSwarm() {
   // coverage (and matches the table a cooperative search would use).
   ConcurrentVisitedSet UnionTable = ConcurrentVisitedSet::bitState(Bits, 0);
 
-  WorkerCtx Root(Module, Options, MO);
+  WorkerCtx Root(Module, Options, MO, Compiled);
   Machine &M = Root.M;
   M.start();
   ++Result.StatesExplored;
@@ -783,7 +790,7 @@ McResult ParallelDfs::runSwarm() {
           Wid == 0 ? 0
                    : mix64(Options.Seed ^ (0x9e3779b97f4a7c15ULL * Wid));
       ConcurrentVisitedSet Own = ConcurrentVisitedSet::bitState(Bits, BitSeed);
-      WorkerCtx W(Module, Options, MO);
+      WorkerCtx W(Module, Options, MO, Compiled);
       W.Wid = Wid;
       W.Stats.Items = 1; // Each swarm worker runs exactly the root item.
       W.Rng.seed(mix64(Options.Seed + Wid));
@@ -829,6 +836,8 @@ McResult runParallelSimulation(const ModuleIR &Module,
                                const McOptions &Options, unsigned Jobs) {
   McResult Result;
   const MachineOptions MO = verifyMachineOptions(Options);
+  const std::shared_ptr<const CompiledProgram> Compiled =
+      Machine::compileProgram(Module);
   ViolationSlot Slot;
   std::atomic<bool> Stop{false};
   std::vector<WorkerStats> Stats(Jobs);
@@ -859,7 +868,7 @@ McResult runParallelSimulation(const ModuleIR &Module,
         }
         std::mt19937_64 Rng(
             mix64(Options.Seed ^ (0x9e3779b97f4a7c15ULL * (Run + 1))));
-        Machine M(Module, MO);
+        Machine M(Module, MO, Compiled);
         M.setEnvModel(Options.Env);
         M.start();
         if (Run == 0)

@@ -1789,67 +1789,140 @@ thread_local SerializerScratch Scratch;
 /// serialize as canonical ids assigned in first-visit order, never as raw
 /// objectIds, so states differing only in allocation order (ids,
 /// generations, free-list order) coincide; an object's contents follow
-/// its first-visit marker. The output is written through an explicit
-/// length into a string pre-sized to its capacity (a store per byte, not
-/// a push_back call); finish() trims it.
+/// its first-visit marker, and its type is written as the type's dense
+/// id, so the vector does not depend on where anything sits in memory.
+///
+/// The bytes go through a raw cursor into \p Out. Space is reserved once
+/// per run of values (a slot array, a prepared span, an object's
+/// elements): two bytes per value, enough for every value but a wide Int
+/// or a reference, whose out-of-line paths reserve for themselves. Each run
+/// writes through a local copy of the cursor, which no char store can
+/// alias. The string only grows when a vector outgrows the previous one;
+/// finish() trims it to the bytes written.
 class StateSerializer {
 public:
   StateSerializer(const Heap &H, std::string &Out)
-      : H(H), Out(Out), S(Scratch) {
+      : H(H), Out(Out), S(Scratch), Cur(Out.data()),
+        End(Out.data() + Out.size()) {
     S.begin(H.objects().size());
-    Out.resize(Out.capacity());
   }
 
   /// Trims the output to the bytes written. Returns the number of
   /// distinct heap objects reached.
   size_t finish() {
-    Out.resize(Len);
+    Out.resize(static_cast<size_t>(Cur - Out.data()));
     return NumObjects;
   }
 
-  void byte(uint8_t B) {
-    if (Len == Out.size())
-      grow(Len + 1);
-    Out[Len++] = static_cast<char>(B);
+  /// A process's status byte and PC.
+  void header(uint8_t Status, uint32_t PC) {
+    reserve(1 + kMaxVarint32);
+    char *P = Cur;
+    *P++ = static_cast<char>(Status);
+    Cur = varint(P, PC);
   }
 
-  /// Unsigned LEB128.
-  void varint(uint64_t V) {
-    if (Len + 10 > Out.size())
-      grow(Len + 10);
-    char *P = Out.data() + Len;
+  void byte(uint8_t B) {
+    reserve(1);
+    *Cur++ = static_cast<char>(B);
+  }
+
+  /// \p Words as 4 little-endian bytes each.
+  void words(std::span<const uint32_t> Words) {
+    reserve(4 * Words.size());
+    char *P = Cur;
+    for (uint32_t W : Words)
+      for (int Shift = 0; Shift != 32; Shift += 8)
+        *P++ = static_cast<char>((W >> Shift) & 0xff);
+    Cur = P;
+  }
+
+  /// A run of values.
+  void values(std::span<const Value> Vs) {
+    reserve(kValueBytes * Vs.size());
+    char *P = Cur;
+    for (size_t I = 0, N = Vs.size(); I != N; ++I) {
+      if (narrow(P, Vs[I]))
+        continue;
+      Cur = P;
+      if (Vs[I].isRef())
+        ref(Vs[I]);
+      else
+        wideInt(Vs[I].Scalar);
+      reserve(kValueBytes * (N - I - 1));
+      P = Cur;
+    }
+    Cur = P;
+  }
+
+private:
+  /// Bytes reserved per value of a run: a kind byte plus a one-byte
+  /// payload.
+  static constexpr size_t kValueBytes = 2;
+  static constexpr size_t kMaxVarint32 = 5;
+  static constexpr size_t kMaxVarint64 = 10;
+
+  /// Writes \p V at \p P if it fits in kValueBytes: Uninit, Bool, or an
+  /// Int whose zigzag encoding fits one byte. False leaves P unchanged.
+  static bool narrow(char *&P, const Value &V) {
+    switch (V.K) {
+    case Value::Kind::Int: {
+      uint64_t Z = zigzagEncode(V.Scalar);
+      if (Z >= 0x80)
+        return false;
+      P[0] = 1;
+      P[1] = static_cast<char>(Z);
+      P += 2;
+      return true;
+    }
+    case Value::Kind::Uninit:
+      *P++ = 0;
+      return true;
+    case Value::Kind::Bool:
+      P[0] = 2;
+      P[1] = V.Scalar ? 1 : 0;
+      P += 2;
+      return true;
+    case Value::Kind::Ref:
+      return false;
+    }
+    return false;
+  }
+
+  void reserve(size_t N) {
+    if (static_cast<size_t>(End - Cur) < N) [[unlikely]]
+      grow(N);
+  }
+
+  /// Makes room for \p Need more bytes, growing the string to at least
+  /// its capacity so that later calls rarely grow again.
+  [[gnu::noinline]] void grow(size_t Need) {
+    size_t Len = static_cast<size_t>(Cur - Out.data());
+    Out.resize(std::max({Len + Need, 2 * Out.size() + 64, Out.capacity()}));
+    Cur = Out.data() + Len;
+    End = Out.data() + Out.size();
+  }
+
+  /// Unsigned LEB128 of \p V into reserved space at \p P; returns the
+  /// end.
+  static char *varint(char *P, uint64_t V) {
     while (V >= 0x80) {
       *P++ = static_cast<char>(V | 0x80);
       V >>= 7;
     }
     *P++ = static_cast<char>(V);
-    Len = static_cast<size_t>(P - Out.data());
+    return P;
   }
 
-  void value(const Value &V) {
-    switch (V.K) {
-    case Value::Kind::Uninit:
-      byte(0);
-      return;
-    case Value::Kind::Int:
-      byte(1);
-      varint(zigzagEncode(V.Scalar));
-      return;
-    case Value::Kind::Bool:
-      byte(2);
-      byte(V.Scalar ? 1 : 0);
-      return;
-    case Value::Kind::Ref:
-      ref(V);
-      return;
-    }
+  /// An Int that narrow() declined.
+  [[gnu::noinline]] void wideInt(int64_t V) {
+    reserve(1 + kMaxVarint64);
+    *Cur = 1;
+    Cur = varint(Cur + 1, zigzagEncode(V));
   }
 
-private:
-  void grow(size_t Need) { Out.resize(std::max(Need, 2 * Out.size() + 64)); }
-
-  /// Kept out of line so that the scalar cases of value() stay small
-  /// enough to inline at every call site.
+  /// Kept out of line, like wideInt(), so that narrow() stays small
+  /// enough to inline into every run.
   [[gnu::noinline]] void ref(const Value &V) {
     const HeapObject *Obj = H.deref(V);
     if (!Obj) {
@@ -1860,27 +1933,30 @@ private:
     // identifies the object while the heap is not mutated.
     SerializerScratch::Entry &Seen = S.Entries[V.Ref];
     if (Seen.Epoch == S.Epoch) {
-      byte(4); // Back reference.
-      varint(Seen.Id);
+      reserve(1 + kMaxVarint32);
+      *Cur = 4; // Back reference.
+      Cur = varint(Cur + 1, Seen.Id);
       return;
     }
     uint32_t Id = static_cast<uint32_t>(NumObjects++);
     Seen = {S.Epoch, Id};
-    byte(5); // First visit.
-    varint(Id);
-    varint(reinterpret_cast<uintptr_t>(Obj->ObjType));
-    varint(zigzagEncode(Obj->Arm));
-    varint(Obj->RefCount);
-    varint(Obj->Elems.size());
-    for (const Value &Elem : Obj->Elems)
-      value(Elem);
+    reserve(1 + 4 * kMaxVarint32 + kMaxVarint64);
+    char *P = Cur;
+    *P++ = 5; // First visit.
+    P = varint(P, Id);
+    P = varint(P, Obj->ObjType->id());
+    P = varint(P, zigzagEncode(Obj->Arm));
+    P = varint(P, Obj->RefCount);
+    Cur = varint(P, Obj->Elems.size());
+    values(Obj->Elems);
   }
 
   const Heap &H;
   std::string &Out;
-  size_t Len = 0;
-  size_t NumObjects = 0;
   SerializerScratch &S;
+  char *Cur;
+  char *End;
+  size_t NumObjects = 0;
 };
 
 } // namespace
@@ -1895,15 +1971,15 @@ size_t Machine::serializeState(std::string &Out) const {
   StateSerializer S(H, Out);
   for (unsigned I = 0, E = static_cast<unsigned>(Procs.size()); I != E; ++I) {
     const ProcState &P = Procs[I];
-    S.byte(static_cast<uint8_t>(P.St));
-    S.varint(P.PC);
-    for (const Value &Slot : P.Slots)
-      S.value(Slot);
+    S.header(static_cast<uint8_t>(P.St), P.PC);
+    S.values(P.Slots);
+    if (P.PreparedValid.empty())
+      continue;
+    const std::vector<CCase> &Cases = CP.Procs[I].Insts[P.PC].Cases;
     for (size_t C = 0; C != P.PreparedValid.size(); ++C) {
       S.byte(P.PreparedValid[C] ? 1 : 0);
       if (P.PreparedValid[C])
-        for (const Value &V : prepared(P, CP.Procs[I].Insts[P.PC].Cases[C]))
-          S.value(V);
+        S.values(prepared(P, Cases[C]));
     }
   }
   S.byte(static_cast<uint8_t>(Error.Kind));
@@ -1911,9 +1987,7 @@ size_t Machine::serializeState(std::string &Out) const {
   // finite workload; with an unbounded environment it is omitted so the
   // state vector is byte-identical to the budget-free build.
   if (Options.EnvSendBudget != 0)
-    for (uint32_t N : EnvSends)
-      for (int Shift = 0; Shift != 32; Shift += 8)
-        S.byte((N >> Shift) & 0xff);
+    S.words(EnvSends);
   return S.finish();
 }
 

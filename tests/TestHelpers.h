@@ -18,6 +18,7 @@
 #include "frontend/Sema.h"
 #include "ir/IR.h"
 #include "ir/Passes.h"
+#include "mc/SafetyHarness.h"
 #include "runtime/Machine.h"
 #include "support/Diagnostics.h"
 #include "support/SourceManager.h"
@@ -25,7 +26,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
 namespace esp {
 namespace test {
@@ -75,6 +78,51 @@ inline void expectDiagnostic(const std::string &Source,
   EXPECT_TRUE(C.Diags->containsMessage(ExpectedFragment))
       << "diagnostics were:\n"
       << C.Diags->renderAll();
+}
+
+/// A memory-safety harness opened up, so that tests can hold on to the
+/// module and environment and replay counterexamples: the isolated
+/// module of the named processes and the environment that drives them,
+/// as verifyProcessMemorySafety (one name: every channel the process
+/// receives from) and verifyProcessClusterMemorySafety (several names:
+/// the channels some kept process reads and none writes) build them.
+struct Harness {
+  ModuleIR Module;
+  std::unique_ptr<BoundedEnvModel> Env;
+
+  McResult check(McOptions Mc) const {
+    Mc.Env = Env.get();
+    return checkModel(Module, Mc);
+  }
+  bool replay(McOptions Mc, const McResult &R) const {
+    Mc.Env = Env.get();
+    return replayTrace(Module, Mc, R);
+  }
+};
+
+inline Harness makeHarness(const Program &Prog,
+                           const std::vector<std::string> &Names) {
+  Harness H;
+  ModuleIR Full = lowerProgram(Prog);
+  H.Module.Prog = Full.Prog;
+  for (ProcIR &P : Full.Procs)
+    for (const std::string &Name : Names)
+      if (P.Proc->Name == Name) {
+        H.Module.Procs.push_back(std::move(P));
+        break;
+      }
+  EXPECT_FALSE(H.Module.Procs.empty());
+  std::set<std::string> Read, Written, Driven;
+  for (const ProcIR &P : H.Module.Procs)
+    for (const Inst &I : P.Insts)
+      if (I.Kind == InstKind::Block)
+        for (const IRCase &Case : I.Cases)
+          (Case.IsIn ? Read : Written).insert(Case.Channel->Name);
+  for (const std::string &Name : Read)
+    if (Names.size() == 1 || !Written.count(Name))
+      Driven.insert(Name);
+  H.Env = std::make_unique<BoundedEnvModel>(Driven);
+  return H;
 }
 
 } // namespace test

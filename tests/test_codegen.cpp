@@ -125,6 +125,56 @@ process b { in(c, $x); assert(x == 4); }
   EXPECT_EQ(R.ExitCode, 2) << R.Output; // esp_panic exits with 2.
 }
 
+TEST(CCodeGen, IntegerArithmeticWrapsLikeTheMachine) {
+  // scripts/check.sh's overflow_run program: INT64_MIN / -1 is the one
+  // overflowing division. C's own `/` traps on it (SIGFPE); ESP wraps
+  // to INT64_MIN, as espc --run and espmc compute.
+  const char *Source = R"(
+channel c: int
+process p { $x = 0 - 9223372036854775807 - 1; $m = 0 - 1; out(c, x / m); }
+process q { in(c, $y); $x = 0 - 9223372036854775807 - 1; assert(y == x); }
+)";
+  for (bool Optimize : {false, true}) {
+    std::string Gen = genFor(Source, Optimize);
+    ASSERT_FALSE(Gen.empty());
+    RunResult R = compileAndRunC(Gen, ClosedDriver);
+    EXPECT_EQ(R.ExitCode, 0) << "optimize=" << Optimize << "\n" << R.Output;
+  }
+
+  // The rest of the operators at their overflowing edges, and a folded
+  // INT64_MIN constant, which has no literal of its own in C.
+  std::string Gen = genFor(R"(
+const MIN = 0 - 9223372036854775807 - 1;
+const MAX = 9223372036854775807;
+channel c: int
+process p { $m = 0 - 1; $big = MAX; $low = MIN; $two = 2; out(c, 0);
+  assert(big + 1 == MIN);
+  assert(low - 1 == MAX);
+  assert(big * two == 0 - 2);
+  assert(0 - low == MIN);
+  assert(-low == MIN);
+  assert(low % m == 0);
+  assert(7 / (0 - 2) == 0 - 3);
+  assert((0 - 7) % 2 == 0 - 1);
+}
+process q { in(c, $y); assert(y == 0); }
+)");
+  ASSERT_FALSE(Gen.empty());
+  RunResult R = compileAndRunC(Gen, ClosedDriver);
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+}
+
+TEST(CCodeGen, DivisionByZeroPanics) {
+  std::string Gen = genFor(R"(
+channel c: int
+process p { $z = 0; out(c, 1 / z); }
+process q { in(c, $y); }
+)");
+  ASSERT_FALSE(Gen.empty());
+  RunResult R = compileAndRunC(Gen, ClosedDriver);
+  EXPECT_EQ(R.ExitCode, 2) << R.Output; // esp_panic, not SIGFPE.
+}
+
 TEST(CCodeGen, UnionDispatchAndRefcounting) {
   std::string Gen = genFor(R"(
 type dataT = array of int

@@ -611,45 +611,6 @@ process ok {
   EXPECT_EQ(R.Verdict, McVerdict::OK) << R.report();
 }
 
-/// The cluster harness of verifyProcessClusterMemorySafety, opened up so
-/// that a counterexample can be replayed against the same module and
-/// environment.
-struct ClusterHarness {
-  ModuleIR Module;
-  std::unique_ptr<BoundedEnvModel> Env;
-
-  McResult check(McOptions Mc) const {
-    Mc.Env = Env.get();
-    return checkModel(Module, Mc);
-  }
-  bool replay(McOptions Mc, const McResult &R) const {
-    Mc.Env = Env.get();
-    return replayTrace(Module, Mc, R);
-  }
-};
-
-ClusterHarness makeClusterHarness(const Program &Prog,
-                                  const std::vector<std::string> &Names) {
-  ClusterHarness H;
-  ModuleIR Full = lowerProgram(Prog);
-  H.Module.Prog = Full.Prog;
-  for (ProcIR &P : Full.Procs)
-    if (std::find(Names.begin(), Names.end(), P.Proc->Name) != Names.end())
-      H.Module.Procs.push_back(std::move(P));
-  std::set<std::string> Read, Written;
-  for (const ProcIR &P : H.Module.Procs)
-    for (const Inst &I : P.Insts)
-      if (I.Kind == InstKind::Block)
-        for (const IRCase &Case : I.Cases)
-          (Case.IsIn ? Read : Written).insert(Case.Channel->Name);
-  std::set<std::string> Driven;
-  for (const std::string &Name : Read)
-    if (!Written.count(Name))
-      Driven.insert(Name);
-  H.Env = std::make_unique<BoundedEnvModel>(Driven);
-  return H;
-}
-
 TEST(SafetyHarness, EnvSendAtObjectLimitIsAViolation) {
   // An environment send copies its message into the state heap. When the
   // object table fills during that copy, the search reports OutOfObjects
@@ -665,7 +626,7 @@ process holder {
 }
 )");
   ASSERT_TRUE(C);
-  ClusterHarness Holder = makeClusterHarness(*C->Prog, {"holder"});
+  Harness Holder = makeHarness(*C->Prog, {"holder"});
   McOptions Mc;
   Mc.MaxObjects = 1; // The record fits, its array does not.
   McResult R = Holder.check(Mc);
@@ -684,8 +645,7 @@ process holder {
   // above it the search is the full one.
   auto V = compile(vmmc::getVmmcEspSource());
   ASSERT_TRUE(V);
-  ClusterHarness Cluster =
-      makeClusterHarness(*V->Prog, {"pageTable", "deliver"});
+  Harness Cluster = makeHarness(*V->Prog, {"pageTable", "deliver"});
   for (uint32_t Max = 1; Max <= 5; ++Max) {
     McOptions Budgeted;
     Budgeted.EnvSendBudget = 4;

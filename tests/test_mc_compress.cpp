@@ -13,9 +13,12 @@
 
 #include "mc/ModelChecker.h"
 #include "mc/StateStore.h"
+#include "support/StringExtras.h"
+#include "vmmc/EspFirmwareSource.h"
 #include "TestHelpers.h"
 
 #include <algorithm>
+#include <random>
 
 using namespace esp;
 using namespace esp::test;
@@ -204,6 +207,87 @@ process q {
   for (size_t I = 0; I != Moves.size(); ++I)
     EXPECT_TRUE(Again[I] == Moves[I]);
   EXPECT_EQ(M.serializeState(), Before);
+}
+
+/// The `verify` harness: `espmc vmmc.esp --process pageTable,deliver
+/// --env-budget 4`.
+struct VerifyHarness {
+  std::unique_ptr<Compilation> Compiled = compile(vmmc::getVmmcEspSource());
+  Harness H = makeHarness(*Compiled->Prog, {"pageTable", "deliver"});
+};
+
+MachineOptions verifyHarnessOptions() {
+  MachineOptions O = verifyOptions();
+  O.EnvSendBudget = 4;
+  return O;
+}
+
+/// Pins of the `verify` harness's state vectors (see the two tests
+/// below). The root holds two heap objects, a 64-entry and a 4-entry
+/// array, both of type id 16 (bytes 4 and 146).
+constexpr size_t kRootReached = 2;
+constexpr size_t kRootBytes = 224;
+const char *const kRootHex =
+    "0101050010010140010001000100010001000100010001000100010001000100"
+    "0100010001000100010001000100010001000100010001000100010001000100"
+    "0100010001000100010001000100010001000100010001000100010001000100"
+    "0100010001000100010001000100010001000100010001000100010001000100"
+    "0100010001000100000000000000010105011001010401000100010001000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000";
+constexpr uint64_t kWalkDigest = 5280302495173717825ULL;
+
+std::string hex(const std::string &Bytes) {
+  static const char Digits[] = "0123456789abcdef";
+  std::string Out;
+  for (unsigned char C : Bytes) {
+    Out += Digits[C >> 4];
+    Out += Digits[C & 15];
+  }
+  return Out;
+}
+
+// Byte-level oracle for the state encoder. Heap objects carry their
+// type's dense id, not its address, so the vector is the same in every
+// process and can be pinned: any change to the encoding shows up here
+// even when it keeps every search count.
+TEST(StateSerialization, VerifyHarnessRootVectorIsPinned) {
+  VerifyHarness V;
+  Machine M(V.H.Module, verifyHarnessOptions());
+  M.setEnvModel(V.H.Env.get());
+  M.start();
+  std::string Vec;
+  size_t Reached = M.serializeState(Vec);
+  EXPECT_EQ(Reached, kRootReached);
+  EXPECT_EQ(Vec.size(), kRootBytes);
+  EXPECT_EQ(hex(Vec), kRootHex);
+}
+
+TEST(StateSerialization, SeededWalkDigestIsPinned) {
+  // A 200-step seeded walk over the same harness, back to the root at a
+  // dead end; every state vector and reached-object count is folded
+  // into one xxHash64 digest.
+  VerifyHarness V;
+  Machine M(V.H.Module, verifyHarnessOptions());
+  M.setEnvModel(V.H.Env.get());
+  M.start();
+  Machine::Snapshot Root = M.snapshot();
+  std::mt19937_64 Rng(22);
+  std::string Vec;
+  uint64_t Digest = 0;
+  for (unsigned Step = 0; Step != 200; ++Step) {
+    uint64_t Reached = M.serializeState(Vec);
+    Digest = xxHash64(Vec.data(), Vec.size(), Digest);
+    Digest = xxHash64(&Reached, sizeof(Reached), Digest);
+    ASSERT_FALSE(M.error()) << M.error().Message;
+    std::vector<Move> Moves = M.enumerateMoves();
+    if (Moves.empty()) {
+      M.restore(Root);
+      continue;
+    }
+    M.applyMove(Moves[Rng() % Moves.size()]);
+  }
+  EXPECT_EQ(Digest, kWalkDigest) << std::hex << Digest;
 }
 
 //===----------------------------------------------------------------------===//

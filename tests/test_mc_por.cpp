@@ -17,7 +17,6 @@
 #include "TestHelpers.h"
 
 #include <fstream>
-#include <set>
 #include <sstream>
 
 using namespace esp;
@@ -32,55 +31,6 @@ std::string readExample(const std::string &Name) {
   std::ostringstream Text;
   Text << In.rdbuf();
   return Text.str();
-}
-
-/// The per-process / cluster harness, opened up so tests can hold on to
-/// the module and environment and call replayTrace on the results.
-/// Mirrors verifyProcessMemorySafety (single name: the environment
-/// drives every channel the process receives from) and
-/// verifyProcessClusterMemorySafety (several names: driven = read by a
-/// kept process and written by none).
-struct Harness {
-  ModuleIR Module;
-  std::unique_ptr<BoundedEnvModel> Env;
-
-  McResult check(McOptions Mc) const {
-    Mc.Env = Env.get();
-    return checkModel(Module, Mc);
-  }
-  bool replay(McOptions Mc, const McResult &R) const {
-    Mc.Env = Env.get();
-    return replayTrace(Module, Mc, R);
-  }
-};
-
-Harness makeHarness(const Program &Prog,
-                    const std::vector<std::string> &Names) {
-  Harness H;
-  ModuleIR Full = lowerProgram(Prog);
-  H.Module.Prog = Full.Prog;
-  for (ProcIR &P : Full.Procs)
-    for (const std::string &Name : Names)
-      if (P.Proc->Name == Name) {
-        H.Module.Procs.push_back(std::move(P));
-        break;
-      }
-  EXPECT_FALSE(H.Module.Procs.empty());
-
-  std::set<std::string> Read, Written;
-  for (const ProcIR &P : H.Module.Procs)
-    for (const Inst &I : P.Insts) {
-      if (I.Kind != InstKind::Block)
-        continue;
-      for (const IRCase &Case : I.Cases)
-        (Case.IsIn ? Read : Written).insert(Case.Channel->Name);
-    }
-  std::set<std::string> Driven;
-  for (const std::string &Name : Read)
-    if (Names.size() == 1 || !Written.count(Name))
-      Driven.insert(Name);
-  H.Env = std::make_unique<BoundedEnvModel>(Driven);
-  return H;
 }
 
 /// Runs \p H full and reduced and checks the differential contract.

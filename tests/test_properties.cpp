@@ -18,7 +18,6 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
-#include <set>
 #include <sstream>
 
 using namespace esp;
@@ -281,36 +280,6 @@ process w {
 process r1 { in(c, $x); unlink(x); }
 process r2 { in(d, $y); }
 )";
-
-/// The isolated module and environment of a memory-safety harness, as
-/// verifyProcessMemorySafety (one process: the environment drives every
-/// channel it reads) or verifyProcessClusterMemorySafety (several: the
-/// channels some member reads and none writes) build them.
-struct Harness {
-  ModuleIR Module;
-  std::unique_ptr<BoundedEnvModel> Env;
-};
-
-Harness makeHarness(const Program &Prog,
-                    const std::vector<std::string> &Names) {
-  Harness H;
-  ModuleIR Full = lowerProgram(Prog);
-  H.Module.Prog = Full.Prog;
-  for (ProcIR &P : Full.Procs)
-    if (std::find(Names.begin(), Names.end(), P.Proc->Name) != Names.end())
-      H.Module.Procs.push_back(std::move(P));
-  std::set<std::string> Read, Written, Driven;
-  for (const ProcIR &P : H.Module.Procs)
-    for (const Inst &I : P.Insts)
-      if (I.Kind == InstKind::Block)
-        for (const IRCase &Case : I.Cases)
-          (Case.IsIn ? Read : Written).insert(Case.Channel->Name);
-  for (const std::string &Name : Read)
-    if (Names.size() == 1 || !Written.count(Name))
-      Driven.insert(Name);
-  H.Env = std::make_unique<BoundedEnvModel>(Driven);
-  return H;
-}
 
 /// Walks seeded random paths through \p Module (back to the root at dead
 /// ends and errors) on a verification-mode machine and checks, in every

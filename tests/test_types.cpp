@@ -38,6 +38,18 @@ TEST(Types, StructuralUniquing) {
   EXPECT_NE(A, D);
 }
 
+TEST(Types, IdsAreDenseInCreationOrder) {
+  TypeContext Ctx;
+  EXPECT_EQ(Ctx.getIntType()->id(), 0u);
+  EXPECT_EQ(Ctx.getBoolType()->id(), 1u);
+  const Type *Arr = Ctx.getArrayType(Ctx.getIntType(), false);
+  const Type *MutArr = Ctx.getArrayType(Ctx.getIntType(), true);
+  EXPECT_EQ(Arr->id(), 2u);
+  EXPECT_EQ(MutArr->id(), 3u);
+  // Uniquing returns the existing type, id included.
+  EXPECT_EQ(Ctx.getArrayType(Ctx.getIntType(), false)->id(), 2u);
+}
+
 TEST(Types, MutabilityDistinguishesTypes) {
   TypeContext Ctx;
   const Type *Imm = Ctx.getArrayType(Ctx.getIntType(), false);
