@@ -13,7 +13,8 @@
 // A second table compares the visited-state storage back-ends (exact,
 // hash compaction) on the same system and on the VMMC firmware's
 // per-process memory-safety harness (§5.3), and the measurements are
-// emitted to BENCH_mc_modes.json.
+// emitted to BENCH_mc_modes.json. Every row runs its search five times
+// and reports the run of median wall time.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +25,7 @@
 #include "support/SourceManager.h"
 #include "vmmc/EspFirmwareSource.h"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -37,6 +39,30 @@ obs::JsonValue Rows = obs::JsonValue::array();
 
 double statesPerSec(const McResult &R) {
   return R.Seconds > 0 ? R.StatesExplored / R.Seconds : 0.0;
+}
+
+/// Runs \p Search five times and returns the run of median wall time,
+/// so that one slow stretch of the host does not decide a row's speed.
+/// Every run must report the same counts and verdict.
+template <typename Fn> McResult medianRun(Fn &&Search) {
+  constexpr size_t kRuns = 5;
+  std::vector<McResult> Runs;
+  for (size_t I = 0; I != kRuns; ++I) {
+    Runs.push_back(Search());
+    const McResult &First = Runs.front(), &Last = Runs.back();
+    if (Last.StatesExplored != First.StatesExplored ||
+        Last.StatesStored != First.StatesStored ||
+        Last.Transitions != First.Transitions ||
+        Last.Verdict != First.Verdict) {
+      std::fprintf(stderr, "counts differ between runs of one search\n");
+      std::exit(1);
+    }
+  }
+  std::sort(Runs.begin(), Runs.end(),
+            [](const McResult &A, const McResult &B) {
+              return A.Seconds < B.Seconds;
+            });
+  return Runs[kRuns / 2];
 }
 
 double bytesPerState(const McResult &R) {
@@ -157,7 +183,7 @@ void runModeRow(const char *Label, const ModuleIR &Module, SearchMode Mode,
   Options.MaxStates = 4'000'000;
   Options.SimulationRuns = 64;
   Options.CheckDeadlock = false; // server loops forever by design.
-  McResult R = checkModel(Module, Options);
+  McResult R = medianRun([&] { return checkModel(Module, Options); });
   const char *ModeName = Mode == SearchMode::Exhaustive ? "exhaustive"
                          : Mode == SearchMode::BitState ? "bit-state"
                                                         : "simulation";
@@ -184,7 +210,7 @@ void runVisitedRow(const char *Label, const ModuleIR &Module,
   Options.Visited = Cfg.Visited;
   Options.MaxStates = 4'000'000;
   Options.CheckDeadlock = false;
-  McResult R = checkModel(Module, Options);
+  McResult R = medianRun([&] { return checkModel(Module, Options); });
   std::printf("%-28s %-15s %10llu %9.3f %10.0f %8.1f %9.2f  %s\n", Label,
               Cfg.Name, static_cast<unsigned long long>(R.StatesStored),
               R.Seconds, statesPerSec(R), bytesPerState(R),
@@ -203,7 +229,7 @@ double runParallelRow(const char *Label, const ModuleIR &Module,
   Options.MaxStates = 4'000'000;
   Options.CheckDeadlock = false;
   Options.Jobs = Jobs;
-  McResult R = checkModel(Module, Options);
+  McResult R = medianRun([&] { return checkModel(Module, Options); });
   double Speedup = R.Seconds > 0 && BaselineSec > 0 ? BaselineSec / R.Seconds
                                                     : 0.0;
   std::printf("%-28s %-15s %5u %10llu %9.3f %10.0f %8.2fx  %s\n", Label,
@@ -224,7 +250,8 @@ double runVmmcParallelRow(const Program &Prog, const char *ProcName,
   Options.Mc.MaxObjects = 128;
   Options.Mc.Visited = Cfg.Visited;
   Options.Mc.Jobs = Jobs;
-  McResult R = verifyProcessMemorySafety(Prog, ProcName, Options);
+  McResult R = medianRun(
+      [&] { return verifyProcessMemorySafety(Prog, ProcName, Options); });
   double Speedup = R.Seconds > 0 && BaselineSec > 0 ? BaselineSec / R.Seconds
                                                     : 0.0;
   std::printf("%-28s %-15s %5u %10llu %9.3f %10.0f %8.2fx  %s\n", ProcName,
@@ -262,9 +289,12 @@ double runPorPair(const Program &Prog,
   Options.Mc.MaxStates = MaxStates;
   Options.Mc.EnvSendBudget = EnvBudget;
   Options.Mc.Jobs = Jobs;
-  McResult Full = verifyProcessClusterMemorySafety(Prog, Procs, Options);
+  auto Search = [&] {
+    return verifyProcessClusterMemorySafety(Prog, Procs, Options);
+  };
+  McResult Full = medianRun(Search);
   Options.Mc.Por = true;
-  McResult Por = verifyProcessClusterMemorySafety(Prog, Procs, Options);
+  McResult Por = medianRun(Search);
 
   bool BothComplete = Full.Verdict == McVerdict::OK &&
                       Por.Verdict == McVerdict::OK;
@@ -294,7 +324,8 @@ void runClusterExactRow(const Program &Prog,
   Options.Mc.MaxStates = MaxStates;
   Options.Mc.EnvSendBudget = EnvBudget;
   Options.Mc.Visited = VisitedKind::Exact;
-  McResult R = verifyProcessClusterMemorySafety(Prog, Procs, Options);
+  McResult R = medianRun(
+      [&] { return verifyProcessClusterMemorySafety(Prog, Procs, Options); });
   std::printf("%-34s %-6s %5u %10llu %6u %9.3f %8.1f  %s\n", Name.c_str(),
               "exact", 1u, static_cast<unsigned long long>(R.StatesStored),
               R.MaxDepthReached, R.Seconds, bytesPerState(R), verdictLabel(R));
@@ -308,7 +339,8 @@ void runVmmcRow(const Program &Prog, const char *ProcName,
   Options.Mc.MaxStates = 2'000'000;
   Options.Mc.MaxObjects = 128;
   Options.Mc.Visited = Cfg.Visited;
-  McResult R = verifyProcessMemorySafety(Prog, ProcName, Options);
+  McResult R = medianRun(
+      [&] { return verifyProcessMemorySafety(Prog, ProcName, Options); });
   std::printf("%-28s %-15s %10llu %9.3f %10.0f %8.1f %9.2f  %s\n", ProcName,
               Cfg.Name, static_cast<unsigned long long>(R.StatesStored),
               R.Seconds, statesPerSec(R), bytesPerState(R),

@@ -90,6 +90,10 @@ std::string McResult::report() const {
     OS << ReplayedMoves << " moves replayed (checkpoint restore), "
        << (CheckpointBytes / 1024.0 / 1024.0)
        << " Mbyte peak checkpoint snapshots\n";
+  if (TransitionCacheHits || SegmentPoolBytes || TransitionCacheBytes)
+    OS << TransitionCacheHits << " transitions served by the transition "
+       << "cache, " << ((SegmentPoolBytes + TransitionCacheBytes) / 1024.0)
+       << " Kbyte peak cache\n";
   if (JobsUsed > 1) {
     OS << JobsUsed << " workers (";
     for (size_t I = 0; I != WorkerExplored.size(); ++I)
@@ -136,6 +140,10 @@ std::string McResult::json() const {
   Root.set("memory_bytes", JsonValue::integer(MemoryBytes));
   Root.set("replayed_moves", JsonValue::integer(ReplayedMoves));
   Root.set("checkpoint_bytes", JsonValue::integer(CheckpointBytes));
+  Root.set("transition_cache_hits", JsonValue::integer(TransitionCacheHits));
+  Root.set("segment_pool_bytes", JsonValue::integer(SegmentPoolBytes));
+  Root.set("transition_cache_bytes",
+           JsonValue::integer(TransitionCacheBytes));
   Root.set("seconds", JsonValue::number(Seconds));
   Root.set("jobs", JsonValue::integer(JobsUsed));
   if (PorReducedStates || PorFullStates || PorProvisoUpgrades) {

@@ -141,6 +141,13 @@ struct McResult {
   /// Peak live bytes of DFS checkpoint snapshots (summed over workers'
   /// peaks for the parallel engine): the memory side of ReplayedMoves.
   size_t CheckpointBytes = 0;
+  /// Transitions whose successor the transition cache served
+  /// (src/mc/TransitionCache.h) instead of applying the move.
+  uint64_t TransitionCacheHits = 0;
+  /// Peak bytes of the cache's interned segments and of its entry table
+  /// (summed over workers' peaks).
+  size_t SegmentPoolBytes = 0;
+  size_t TransitionCacheBytes = 0;
   double Seconds = 0.0;
 
   // Worker accounting.

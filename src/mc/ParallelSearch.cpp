@@ -8,6 +8,7 @@
 
 #include "mc/Por.h"
 #include "mc/StateStore.h"
+#include "mc/TransitionCache.h"
 #include "support/StringExtras.h"
 
 #include <algorithm>
@@ -335,11 +336,15 @@ struct WorkerStats {
   uint64_t PorReduced = 0;
   uint64_t PorFull = 0;
   uint64_t PorProvisoRejected = 0;
+  // Transition cache (one per worker).
+  uint64_t CacheHits = 0;
+  size_t PoolBytes = 0;  ///< Peak segment-pool bytes.
+  size_t CacheBytes = 0; ///< Peak entry-table bytes.
 };
 
 /// Everything a worker thread owns: its Machine over the shared
 /// read-only module and compiled program, the scratch buffer of its
-/// state vectors, counters.
+/// state vectors, its transition cache, counters.
 struct WorkerCtx {
   Machine M;
   WorkerStats Stats;
@@ -349,23 +354,44 @@ struct WorkerCtx {
   /// The current work item's DFS checkpoints.
   CheckpointStack Checkpoints;
   /// This worker's share of the visited set's bytes, the budget for its
-  /// dense checkpoints; refreshed as the set grows.
+  /// dense checkpoints and for its transition cache; refreshed as the
+  /// set grows.
   size_t CheckpointBudget = 0;
+  TransitionCache Cache;
+  /// The parts (TransitionCache) of each DFS frame's state, Cache.
+  /// partsWords() words a frame, and a slot for the successor past the
+  /// top.
+  std::vector<uint32_t> Parts;
 
   WorkerCtx(const ModuleIR &Module, const McOptions &Options,
             const MachineOptions &MO,
             std::shared_ptr<const CompiledProgram> Compiled)
       : M(Module, MO, std::move(Compiled)),
-        Checkpoints(Options.SnapshotStride) {
+        Checkpoints(Options.SnapshotStride), Cache(M) {
     M.setEnvModel(Options.Env);
+  }
+
+  /// Frame \p Depth's parts, with room for \p Depth + 1's.
+  uint32_t *parts(size_t Depth) {
+    const size_t Words = Cache.partsWords();
+    if (Parts.size() < (Depth + 2) * Words)
+      Parts.resize(2 * (Depth + 2) * Words);
+    return Parts.data() + Depth * Words;
   }
 
   /// Final counters of this worker.
   WorkerStats stats() {
     Stats.CheckpointBytes = Checkpoints.peakBytes();
+    Stats.CacheHits = Cache.hits();
+    Stats.PoolBytes = Cache.peakPoolBytes();
+    Stats.CacheBytes = Cache.peakTableBytes();
     return Stats;
   }
 };
+
+/// The transition cache's memory floor, for a worker whose share of the
+/// visited set is still small.
+constexpr size_t kCacheFloorBytes = size_t(1) << 20;
 
 //===----------------------------------------------------------------------===//
 // The cooperative DFS
@@ -436,6 +462,8 @@ struct Frame {
   /// Moves[0..AmpleCount) is the ample prefix; equals Moves.size()
   /// without --por or when no eligible ample subset exists.
   size_t AmpleCount = 0;
+  /// The cache generation this frame's parts were captured in.
+  uint32_t CacheGen = 0;
 };
 
 void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
@@ -513,6 +541,8 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
       return;
     }
     selectAmple(Root);
+    W.Cache.capture(M, W.parts(0));
+    Root.CacheGen = W.Cache.generation();
     Stack.push_back(std::move(Root));
     Checkpoints.framePushed(M, 0, Stack.back().Moves.size(),
                             W.CheckpointBudget);
@@ -528,6 +558,21 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
     W.Stats.Replayed += Checkpoints.restore(M, Stack, Target);
     MachineAt = Target;
   };
+
+#ifndef NDEBUG
+  // Debug builds check every cache hit against the machine: the served
+  // vector must be the one applying the move gives. The check leaves
+  // MachineAt's meaning and the replay count as they were.
+  auto checkHit = [&](const Move &Mv) {
+    const size_t TopIndex = Stack.size() - 1;
+    Checkpoints.restore(M, Stack, TopIndex);
+    M.applyMove(Mv);
+    const std::string Applied = M.serializeState();
+    assert(Applied == W.Raw && "the transition cache served a wrong vector");
+    if (MachineAt == TopIndex)
+      Checkpoints.restore(M, Stack, TopIndex);
+  };
+#endif
 
   // Offload heuristic: hand a fresh subtree to the shared queue only
   // when other workers are hungry AND this worker keeps enough local
@@ -563,9 +608,6 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
     Move Chosen = Top.Moves[Top.NextMove];
     uint32_t ChosenIndex = static_cast<uint32_t>(Top.NextMove);
     ++Top.NextMove;
-    restoreToTop();
-    M.applyMove(Chosen);
-    MachineAt = Dirty;
     ++W.Stats.Transitions;
     ++W.Stats.Explored;
     GlobalExplored.fetch_add(1, std::memory_order_relaxed);
@@ -582,12 +624,34 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
                                           : Queue.approxSize(),
                                 std::memory_order_relaxed);
     }
-    {
+    // The successor's vector: from the transition cache, or by applying
+    // the move, which then gets cached if the successor is clean.
+    W.Cache.enforceBudget(std::max(W.CheckpointBudget, kCacheFloorBytes));
+    if (Top.CacheGen != W.Cache.generation()) {
+      restoreToTop();
+      W.Cache.capture(M, W.parts(Stack.size() - 1));
+      Top.CacheGen = W.Cache.generation();
+    }
+    uint32_t *ParentParts = W.parts(Stack.size() - 1);
+    uint32_t *ChildParts = ParentParts + W.Cache.partsWords();
+    const bool Hit = W.Cache.lookup(ParentParts, Chosen, W.Raw);
+#ifndef NDEBUG
+    if (Hit)
+      checkHit(Chosen);
+#endif
+    if (!Hit) {
+      restoreToTop();
+      M.applyMove(Chosen);
+      MachineAt = Dirty;
       McResult V;
-      if (checkStateViolation(M, Options, V, M.serializeState(W.Raw))) {
+      size_t Reached = M.error() ? 0
+                                 : W.Cache.successor(M, ParentParts, Chosen,
+                                                     W.Raw, ChildParts);
+      if (checkStateViolation(M, Options, V, Reached)) {
         reportViolation(V, &Chosen, ChosenIndex);
         return;
       }
+      W.Cache.record(ParentParts, Chosen, ChildParts);
     }
     if (!Visited.insert(W.Raw))
       continue;
@@ -610,6 +674,14 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
       // explored, so an error-free search is only PartialOK.
       W.Stats.DepthTruncated = true;
       continue;
+    }
+    if (Hit) {
+      // A new state reached through the cache: the machine must hold it
+      // to expand it or hand it off, and its frame needs its parts.
+      restoreToTop();
+      M.applyMove(Chosen);
+      MachineAt = Dirty;
+      W.Cache.successor(M, ParentParts, Chosen, W.Raw, ChildParts);
     }
     if (AllowOffload && Queue.hungry() && haveLocalReserve()) {
       WorkItem Child;
@@ -638,6 +710,7 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
       return;
     }
     selectAmple(Next);
+    Next.CacheGen = W.Cache.generation();
     Stack.push_back(std::move(Next));
     MachineAt = Stack.size() - 1;
     Checkpoints.framePushed(M, MachineAt, Stack.back().Moves.size(),
@@ -675,6 +748,9 @@ void ParallelDfs::aggregate(McResult &Result,
     Result.Transitions += S.Transitions;
     Result.ReplayedMoves += S.Replayed;
     Result.CheckpointBytes += S.CheckpointBytes;
+    Result.TransitionCacheHits += S.CacheHits;
+    Result.SegmentPoolBytes += S.PoolBytes;
+    Result.TransitionCacheBytes += S.CacheBytes;
     Result.DepthTruncated |= S.DepthTruncated;
     Result.MaxDepthReached = std::max(
         Result.MaxDepthReached, static_cast<unsigned>(S.MaxDepthReached));

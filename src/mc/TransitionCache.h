@@ -1,0 +1,220 @@
+//===--- TransitionCache.h - The search's successor cache -------*- C++ -*-==//
+//
+// Part of the esplang project (ESP, PLDI 2001 reproduction).
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// A per-worker cache of the exhaustive search's transitions: LTSmin's
+/// PINS transition cache (Blom, van de Pol and Weber, CAV 2010) over
+/// per-process components interned as in SPIN's COLLAPSE mode.
+///
+/// In verification mode a move changes only the processes that take part
+/// in it, its writer and its reader (the environment is neither), and
+/// deep-copy transfers keep every heap object reachable from one process
+/// at most. A state vector is one segment per process plus a tail
+/// (Machine::serializeState), so a successor's vector is a function of
+/// the move, the participants' segments and the heap's live count, which
+/// decides whether an allocation hits MaxObjects. The cache stores that
+/// function for the transitions that raised no violation; a move it has
+/// seen costs a lookup and a splice of interned segments instead of a
+/// restore, an apply and a serialize.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef ESP_MC_TRANSITIONCACHE_H
+#define ESP_MC_TRANSITIONCACHE_H
+
+#include "runtime/Machine.h"
+
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <vector>
+
+namespace esp {
+namespace mc_detail {
+
+/// A hash index over records kept densely elsewhere under ids 0, 1, ...:
+/// linear probing in a power-of-two table of 4-byte slots, at most half
+/// full, each holding an id + 1 (0 marks an empty slot).
+class IdIndex {
+public:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  /// The first id filed under \p Hash that \p Match accepts, or kNone.
+  template <typename MatchFn>
+  uint32_t find(uint64_t Hash, MatchFn &&Match) const {
+    if (Slots.empty())
+      return kNone;
+    const size_t Mask = Slots.size() - 1;
+    for (size_t I = Hash & Mask; Slots[I] != 0; I = (I + 1) & Mask)
+      if (Match(Slots[I] - 1))
+        return Slots[I] - 1;
+    return kNone;
+  }
+
+  /// Files the next id, size(), under \p Hash. Growing the table re-files
+  /// every id under \p HashOf(id).
+  template <typename HashFn> void insert(uint64_t Hash, HashFn &&HashOf) {
+    const uint32_t Id = Count++;
+    if (2 * Count > Slots.size()) {
+      Slots.assign(std::max<size_t>(64, 2 * Slots.size()), 0);
+      for (uint32_t Old = 0; Old != Id; ++Old)
+        place(HashOf(Old), Old);
+    }
+    place(Hash, Id);
+  }
+
+  uint32_t size() const { return Count; }
+  size_t memoryBytes() const { return Slots.capacity() * sizeof(uint32_t); }
+  /// Drops every id and releases the memory.
+  void clear() {
+    std::vector<uint32_t>().swap(Slots);
+    Count = 0;
+  }
+
+private:
+  void place(uint64_t Hash, uint32_t Id) {
+    const size_t Mask = Slots.size() - 1;
+    size_t I = Hash & Mask;
+    while (Slots[I] != 0)
+      I = (I + 1) & Mask;
+    Slots[I] = Id + 1;
+  }
+
+  std::vector<uint32_t> Slots;
+  uint32_t Count = 0;
+};
+
+/// Interned byte strings: each distinct segment is stored once, in one
+/// arena, under a dense uint32_t id, with the number of heap objects it
+/// reaches.
+class SegmentPool {
+public:
+  /// The id of \p Bytes, interning it with its object count \p Objects on
+  /// first sight.
+  uint32_t intern(std::string_view Bytes, uint32_t Objects);
+
+  /// Segment \p Id's bytes; valid until the next intern().
+  std::string_view bytes(uint32_t Id) const {
+    const Segment &S = Segments[Id];
+    return {Arena.data() + S.Offset, S.Length};
+  }
+  uint32_t objects(uint32_t Id) const { return Segments[Id].Objects; }
+
+  size_t size() const { return Segments.size(); }
+  /// Bytes held: the arena, the segment records and the table.
+  size_t memoryBytes() const;
+  /// Drops every segment and releases the memory.
+  void clear() {
+    std::string().swap(Arena);
+    std::vector<Segment>().swap(Segments);
+    Index.clear();
+  }
+
+private:
+  struct Segment {
+    uint64_t Hash;
+    size_t Offset;
+    uint32_t Length;
+    uint32_t Objects;
+  };
+
+  std::string Arena;
+  std::vector<Segment> Segments;
+  IdIndex Index;
+};
+
+/// One worker's transition cache. The search keeps each DFS frame's
+/// *parts*, partsWords() words: one segment id per process, the
+/// envSends() counts, then the heap's live count. Ids are valid for one
+/// generation(): enforceBudget() drops the pool and the table together,
+/// after which older parts must be captured again.
+class TransitionCache {
+public:
+  /// A cache for machines shaped like \p M (its process count and
+  /// whether its vectors carry environment-send counts). \p M must use
+  /// DeepCopyTransfers, as every search machine does.
+  explicit TransitionCache(const Machine &M);
+
+  size_t partsWords() const { return NumProcs + NumEnv + 1; }
+
+  /// Fills \p Parts with \p M's current state, interning every segment.
+  void capture(const Machine &M, uint32_t *Parts);
+
+  /// The vector of the successor of the state \p Parent under \p Mv,
+  /// when cached, into \p Vec. Such a successor raised no violation.
+  bool lookup(const uint32_t *Parent, const Move &Mv, std::string &Vec);
+
+  /// \p M holds the successor of \p Parent under \p Mv and has no runtime
+  /// error: after a miss, or after a hit whose successor must be
+  /// expanded. Serializes the participants' segments and writes the
+  /// successor's vector into \p Vec and its parts into \p Child. Returns
+  /// the number of heap objects the vector reaches
+  /// (Machine::countLeakedObjects(size_t)).
+  size_t successor(const Machine &M, const uint32_t *Parent, const Move &Mv,
+                   std::string &Vec, uint32_t *Child);
+
+  /// Caches \p Parent --\p Mv--> \p Child, a transition whose successor
+  /// raised no violation.
+  void record(const uint32_t *Parent, const Move &Mv, const uint32_t *Child);
+
+  uint32_t generation() const { return Generation; }
+
+  /// Drops the pool and the table, starting a new generation, when
+  /// together they hold more than \p Budget bytes.
+  void enforceBudget(size_t Budget);
+
+  uint64_t hits() const { return Hits; }
+  size_t entries() const { return Entries.size(); }
+  const SegmentPool &pool() const { return Pool; }
+  /// Peak bytes of the segment pool and of the entry table.
+  size_t peakPoolBytes() const;
+  size_t peakTableBytes() const;
+
+private:
+  static constexpr uint32_t kNone = IdIndex::kNone;
+
+  /// A move, its participants' segment ids and the live count, packed
+  /// into 20 bytes. The move's channel is left out: the participant's
+  /// case index and its PC, which its segment holds, determine it.
+  struct Key {
+    uint32_t Packed[2]; ///< Kind, writer, reader, their cases, variant.
+    uint32_t In[2];   ///< Writer's and reader's segment ids, or kNone.
+    uint32_t Live;    ///< The parent's heap live count.
+    friend bool operator==(const Key &, const Key &) = default;
+  };
+  struct Entry {
+    Key K;
+    uint32_t Out[2]; ///< The participants' successor segment ids.
+  };
+
+  /// Packs the key of \p Mv from \p Parent; false for a move whose
+  /// indices do not fit the packing, which is never cached.
+  bool makeKey(const Move &Mv, const uint32_t *Parent, Key &K) const;
+  static uint64_t hash(const Key &K);
+  /// Writes \p Parts' vector into \p Vec; returns the objects it reaches.
+  size_t splice(const uint32_t *Parts, std::string &Vec) const;
+  size_t tableBytes() const {
+    return Entries.capacity() * sizeof(Entry) + Index.memoryBytes();
+  }
+
+  unsigned NumProcs;
+  size_t NumEnv;
+  SegmentPool Pool;
+  std::vector<Entry> Entries;
+  IdIndex Index; ///< Of Entries, by key.
+  uint32_t Generation = 0;
+  uint64_t Hits = 0;
+  size_t PeakPool = 0;
+  size_t PeakTable = 0;
+  std::string Scratch; ///< One segment being serialized.
+  std::vector<uint32_t> Spliced; ///< A hit's successor parts.
+};
+
+} // namespace mc_detail
+} // namespace esp
+
+#endif // ESP_MC_TRANSITIONCACHE_H

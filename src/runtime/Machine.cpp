@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstring>
 #include <sstream>
 
 using namespace esp;
@@ -1791,6 +1792,9 @@ thread_local SerializerScratch Scratch;
 /// generations, free-list order) coincide; an object's contents follow
 /// its first-visit marker, and its type is written as the type's dense
 /// id, so the vector does not depend on where anything sits in memory.
+/// Ids count from the start of the current segment (segment());
+/// a reference back into an earlier segment writes the object's id in
+/// the whole vector instead.
 ///
 /// The bytes go through a raw cursor into \p Out. Space is reserved once
 /// per run of values (a slot array, a prepared span, an object's
@@ -1814,27 +1818,24 @@ public:
     return NumObjects;
   }
 
-  /// A process's status byte and PC.
-  void header(uint8_t Status, uint32_t PC) {
+  /// Process \p P's segment: its status byte and PC, its slots, then a
+  /// valid byte per case of the block it waits at, each valid one
+  /// followed by the case's prepared values. Canonical ids restart here.
+  void segment(const ProcState &P, const CompiledProc &CProc) {
+    SegBase = NumObjects;
     reserve(1 + kMaxVarint32);
-    char *P = Cur;
-    *P++ = static_cast<char>(Status);
-    Cur = varint(P, PC);
-  }
-
-  void byte(uint8_t B) {
-    reserve(1);
-    *Cur++ = static_cast<char>(B);
-  }
-
-  /// \p Words as 4 little-endian bytes each.
-  void words(std::span<const uint32_t> Words) {
-    reserve(4 * Words.size());
-    char *P = Cur;
-    for (uint32_t W : Words)
-      for (int Shift = 0; Shift != 32; Shift += 8)
-        *P++ = static_cast<char>((W >> Shift) & 0xff);
-    Cur = P;
+    char *Pos = Cur;
+    *Pos++ = static_cast<char>(P.St);
+    Cur = varint(Pos, P.PC);
+    values(P.Slots);
+    if (P.PreparedValid.empty())
+      return;
+    const std::vector<CCase> &Cases = CProc.Insts[P.PC].Cases;
+    for (size_t C = 0; C != P.PreparedValid.size(); ++C) {
+      byte(P.PreparedValid[C] ? 1 : 0);
+      if (P.PreparedValid[C])
+        values({P.Prepared.data() + Cases[C].PrepBegin, Cases[C].PrepCount});
+    }
   }
 
   /// A run of values.
@@ -1864,6 +1865,11 @@ private:
 
   /// Writes \p V at \p P if it fits in kValueBytes: Uninit, Bool, or an
   /// Int whose zigzag encoding fits one byte. False leaves P unchanged.
+  void byte(uint8_t B) {
+    reserve(1);
+    *Cur++ = static_cast<char>(B);
+  }
+
   static bool narrow(char *&P, const Value &V) {
     switch (V.K) {
     case Value::Kind::Int: {
@@ -1930,12 +1936,18 @@ private:
       return;
     }
     // deref() matched the slot's generation, so the slot index alone
-    // identifies the object while the heap is not mutated.
+    // identifies the object while the heap is not mutated. Entries hold
+    // ids in the whole vector; the current segment's start at SegBase.
     SerializerScratch::Entry &Seen = S.Entries[V.Ref];
     if (Seen.Epoch == S.Epoch) {
       reserve(1 + kMaxVarint32);
-      *Cur = 4; // Back reference.
-      Cur = varint(Cur + 1, Seen.Id);
+      if (Seen.Id >= SegBase) {
+        *Cur = 4; // Back reference within the segment.
+        Cur = varint(Cur + 1, Seen.Id - SegBase);
+      } else {
+        *Cur = 6; // Cross reference into an earlier segment.
+        Cur = varint(Cur + 1, Seen.Id);
+      }
       return;
     }
     uint32_t Id = static_cast<uint32_t>(NumObjects++);
@@ -1943,7 +1955,7 @@ private:
     reserve(1 + 4 * kMaxVarint32 + kMaxVarint64);
     char *P = Cur;
     *P++ = 5; // First visit.
-    P = varint(P, Id);
+    P = varint(P, Id - SegBase);
     P = varint(P, Obj->ObjType->id());
     P = varint(P, zigzagEncode(Obj->Arm));
     P = varint(P, Obj->RefCount);
@@ -1957,6 +1969,8 @@ private:
   char *Cur;
   char *End;
   size_t NumObjects = 0;
+  /// Id of the current segment's first object.
+  size_t SegBase = 0;
 };
 
 } // namespace
@@ -1969,26 +1983,35 @@ std::string Machine::serializeState() const {
 
 size_t Machine::serializeState(std::string &Out) const {
   StateSerializer S(H, Out);
-  for (unsigned I = 0, E = static_cast<unsigned>(Procs.size()); I != E; ++I) {
-    const ProcState &P = Procs[I];
-    S.header(static_cast<uint8_t>(P.St), P.PC);
-    S.values(P.Slots);
-    if (P.PreparedValid.empty())
-      continue;
-    const std::vector<CCase> &Cases = CP.Procs[I].Insts[P.PC].Cases;
-    for (size_t C = 0; C != P.PreparedValid.size(); ++C) {
-      S.byte(P.PreparedValid[C] ? 1 : 0);
-      if (P.PreparedValid[C])
-        S.values(prepared(P, Cases[C]));
-    }
-  }
-  S.byte(static_cast<uint8_t>(Error.Kind));
-  // The spent per-channel env-send budget distinguishes states under a
-  // finite workload; with an unbounded environment it is omitted so the
-  // state vector is byte-identical to the budget-free build.
-  if (Options.EnvSendBudget != 0)
-    S.words(EnvSends);
+  for (unsigned I = 0, E = static_cast<unsigned>(Procs.size()); I != E; ++I)
+    S.segment(Procs[I], CP.Procs[I]);
+  size_t Reached = S.finish();
+  appendStateTail(Out, Error.Kind, envSends());
+  return Reached;
+}
+
+size_t Machine::serializeProcess(unsigned Proc, std::string &Out) const {
+  StateSerializer S(H, Out);
+  S.segment(Procs[Proc], CP.Procs[Proc]);
   return S.finish();
+}
+
+void Machine::appendStateTail(std::string &Out, RuntimeErrorKind Error,
+                              std::span<const uint32_t> EnvSends) {
+  // The spent per-channel env-send budget distinguishes states under a
+  // finite workload; with an unbounded environment it is omitted.
+  size_t At = Out.size();
+  Out.resize(At + 1 + 4 * EnvSends.size());
+  char *P = Out.data() + At;
+  *P++ = static_cast<char>(Error);
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!EnvSends.empty())
+      std::memcpy(P, EnvSends.data(), 4 * EnvSends.size());
+    return;
+  }
+  for (uint32_t W : EnvSends)
+    for (int Shift = 0; Shift != 32; Shift += 8)
+      *P++ = static_cast<char>((W >> Shift) & 0xff);
 }
 
 unsigned Machine::countLeakedObjects(size_t Reached) const {

@@ -399,6 +399,13 @@ public:
   /// canonical ids in first-visit order, so states that differ only in
   /// object allocation order (objectIds, generations, free-list order)
   /// serialize identically.
+  ///
+  /// The vector is one segment per process, in process order, then the
+  /// tail (appendStateTail). Canonical ids restart at 0 in each segment,
+  /// so a segment's bytes do not depend on the processes before it; a
+  /// reference to an object first visited in an earlier segment (only
+  /// sharing mode can make one) is written as a cross reference carrying
+  /// the object's id in the whole vector.
   std::string serializeState() const;
 
   /// Same, writing into \p Out (cleared first). The model checker reuses
@@ -406,6 +413,27 @@ public:
   /// a fresh string per state. Returns the number of distinct heap
   /// objects the walk reached (see countLeakedObjects(size_t)).
   size_t serializeState(std::string &Out) const;
+
+  /// Writes process \p Proc's segment alone into \p Out (cleared first)
+  /// and returns the number of heap objects it reaches. When no object is
+  /// shared between processes (always so under DeepCopyTransfers), these
+  /// are exactly the bytes serializeState writes for the process, and the
+  /// segments' counts add up to its reached count.
+  size_t serializeProcess(unsigned Proc, std::string &Out) const;
+
+  /// The per-channel environment sends that the state vector records:
+  /// every channel's count under an EnvSendBudget, none without one.
+  std::span<const uint32_t> envSends() const {
+    if (Options.EnvSendBudget == 0)
+      return {};
+    return EnvSends;
+  }
+
+  /// Appends the tail of a state vector to \p Out: the runtime error
+  /// kind, then each of \p EnvSends (envSends()) as 4 little-endian
+  /// bytes.
+  static void appendStateTail(std::string &Out, RuntimeErrorKind Error,
+                              std::span<const uint32_t> EnvSends);
 
   /// Live objects unreachable from any root: leaked memory. A full
   /// mark-sweep over the heap.

@@ -125,6 +125,41 @@ inline Harness makeHarness(const Program &Prog,
   return H;
 }
 
+/// Two processes over environment channels (a harness of both):
+/// `keeper` allocates one object on its first message on `k` and holds
+/// it; `taker` holds one object of its own and allocates (and frees) one
+/// more on every message on `t`.
+inline const char *const kKeeperTakerSource = R"(
+channel k: int
+channel t: int
+process keeper {
+  in(k, $n);
+  $a: array of int = { 1 -> n };
+  in(k, $m);
+  unlink(a);
+}
+process taker {
+  $own: array of int = { 1 -> 5 };
+  while (true) {
+    in(t, $x);
+    $b: array of int = { 1 -> x };
+    unlink(b);
+  }
+}
+)";
+
+/// The environment send of variant \p Variant on channel \p Chan among
+/// \p Moves, the moves \p M enumerated.
+inline Move findEnvSend(const Machine &M, const std::vector<Move> &Moves,
+                        const std::string &Chan, unsigned Variant) {
+  for (const Move &Mv : Moves)
+    if (Mv.K == Move::Kind::EnvSend && Mv.EnvVariant == Variant &&
+        M.module().Prog->Channels[Mv.Channel]->Name == Chan)
+      return Mv;
+  ADD_FAILURE() << "no environment send on " << Chan;
+  return Move();
+}
+
 } // namespace test
 } // namespace esp
 

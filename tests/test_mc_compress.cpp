@@ -224,7 +224,8 @@ MachineOptions verifyHarnessOptions() {
 
 /// Pins of the `verify` harness's state vectors (see the two tests
 /// below). The root holds two heap objects, a 64-entry and a 4-entry
-/// array, both of type id 16 (bytes 4 and 146).
+/// array, both of type id 16 (bytes 4 and 146): the first in pageTable's
+/// segment, the second in deliver's, so each has canonical id 0.
 constexpr size_t kRootReached = 2;
 constexpr size_t kRootBytes = 224;
 const char *const kRootHex =
@@ -232,10 +233,10 @@ const char *const kRootHex =
     "0100010001000100010001000100010001000100010001000100010001000100"
     "0100010001000100010001000100010001000100010001000100010001000100"
     "0100010001000100010001000100010001000100010001000100010001000100"
-    "0100010001000100000000000000010105011001010401000100010001000000"
+    "0100010001000100000000000000010105001001010401000100010001000000"
     "0000000000000000000000000000000000000000000000000000000000000000"
     "0000000000000000000000000000000000000000000000000000000000000000";
-constexpr uint64_t kWalkDigest = 5280302495173717825ULL;
+constexpr uint64_t kWalkDigest = 16158602111877918445ULL;
 
 std::string hex(const std::string &Bytes) {
   static const char Digits[] = "0123456789abcdef";
@@ -288,6 +289,81 @@ TEST(StateSerialization, SeededWalkDigestIsPinned) {
     M.applyMove(Moves[Rng() % Moves.size()]);
   }
   EXPECT_EQ(Digest, kWalkDigest) << std::hex << Digest;
+}
+
+// A state vector is one segment per process, with canonical ids counted
+// from each segment's start: a process's bytes do not depend on how many
+// objects the processes before it hold.
+TEST(StateSerialization, LaterSegmentsIgnoreEarlierObjectCounts) {
+  auto C = compile(kKeeperTakerSource);
+  ASSERT_TRUE(C);
+  Harness H = makeHarness(*C->Prog, {"keeper", "taker"});
+  Machine M(H.Module, verifyOptions());
+  M.setEnvModel(H.Env.get());
+  M.start();
+  const std::string Tail(1, '\0'); // No error, no environment budget.
+  std::string Keeper, Taker;
+  EXPECT_EQ(M.serializeProcess(0, Keeper), 0u);
+  EXPECT_EQ(M.serializeProcess(1, Taker), 1u);
+  EXPECT_EQ(M.serializeState(), Keeper + Taker + Tail);
+
+  M.applyMove(findEnvSend(M, M.enumerateMoves(), "k", 0));
+  ASSERT_FALSE(M.error()) << M.error().Message;
+  std::string KeeperAfter, TakerAfter, Vec;
+  EXPECT_EQ(M.serializeProcess(0, KeeperAfter), 1u);
+  EXPECT_EQ(M.serializeProcess(1, TakerAfter), 1u);
+  EXPECT_NE(KeeperAfter, Keeper);
+  EXPECT_EQ(TakerAfter, Taker);
+  EXPECT_EQ(M.serializeState(Vec), 2u);
+  EXPECT_EQ(Vec, KeeperAfter + TakerAfter + Tail);
+}
+
+// Sharing mode can make two processes reference one object. The later
+// process then writes a cross reference, so the vector tells a shared
+// object from two equal copies, and it is no longer the concatenation of
+// the processes' standalone segments.
+TEST(StateSerialization, SharedObjectsSerializeApartFromCopies) {
+  auto C = compile(R"(
+channel c: array of int
+channel d: int
+channel e: int
+process a {
+  $x: array of int = { 2 -> 7 };
+  out(c, x);
+  in(d, $n);
+  unlink(x);
+}
+process b {
+  in(c, $y);
+  in(e, $m);
+  unlink(y);
+}
+)");
+  ASSERT_TRUE(C);
+  MachineOptions Sharing = verifyOptions();
+  Sharing.DeepCopyTransfers = false;
+  Machine Shared(C->Module, Sharing);
+  Machine Copied(C->Module, verifyOptions());
+  const std::string Tail(1, '\0');
+  std::string Vec, A, B;
+  for (Machine *M : {&Shared, &Copied}) {
+    M->start();
+    std::vector<Move> Moves = M->enumerateMoves();
+    ASSERT_EQ(Moves.size(), 1u);
+    M->applyMove(Moves[0]);
+    ASSERT_FALSE(M->error()) << M->error().Message;
+    EXPECT_EQ(M->serializeProcess(0, A), 1u);
+    EXPECT_EQ(M->serializeProcess(1, B), 1u);
+    size_t Reached = M->serializeState(Vec);
+    if (M == &Copied) {
+      EXPECT_EQ(Reached, 2u);
+      EXPECT_EQ(Vec, A + B + Tail);
+    } else {
+      EXPECT_EQ(Reached, 1u);
+      EXPECT_NE(Vec, A + B + Tail);
+    }
+  }
+  EXPECT_NE(Shared.serializeState(), Copied.serializeState());
 }
 
 //===----------------------------------------------------------------------===//
