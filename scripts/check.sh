@@ -162,6 +162,18 @@ fi
 
 ESPSERVE="$BUILD_DIR/src/tools/espserve"
 
+echo "== numeric flags: no sign, no wrap, no retired flag =="
+# A sign or a value outside the destination's range is a usage error
+# (exit 2): "-1" once read as 2^64 - 1, and 2^32 as 0 in a 32-bit field.
+# --snapshot-stride is gone. Every command is capped so that it stays
+# small should the check regress.
+expect_exit 2 "$ESPSERVE" --machines 4294967296 --requests 10
+expect_exit 2 "$ESPMC" "$SCRATCH_DIR/vmmc.esp" --process pageTable \
+  --max-depth 4294967296 --max-states 1000
+expect_exit 2 "$ESPC" --run --max-steps -1 "$SCRATCH_DIR/overflow_run.esp"
+expect_exit 2 "$ESPMC" "$SCRATCH_DIR/vmmc.esp" --process pageTable \
+  --snapshot-stride 4 --max-states 1000
+
 echo "== espserve: fleet smoke (single-worker deterministic + 4 workers) =="
 # Exit 0 only when every request completed and the aggregate totals
 # match the load generator's prediction (see docs/serving.md).

@@ -85,29 +85,6 @@ int wholeVarSlot(const Expr *E) {
   return -1;
 }
 
-/// Whole-slot definition of a DeclInit or plain Store, else -1.
-int wholeDefSlot(const Inst &I) {
-  if (I.Kind == InstKind::DeclInit)
-    return static_cast<int>(I.Var->Slot);
-  if (I.Kind == InstKind::Store && I.PlainStore) {
-    const MatchPattern *M = ast_cast<MatchPattern>(I.LHS);
-    return wholeVarSlot(M->getValue());
-  }
-  return -1;
-}
-
-bool isAllocExpr(const Expr *E) {
-  switch (E->getKind()) {
-  case ExprKind::RecordLit:
-  case ExprKind::UnionLit:
-  case ExprKind::ArrayLit:
-  case ExprKind::Cast: // Allocates a deep copy (§4.2).
-    return true;
-  default:
-    return false;
-  }
-}
-
 /// Marks slots whose value may be captured by reference inside the stored
 /// value of \p E: a whole variable at the root or embedded in record,
 /// union, or array literals. Field/index projections and casts produce
@@ -244,14 +221,14 @@ struct ProcLinkAnalysis {
     for (const Inst &I : Proc.Insts) {
       switch (I.Kind) {
       case InstKind::DeclInit:
-        if (!isAllocExpr(I.RHS))
+        if (!exprIsAllocation(I.RHS))
           Tracked[I.Var->Slot] = false;
         collectEscapes(I.RHS, Escaped);
         break;
       case InstKind::Store:
         if (I.PlainStore) {
           int Slot = wholeDefSlot(I);
-          if (Slot >= 0 && !isAllocExpr(I.RHS))
+          if (Slot >= 0 && !exprIsAllocation(I.RHS))
             Tracked[Slot] = false;
           collectEscapes(I.RHS, Escaped);
         } else {

@@ -705,61 +705,38 @@ private:
       Body << "  if (esp_enabled[" << P << "] & " << (1u << C)
            << "u) { /* case " << C << " on " << Case.Channel->Name
            << " */\n";
-      if (Case.IsIn) {
-        for (const Endpoint &W : OutEndpoints[Case.Channel]) {
-          if (W.Proc == P)
-            continue;
-          Body << "    if (esp_status[" << W.Proc << "] == ESP_BLOCKED && "
-               << "esp_pc[" << W.Proc << "] == " << W.InstIndex
-               << " && (esp_enabled[" << W.Proc << "] & "
-               << (1u << W.CaseIndex) << "u)) {\n";
-          bool CommitTimePrep = W.Case->LazyOut && W.Case->MatchFree;
-          std::string Cond = "1";
-          if (!CommitTimePrep) {
-            emitEnsurePreparedIndented(W, Body);
-            std::ostringstream CondSetup;
-            Cond = matchValueAgainst(Self, W, CondSetup);
-            Body << CondSetup.str();
-          }
-          Body << "    if (" << Cond << ") {\n";
-          if (CommitTimePrep)
-            emitEnsurePrepared(W, Body);
-          emitCommit(W, Self, Body);
-          Body << "      esp_push_ready(" << W.Proc << ");\n";
-          Body << "      esp_push_ready(" << P << ");\n";
-          Body << "      return 1;\n";
-          Body << "    }\n";
-          Body << "    }\n";
+      // One loop over the partners of either direction: the writer's
+      // value is prepared and matched against the reader's pattern.
+      for (const Endpoint &Other :
+           (Case.IsIn ? OutEndpoints : InEndpoints)[Case.Channel]) {
+        if (Other.Proc == P)
+          continue;
+        const Endpoint &W = Case.IsIn ? Other : Self;
+        const Endpoint &R = Case.IsIn ? Self : Other;
+        Body << "    if (esp_status[" << Other.Proc << "] == ESP_BLOCKED && "
+             << "esp_pc[" << Other.Proc << "] == " << Other.InstIndex
+             << " && (esp_enabled[" << Other.Proc << "] & "
+             << (1u << Other.CaseIndex) << "u)) {\n";
+        bool CommitTimePrep = W.Case->LazyOut && W.Case->MatchFree;
+        std::string Cond = "1";
+        if (!CommitTimePrep) {
+          emitEnsurePreparedIndented(W, Body);
+          std::ostringstream CondSetup;
+          Cond = matchValueAgainst(R, W, CondSetup);
+          Body << CondSetup.str();
         }
-      } else {
-        for (const Endpoint &R : InEndpoints[Case.Channel]) {
-          if (R.Proc == P)
-            continue;
-          Body << "    if (esp_status[" << R.Proc << "] == ESP_BLOCKED && "
-               << "esp_pc[" << R.Proc << "] == " << R.InstIndex
-               << " && (esp_enabled[" << R.Proc << "] & "
-               << (1u << R.CaseIndex) << "u)) {\n";
-          bool CommitTimePrep = Self.Case->LazyOut && Self.Case->MatchFree;
-          std::string Cond = "1";
-          if (!CommitTimePrep) {
-            emitEnsurePreparedIndented(Self, Body);
-            std::ostringstream CondSetup;
-            Cond = matchValueAgainst(R, Self, CondSetup);
-            Body << CondSetup.str();
-          }
-          Body << "    if (" << Cond << ") {\n";
-          if (CommitTimePrep)
-            emitEnsurePrepared(Self, Body);
-          emitCommit(Self, R, Body);
-          Body << "      esp_push_ready(" << R.Proc << ");\n";
-          Body << "      esp_push_ready(" << P << ");\n";
-          Body << "      return 1;\n";
-          Body << "    }\n";
-          Body << "    }\n";
-        }
-        if (Case.Channel->Role == ChannelRole::ExternalReader)
-          emitExternalOut(Self, Body);
+        Body << "    if (" << Cond << ") {\n";
+        if (CommitTimePrep)
+          emitEnsurePrepared(W, Body);
+        emitCommit(W, R, Body);
+        Body << "      esp_push_ready(" << Other.Proc << ");\n";
+        Body << "      esp_push_ready(" << P << ");\n";
+        Body << "      return 1;\n";
+        Body << "    }\n";
+        Body << "    }\n";
       }
+      if (!Case.IsIn && Case.Channel->Role == ChannelRole::ExternalReader)
+        emitExternalOut(Self, Body);
       Body << "  }\n";
     }
     Body << "  return 0;\n";

@@ -95,6 +95,11 @@ struct Inst {
 void collectSuccessors(const Inst &I, unsigned Index,
                        std::vector<unsigned> &Succs);
 
+/// The slot \p I defines as a whole: a DeclInit's variable, or the
+/// variable a plain Store assigns. -1 for other instructions and for a
+/// store through a field or index, whose root is a use, not a def.
+int wholeDefSlot(const Inst &I);
+
 /// The lowered form of one process.
 struct ProcIR {
   const ProcessDecl *Proc = nullptr;

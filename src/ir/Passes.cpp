@@ -8,7 +8,6 @@
 
 #include "frontend/PatternAnalysis.h"
 
-#include <cassert>
 #include <functional>
 
 using namespace esp;
@@ -107,17 +106,6 @@ void collectPatternUsesDefs(const Pattern *P, SlotSet &Uses, SlotSet &Defs) {
   }
 }
 
-/// Whole-variable definition slot of a plain store, or -1 if the store is
-/// through a field/index (then the root is a use, not a def).
-int plainStoreWholeSlot(const Inst &I) {
-  assert(I.Kind == InstKind::Store && I.PlainStore);
-  const MatchPattern *M = ast_cast<MatchPattern>(I.LHS);
-  if (const VarRefExpr *V = ast_dyn_cast<VarRefExpr>(M->getValue()))
-    if (V->getVar())
-      return static_cast<int>(V->getVar()->Slot);
-  return -1;
-}
-
 void collectInstUsesDefs(const Inst &I, SlotSet &Uses, SlotSet &Defs) {
   switch (I.Kind) {
   case InstKind::DeclInit:
@@ -127,7 +115,7 @@ void collectInstUsesDefs(const Inst &I, SlotSet &Uses, SlotSet &Defs) {
   case InstKind::Store:
     collectExprUses(I.RHS, Uses);
     if (I.PlainStore) {
-      int WholeSlot = plainStoreWholeSlot(I);
+      int WholeSlot = wholeDefSlot(I);
       if (WholeSlot >= 0) {
         setSlot(Defs, static_cast<unsigned>(WholeSlot));
       } else {
@@ -161,6 +149,18 @@ void collectInstUsesDefs(const Inst &I, SlotSet &Uses, SlotSet &Defs) {
 }
 
 } // namespace
+
+int esp::wholeDefSlot(const Inst &I) {
+  if (I.Kind == InstKind::DeclInit)
+    return static_cast<int>(I.Var->Slot);
+  if (I.Kind != InstKind::Store || !I.PlainStore)
+    return -1;
+  const MatchPattern *M = ast_cast<MatchPattern>(I.LHS);
+  if (const VarRefExpr *V = ast_dyn_cast<VarRefExpr>(M->getValue()))
+    if (V->getVar())
+      return static_cast<int>(V->getVar()->Slot);
+  return -1;
+}
 
 void esp::collectSuccessors(const Inst &I, unsigned Index,
                             std::vector<unsigned> &Succs) {
@@ -359,11 +359,7 @@ unsigned eliminateDeadStores(ProcIR &Proc) {
   unsigned Count = 0;
   for (unsigned I = 0, E = Proc.Insts.size(); I != E; ++I) {
     Inst &Ins = Proc.Insts[I];
-    int Slot = -1;
-    if (Ins.Kind == InstKind::DeclInit)
-      Slot = static_cast<int>(Ins.Var->Slot);
-    else if (Ins.Kind == InstKind::Store && Ins.PlainStore)
-      Slot = plainStoreWholeSlot(Ins);
+    int Slot = wholeDefSlot(Ins);
     if (Slot < 0)
       continue;
     if (testSlot(LiveOut[I], static_cast<unsigned>(Slot)))

@@ -44,7 +44,7 @@ bool esp::replayTrace(const ModuleIR &Module, const McOptions &Options,
     M.applyMove(Step);
   }
   if (Result.Deadlock)
-    return M.isDeadlocked();
+    return !M.error() && isDeadlocked(M, M.enumerateMoves());
   if (Result.LeakedObjects > 0 && !M.error())
     return M.countLeakedObjects() == Result.LeakedObjects;
   if (!M.error())

@@ -60,19 +60,11 @@ struct McOptions {
   /// Visited-state storage for exhaustive search (default: 64-bit hash
   /// compaction; Exact keeps full state vectors).
   VisitedKind Visited = VisitedKind::Hash64;
-  /// DFS checkpoint policy. The DFS re-derives a frame's state by
-  /// replaying moves from the nearest Machine::Snapshot below it.
-  /// 0 (auto) checkpoints every frame with more than one move while the
-  /// live checkpoint bytes stay within the visited set's bytes, and every
-  /// 16th level beyond that. N > 0 checkpoints exactly every N-th level
-  /// (1 = every level: fastest backtrack, most memory).
-  unsigned SnapshotStride = 0;
   /// log2 of the bit-state table size (BitState mode); clamped to
   /// [MinBitStateBits, MaxBitStateBits].
   unsigned BitStateBits = 24;
-  /// Number and length of random walks (Simulation mode).
+  /// Number of random walks (Simulation mode), each at most 4096 moves.
   uint64_t SimulationRuns = 256;
-  unsigned SimulationDepth = 4096;
   uint64_t Seed = 0x9e3779b97f4a7c15ULL;
   /// Worker threads of the search engine (src/mc/ParallelSearch.h);
   /// 0 = hardware concurrency. N Machines over the shared read-only

@@ -35,6 +35,16 @@ MachineOptions esp::verifyMachineOptions(const McOptions &Options) {
   return MO;
 }
 
+bool esp::isDeadlocked(Machine &M, const std::vector<Move> &Moves) {
+  if (!Moves.empty() || M.error())
+    return false;
+  bool AnyBlocked = false;
+  for (unsigned I = 0, E = M.numProcesses(); I != E; ++I)
+    AnyBlocked |= M.proc(I).St == ProcState::Status::Blocked;
+  // None blocked: every process finished, a normal termination.
+  return AnyBlocked && !M.stuckOnEnvBudget();
+}
+
 namespace {
 
 //===----------------------------------------------------------------------===//
@@ -71,19 +81,15 @@ bool checkStateViolation(Machine &M, const McOptions &Options,
   return false;
 }
 
-/// Deadlock check over an already-enumerated move list: no enabled move
-/// while some process is still blocked.
-bool checkDeadlockViolation(Machine &M, const std::vector<Move> &Moves,
-                            const McOptions &Options, McResult &Result) {
-  if (!Options.CheckDeadlock || !Moves.empty() || M.error())
+/// Checks a state's freshly enumerated \p Moves. Enumeration itself can
+/// fault (ambiguous dispatch, object-table exhaustion while probing), and
+/// an empty list may be a deadlock; leaks cannot appear here.
+bool checkExpansion(Machine &M, const std::vector<Move> &Moves,
+                    const McOptions &Options, McResult &Result) {
+  if (M.error())
+    return checkStateViolation(M, Options, Result);
+  if (!Options.CheckDeadlock || !isDeadlocked(M, Moves))
     return false;
-  bool AnyBlocked = false;
-  for (unsigned I = 0, E = M.numProcesses(); I != E; ++I)
-    AnyBlocked |= M.proc(I).St == ProcState::Status::Blocked;
-  if (!AnyBlocked)
-    return false; // All processes finished: normal termination.
-  if (M.stuckOnEnvBudget())
-    return false; // Finite workload consumed: quiescence, not deadlock.
   Result.Verdict = McVerdict::Violation;
   Result.Deadlock = true;
   Result.Violation.Kind = RuntimeErrorKind::None;
@@ -96,30 +102,25 @@ bool checkDeadlockViolation(Machine &M, const std::vector<Move> &Moves,
 /// the nearest checkpoint at or below it by replaying the Taken moves of
 /// the frames in between, so checkpoints trade memory for replay time.
 ///
-/// An explicit McOptions::SnapshotStride N checkpoints every N-th level.
-/// The default (0, auto) checkpoints every frame the DFS will return to,
-/// i.e. every frame with more than one move, which makes backtracking a
-/// plain restore. Dense checkpoints stop once the live checkpoint bytes
-/// would exceed a budget (the visited set's own bytes, so a deep, narrow
-/// search cannot spend more on snapshots than on its state store); past
-/// that point the fixed FallbackStride bounds every replay.
+/// Every frame the DFS will return to, i.e. every frame with more than
+/// one move, gets a checkpoint, which makes backtracking a plain restore.
+/// Dense checkpoints stop once the live checkpoint bytes would exceed a
+/// budget (the visited set's own bytes, so a deep, narrow search cannot
+/// spend more on snapshots than on its state store); past that point a
+/// checkpoint every FallbackStride-th level bounds every replay.
 class CheckpointStack {
 public:
   static constexpr unsigned FallbackStride = 16;
-
-  explicit CheckpointStack(unsigned SnapshotStride)
-      : Auto(SnapshotStride == 0),
-        Stride(Auto ? FallbackStride : SnapshotStride) {}
 
   /// Frame \p Depth was pushed with \p NumMoves moves while \p M holds
   /// its state; \p BudgetBytes caps the live bytes of dense checkpoints.
   void framePushed(const Machine &M, size_t Depth, size_t NumMoves,
                    size_t BudgetBytes) {
-    if (Depth % Stride == 0) {
+    if (Depth % FallbackStride == 0) {
       push(M, Depth, M.snapshotBytes());
       return;
     }
-    if (!Auto || NumMoves <= 1 || Live >= BudgetBytes)
+    if (NumMoves <= 1 || Live >= BudgetBytes)
       return;
     size_t Bytes = M.snapshotBytes();
     if (Live + Bytes <= BudgetBytes)
@@ -173,8 +174,6 @@ private:
     Peak = std::max(Peak, Live);
   }
 
-  const bool Auto;
-  const unsigned Stride;
   /// Slots[0..Count) are the live checkpoints, bottom to top; the rest
   /// keep their buffers from earlier, deeper descents.
   std::vector<Checkpoint> Slots;
@@ -366,8 +365,7 @@ struct WorkerCtx {
   WorkerCtx(const ModuleIR &Module, const McOptions &Options,
             const MachineOptions &MO,
             std::shared_ptr<const CompiledProgram> Compiled)
-      : M(Module, MO, std::move(Compiled)),
-        Checkpoints(Options.SnapshotStride), Cache(M) {
+      : M(Module, MO, std::move(Compiled)), Cache(M) {
     M.setEnvModel(Options.Env);
   }
 
@@ -392,6 +390,44 @@ struct WorkerCtx {
 /// The transition cache's memory floor, for a worker whose share of the
 /// visited set is still small.
 constexpr size_t kCacheFloorBytes = size_t(1) << 20;
+
+/// Sums the joined workers' counters into \p Result.
+void aggregate(McResult &Result, const std::vector<WorkerStats> &Stats) {
+  Result.JobsUsed = static_cast<unsigned>(Stats.size());
+  for (const WorkerStats &S : Stats) {
+    Result.StatesExplored += S.Explored;
+    Result.StatesStored += S.Stored;
+    Result.Transitions += S.Transitions;
+    Result.ReplayedMoves += S.Replayed;
+    Result.CheckpointBytes += S.CheckpointBytes;
+    Result.TransitionCacheHits += S.CacheHits;
+    Result.SegmentPoolBytes += S.PoolBytes;
+    Result.TransitionCacheBytes += S.CacheBytes;
+    Result.DepthTruncated |= S.DepthTruncated;
+    Result.MaxDepthReached = std::max(
+        Result.MaxDepthReached, static_cast<unsigned>(S.MaxDepthReached));
+    Result.WorkerExplored.push_back(S.Explored);
+    Result.WorkerItems.push_back(S.Items);
+    Result.PorReducedStates += S.PorReduced;
+    Result.PorFullStates += S.PorFull;
+    Result.PorProvisoUpgrades += S.PorProvisoRejected;
+  }
+}
+
+/// Runs \p Body(Wid) for each of \p Jobs workers and joins them; a lone
+/// worker runs on the calling thread.
+template <typename Fn> void runWorkers(unsigned Jobs, Fn Body) {
+  if (Jobs == 1) {
+    Body(0u);
+    return;
+  }
+  std::vector<std::thread> Threads;
+  Threads.reserve(Jobs);
+  for (unsigned Wid = 0; Wid != Jobs; ++Wid)
+    Threads.emplace_back([&Body, Wid] { Body(Wid); });
+  for (std::thread &T : Threads)
+    T.join();
+}
 
 //===----------------------------------------------------------------------===//
 // The cooperative DFS
@@ -429,11 +465,13 @@ private:
     return ConcurrentVisitedSet::hashCompact(log2Shards(Jobs));
   }
 
+  bool startRoot(WorkerCtx &Root, ConcurrentVisitedSet &Table,
+                 McResult &Result);
   void processItem(WorkerCtx &W, const WorkItem &Item,
                    ConcurrentVisitedSet &Visited, bool AllowOffload,
                    bool Shuffle, ConcurrentVisitedSet *UnionTable);
   void workerMain(unsigned Wid, ConcurrentVisitedSet &Visited);
-  void aggregate(McResult &Result, const std::vector<WorkerStats> &Stats);
+  void finish(McResult &Result);
 
   const ModuleIR &Module;
   const McOptions &Options;
@@ -509,47 +547,51 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
     Queue.stopAll();
   };
 
-  // Expand the item's root state. Its violation/leak check was done by
-  // the worker that discovered (and inserted) it; the enumeration-fault
-  // and deadlock checks belong to expansion, so they happen here.
-  // --por: ample-set selection. The ample prefix, cycle proviso
-  // included, is a deterministic function of the state (stable partition
-  // over the canonical move enumeration), so the reduced state graph
-  // does not depend on which worker expands a state.
-  auto selectAmple = [&](Frame &F) {
+  // Pushes the frame of the state the machine holds, reached by Taken
+  // (unused for the item's root). The state's violation/leak check was
+  // done by whoever inserted it; the enumeration-fault and deadlock
+  // checks belong to expansion, so they happen here. False when they
+  // found a violation. --por: the ample prefix, cycle proviso included,
+  // is a deterministic function of the state (stable partition over the
+  // canonical move enumeration), so the reduced state graph does not
+  // depend on which worker expands a state.
+  auto expand = [&](const Move &Taken, uint32_t TakenIndex) {
+    Stack.emplace_back();
+    Frame &F = Stack.back();
+    F.Taken = Taken;
+    F.TakenIndex = TakenIndex;
+    F.Moves = M.enumerateMoves();
+    if (Shuffle)
+      std::shuffle(F.Moves.begin(), F.Moves.end(), W.Rng);
+    McResult V;
+    if (checkExpansion(M, F.Moves, Options, V)) {
+      reportViolation(V, nullptr, 0); // The path ends at this frame.
+      return false;
+    }
     F.AmpleCount = F.Moves.size();
-    if (!Por)
-      return;
-    bool ProvisoRejected = false;
-    F.AmpleCount = Por->selectAmple(M, F.Moves, ProvisoRejected);
-    if (F.AmpleCount < F.Moves.size())
-      ++W.Stats.PorReduced;
-    else
-      ++W.Stats.PorFull;
-    W.Stats.PorProvisoRejected += ProvisoRejected;
+    if (Por) {
+      bool ProvisoRejected = false;
+      F.AmpleCount = Por->selectAmple(M, F.Moves, ProvisoRejected);
+      if (F.AmpleCount < F.Moves.size())
+        ++W.Stats.PorReduced;
+      else
+        ++W.Stats.PorFull;
+      W.Stats.PorProvisoRejected += ProvisoRejected;
+    }
+    F.CacheGen = W.Cache.generation();
+    MachineAt = Stack.size() - 1;
+    Checkpoints.framePushed(M, MachineAt, F.Moves.size(),
+                            W.CheckpointBudget);
+    W.Stats.MaxDepthReached =
+        std::max(W.Stats.MaxDepthReached, BaseDepth + Stack.size());
+    return true;
   };
 
-  {
-    Frame Root;
-    Root.Moves = M.enumerateMoves();
-    if (Shuffle)
-      std::shuffle(Root.Moves.begin(), Root.Moves.end(), W.Rng);
-    McResult V;
-    if (M.error() ? checkStateViolation(M, Options, V)
-                  : checkDeadlockViolation(M, Root.Moves, Options, V)) {
-      reportViolation(V, nullptr, 0);
-      return;
-    }
-    selectAmple(Root);
-    W.Cache.capture(M, W.parts(0));
-    Root.CacheGen = W.Cache.generation();
-    Stack.push_back(std::move(Root));
-    Checkpoints.framePushed(M, 0, Stack.back().Moves.size(),
-                            W.CheckpointBudget);
-    MachineAt = 0;
-    W.Stats.MaxDepthReached =
-        std::max(W.Stats.MaxDepthReached, BaseDepth + 1);
-  }
+  // A new state's frame gets its parts from successor(); the item's
+  // root captures them.
+  W.Cache.capture(M, W.parts(0));
+  if (!expand(Move(), 0))
+    return;
 
   auto restoreToTop = [&]() {
     size_t Target = Stack.size() - 1;
@@ -694,29 +736,8 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
       Queue.push(std::move(Child));
       continue;
     }
-    Frame Next;
-    Next.Taken = Chosen;
-    Next.TakenIndex = ChosenIndex;
-    Next.Moves = M.enumerateMoves();
-    if (Shuffle)
-      std::shuffle(Next.Moves.begin(), Next.Moves.end(), W.Rng);
-    // Enumeration itself can fault (ambiguous dispatch, object-table
-    // exhaustion while probing); leaks cannot appear here, so only the
-    // error needs rechecking.
-    McResult V;
-    if (M.error() ? checkStateViolation(M, Options, V)
-                  : checkDeadlockViolation(M, Next.Moves, Options, V)) {
-      reportViolation(V, &Chosen, ChosenIndex);
+    if (!expand(Chosen, ChosenIndex))
       return;
-    }
-    selectAmple(Next);
-    Next.CacheGen = W.Cache.generation();
-    Stack.push_back(std::move(Next));
-    MachineAt = Stack.size() - 1;
-    Checkpoints.framePushed(M, MachineAt, Stack.back().Moves.size(),
-                            W.CheckpointBudget);
-    W.Stats.MaxDepthReached =
-        std::max(W.Stats.MaxDepthReached, BaseDepth + Stack.size());
   }
 }
 
@@ -739,36 +760,12 @@ void ParallelDfs::workerMain(unsigned Wid, ConcurrentVisitedSet &Visited) {
   Done[Wid] = W.stats();
 }
 
-void ParallelDfs::aggregate(McResult &Result,
-                            const std::vector<WorkerStats> &Stats) {
-  Result.JobsUsed = Jobs;
-  for (const WorkerStats &S : Stats) {
-    Result.StatesExplored += S.Explored;
-    Result.StatesStored += S.Stored;
-    Result.Transitions += S.Transitions;
-    Result.ReplayedMoves += S.Replayed;
-    Result.CheckpointBytes += S.CheckpointBytes;
-    Result.TransitionCacheHits += S.CacheHits;
-    Result.SegmentPoolBytes += S.PoolBytes;
-    Result.TransitionCacheBytes += S.CacheBytes;
-    Result.DepthTruncated |= S.DepthTruncated;
-    Result.MaxDepthReached = std::max(
-        Result.MaxDepthReached, static_cast<unsigned>(S.MaxDepthReached));
-    Result.WorkerExplored.push_back(S.Explored);
-    Result.WorkerItems.push_back(S.Items);
-    Result.PorReducedStates += S.PorReduced;
-    Result.PorFullStates += S.PorFull;
-    Result.PorProvisoUpgrades += S.PorProvisoRejected;
-  }
-}
-
-McResult ParallelDfs::run() {
-  McResult Result;
-  ConcurrentVisitedSet Visited = makeVisited(/*BitSeed=*/0);
-
-  // Root state: counted, checked and inserted on the calling thread,
-  // then handed to the workers as the first item.
-  WorkerCtx Root(Module, Options, MO, Compiled);
+/// Starts \p Root's machine at the search root, counts the root state and
+/// checks it. A clean root is inserted into \p Table and left serialized
+/// in Root.Raw; false when the root itself violates (\p Result then holds
+/// the violation).
+bool ParallelDfs::startRoot(WorkerCtx &Root, ConcurrentVisitedSet &Table,
+                            McResult &Result) {
   Machine &M = Root.M;
   M.start();
   ++Result.StatesExplored;
@@ -776,10 +773,10 @@ McResult ParallelDfs::run() {
   size_t Reached = M.serializeState(Root.Raw);
   Result.StateVectorBytes = Root.Raw.size();
   if (checkStateViolation(M, Options, Result, Reached)) {
-    Result.MemoryBytes = Visited.bytes();
-    return Result;
+    Result.MemoryBytes = Table.bytes();
+    return false;
   }
-  Visited.insert(Root.Raw);
+  Table.insert(Root.Raw);
   ++Result.StatesStored;
   if (obs::SearchProgress *Prog = Options.Progress) {
     // Root-state counts live in the scalar fields; workers add deltas in
@@ -789,26 +786,12 @@ McResult ParallelDfs::run() {
     Prog->Explored.store(Result.StatesExplored, std::memory_order_relaxed);
     Prog->Stored.store(Result.StatesStored, std::memory_order_relaxed);
   }
+  return true;
+}
 
-  WorkItem RootItem;
-  RootItem.Snap = M.snapshot();
-  Queue.push(std::move(RootItem));
-
-  Done.assign(Jobs, WorkerStats());
-  if (Jobs == 1) {
-    workerMain(0, Visited); // A lone worker runs on the calling thread.
-  } else {
-    std::vector<std::thread> Threads;
-    Threads.reserve(Jobs);
-    for (unsigned Wid = 0; Wid != Jobs; ++Wid)
-      Threads.emplace_back(
-          [this, Wid, &Visited] { workerMain(Wid, Visited); });
-    for (std::thread &T : Threads)
-      T.join();
-  }
-
+/// Sums the joined workers into \p Result and settles its verdict.
+void ParallelDfs::finish(McResult &Result) {
   aggregate(Result, Done);
-  Result.SharedWorkItems = Queue.pushes() - 1; // Minus the root item.
   if (Slot.found())
     Slot.mergeInto(Result);
   else if (LimitHit.load(std::memory_order_relaxed))
@@ -818,6 +801,25 @@ McResult ParallelDfs::run() {
                              !Result.DepthTruncated
                          ? McVerdict::OK
                          : McVerdict::PartialOK;
+}
+
+McResult ParallelDfs::run() {
+  McResult Result;
+  ConcurrentVisitedSet Visited = makeVisited(/*BitSeed=*/0);
+  // The root is checked and inserted on the calling thread, then handed
+  // to the workers as the first item.
+  WorkerCtx Root(Module, Options, MO, Compiled);
+  if (!startRoot(Root, Visited, Result))
+    return Result;
+  WorkItem RootItem;
+  RootItem.Snap = Root.M.snapshot();
+  Queue.push(std::move(RootItem));
+
+  Done.assign(Jobs, WorkerStats());
+  runWorkers(Jobs,
+             [this, &Visited](unsigned Wid) { workerMain(Wid, Visited); });
+  finish(Result);
+  Result.SharedWorkItems = Queue.pushes() - 1; // Minus the root item.
   Result.MemoryBytes = Visited.bytes();
   return Result;
 }
@@ -834,68 +836,37 @@ McResult ParallelDfs::runSwarm() {
   // The shared seed-0 table estimates the union of the workers'
   // coverage (and matches the table a cooperative search would use).
   ConcurrentVisitedSet UnionTable = ConcurrentVisitedSet::bitState(Bits, 0);
-
   WorkerCtx Root(Module, Options, MO, Compiled);
-  Machine &M = Root.M;
-  M.start();
-  ++Result.StatesExplored;
-  GlobalExplored.store(1, std::memory_order_relaxed);
-  size_t Reached = M.serializeState(Root.Raw);
-  Result.StateVectorBytes = Root.Raw.size();
-  if (checkStateViolation(M, Options, Result, Reached)) {
-    Result.MemoryBytes = UnionTable.bytes();
+  if (!startRoot(Root, UnionTable, Result))
     return Result;
-  }
-  UnionTable.insert(Root.Raw);
-  if (obs::SearchProgress *Prog = Options.Progress) {
-    Prog->Workers.store(std::min<unsigned>(Jobs, obs::kMaxProgressWorkers),
-                        std::memory_order_relaxed);
-    Prog->Explored.store(Result.StatesExplored, std::memory_order_relaxed);
-  }
-  Machine::Snapshot RootSnap = M.snapshot();
+  WorkItem RootItem;
+  RootItem.Snap = Root.M.snapshot();
 
   Done.assign(Jobs, WorkerStats());
-  std::vector<std::thread> Threads;
-  Threads.reserve(Jobs);
-  for (unsigned Wid = 0; Wid != Jobs; ++Wid) {
-    Threads.emplace_back([this, Wid, Bits, &UnionTable, &RootSnap] {
-      // Worker 0 reproduces the one-worker search (seed 0, canonical
-      // move order); the rest randomize both the hash slice and the
-      // traversal order, SPIN-swarm style.
-      uint64_t BitSeed =
-          Wid == 0 ? 0
-                   : mix64(Options.Seed ^ (0x9e3779b97f4a7c15ULL * Wid));
-      ConcurrentVisitedSet Own = ConcurrentVisitedSet::bitState(Bits, BitSeed);
-      WorkerCtx W(Module, Options, MO, Compiled);
-      W.Wid = Wid;
-      W.Stats.Items = 1; // Each swarm worker runs exactly the root item.
-      W.Rng.seed(mix64(Options.Seed + Wid));
-      // Insert the root into the private table so the collision
-      // behavior matches a standalone search with this seed.
-      W.M.restore(RootSnap);
-      W.M.serializeState(W.Raw);
-      Own.insert(W.Raw);
-      WorkItem RootItem;
-      RootItem.Snap = RootSnap;
-      processItem(W, RootItem, Own, /*AllowOffload=*/false,
-                  /*Shuffle=*/Wid != 0, &UnionTable);
-      Done[Wid] = W.stats();
-    });
-  }
-  for (std::thread &T : Threads)
-    T.join();
+  runWorkers(Jobs, [&](unsigned Wid) {
+    // Worker 0 reproduces the one-worker search (seed 0, canonical
+    // move order); the rest randomize both the hash slice and the
+    // traversal order, SPIN-swarm style.
+    uint64_t BitSeed =
+        Wid == 0 ? 0 : mix64(Options.Seed ^ (0x9e3779b97f4a7c15ULL * Wid));
+    ConcurrentVisitedSet Own = ConcurrentVisitedSet::bitState(Bits, BitSeed);
+    WorkerCtx W(Module, Options, MO, Compiled);
+    W.Wid = Wid;
+    W.Stats.Items = 1; // Each swarm worker runs exactly the root item.
+    W.Rng.seed(mix64(Options.Seed + Wid));
+    // Insert the root into the private table so the collision
+    // behavior matches a standalone search with this seed.
+    Own.insert(Root.Raw);
+    processItem(W, RootItem, Own, /*AllowOffload=*/false,
+                /*Shuffle=*/Wid != 0, &UnionTable);
+    Done[Wid] = W.stats();
+  });
 
-  aggregate(Result, Done);
+  finish(Result);
   // For swarm, StatesStored reports the union coverage estimate: the
   // per-worker stored counts overlap heavily and are kept in
   // WorkerExplored/report() instead.
   Result.StatesStored = UnionTable.size();
-  if (Slot.found())
-    Slot.mergeInto(Result);
-  else if (LimitHit.load(std::memory_order_relaxed))
-    Result.Verdict = McVerdict::StateLimit;
-  else
-    Result.Verdict = McVerdict::PartialOK; // Bit-state is always partial.
   Result.MemoryBytes = UnionTable.bytes() * (1 + Jobs);
   return Result;
 }
@@ -907,6 +878,9 @@ McResult ParallelDfs::runSwarm() {
 //===----------------------------------------------------------------------===//
 
 namespace {
+
+/// The length bound of one random walk.
+constexpr unsigned kSimulationDepth = 4096;
 
 McResult runParallelSimulation(const ModuleIR &Module,
                                const McOptions &Options, unsigned Jobs) {
@@ -923,77 +897,62 @@ McResult runParallelSimulation(const ModuleIR &Module,
     Prog->Workers.store(std::min<unsigned>(Jobs, obs::kMaxProgressWorkers),
                         std::memory_order_relaxed);
 
-  std::vector<std::thread> Threads;
-  Threads.reserve(Jobs);
-  for (unsigned Wid = 0; Wid != Jobs; ++Wid) {
-    Threads.emplace_back([&, Wid] {
-      WorkerStats &S = Stats[Wid];
-      // Runs are partitioned round-robin; each run's seed is derived
-      // from McOptions::Seed and the run index, so the walk a given run
-      // takes does not depend on which worker executes it.
-      for (uint64_t Run = Wid; Run < Options.SimulationRuns; Run += Jobs) {
-        if (Stop.load(std::memory_order_relaxed))
-          return;
-        ++S.Items; // One item per simulation run.
-        if (Prog && Wid < obs::kMaxProgressWorkers) {
-          obs::WorkerProgress &PSlot = Prog->PerWorker[Wid];
-          PSlot.Explored.store(S.Explored, std::memory_order_relaxed);
-          PSlot.Transitions.store(S.Transitions,
-                                  std::memory_order_relaxed);
-          PSlot.Items.store(S.Items, std::memory_order_relaxed);
-        }
-        std::mt19937_64 Rng(
-            mix64(Options.Seed ^ (0x9e3779b97f4a7c15ULL * (Run + 1))));
-        Machine M(Module, MO, Compiled);
-        M.setEnvModel(Options.Env);
-        M.start();
-        if (Run == 0)
-          RootVectorBytes.store(M.serializeState().size(),
+  runWorkers(Jobs, [&](unsigned Wid) {
+    WorkerStats &S = Stats[Wid];
+    // Runs are partitioned round-robin; each run's seed is derived
+    // from McOptions::Seed and the run index, so the walk a given run
+    // takes does not depend on which worker executes it.
+    for (uint64_t Run = Wid; Run < Options.SimulationRuns; Run += Jobs) {
+      if (Stop.load(std::memory_order_relaxed))
+        return;
+      ++S.Items; // One item per simulation run.
+      if (Prog && Wid < obs::kMaxProgressWorkers) {
+        obs::WorkerProgress &PSlot = Prog->PerWorker[Wid];
+        PSlot.Explored.store(S.Explored, std::memory_order_relaxed);
+        PSlot.Transitions.store(S.Transitions,
                                 std::memory_order_relaxed);
-        std::vector<Move> TraceMoves;
-        auto reportViolation = [&](const McResult &V) {
-          Slot.offer(V, TraceMoves,
-                     {static_cast<uint32_t>(Run)}, Module);
-          Stop.store(true, std::memory_order_release);
-        };
-        for (unsigned Depth = 0; Depth != Options.SimulationDepth; ++Depth) {
-          ++S.Explored;
-          McResult V;
-          if (checkStateViolation(M, Options, V)) {
-            reportViolation(V);
-            return;
-          }
-          std::vector<Move> Moves = M.enumerateMoves();
-          if (M.error() ? checkStateViolation(M, Options, V)
-                        : checkDeadlockViolation(M, Moves, Options, V)) {
-            reportViolation(V);
-            return;
-          }
-          if (Moves.empty())
-            break; // Normal termination.
-          const Move &Chosen =
-              Moves[std::uniform_int_distribution<size_t>(
-                  0, Moves.size() - 1)(Rng)];
-          TraceMoves.push_back(Chosen);
-          M.applyMove(Chosen);
-          ++S.Transitions;
-          S.MaxDepthReached = std::max<size_t>(S.MaxDepthReached, Depth + 1);
-        }
+        PSlot.Items.store(S.Items, std::memory_order_relaxed);
       }
-    });
-  }
-  for (std::thread &T : Threads)
-    T.join();
+      std::mt19937_64 Rng(
+          mix64(Options.Seed ^ (0x9e3779b97f4a7c15ULL * (Run + 1))));
+      Machine M(Module, MO, Compiled);
+      M.setEnvModel(Options.Env);
+      M.start();
+      if (Run == 0)
+        RootVectorBytes.store(M.serializeState().size(),
+                              std::memory_order_relaxed);
+      std::vector<Move> TraceMoves;
+      auto reportViolation = [&](const McResult &V) {
+        Slot.offer(V, TraceMoves,
+                   {static_cast<uint32_t>(Run)}, Module);
+        Stop.store(true, std::memory_order_release);
+      };
+      for (unsigned Depth = 0; Depth != kSimulationDepth; ++Depth) {
+        ++S.Explored;
+        McResult V;
+        if (checkStateViolation(M, Options, V)) {
+          reportViolation(V);
+          return;
+        }
+        std::vector<Move> Moves = M.enumerateMoves();
+        if (checkExpansion(M, Moves, Options, V)) {
+          reportViolation(V);
+          return;
+        }
+        if (Moves.empty())
+          break; // Normal termination.
+        const Move &Chosen =
+            Moves[std::uniform_int_distribution<size_t>(
+                0, Moves.size() - 1)(Rng)];
+        TraceMoves.push_back(Chosen);
+        M.applyMove(Chosen);
+        ++S.Transitions;
+        S.MaxDepthReached = std::max<size_t>(S.MaxDepthReached, Depth + 1);
+      }
+    }
+  });
 
-  Result.JobsUsed = Jobs;
-  for (const WorkerStats &S : Stats) {
-    Result.StatesExplored += S.Explored;
-    Result.Transitions += S.Transitions;
-    Result.MaxDepthReached = std::max(
-        Result.MaxDepthReached, static_cast<unsigned>(S.MaxDepthReached));
-    Result.WorkerExplored.push_back(S.Explored);
-    Result.WorkerItems.push_back(S.Items);
-  }
+  aggregate(Result, Stats);
   Result.StateVectorBytes = RootVectorBytes.load(std::memory_order_relaxed);
   if (Slot.found())
     Slot.mergeInto(Result);

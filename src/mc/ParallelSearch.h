@@ -46,6 +46,13 @@ McResult runParallelSearch(const ModuleIR &Module, const McOptions &Options,
 /// search's environment budget. The search and replayTrace() share it.
 MachineOptions verifyMachineOptions(const McOptions &Options);
 
+/// The one deadlock rule, shared by the search and replayTrace(): true
+/// when \p M, whose enabled moves are \p Moves, has no error, no enabled
+/// move and a process still blocked, and lifting a spent environment
+/// budget would not enable a move either (a spent `--env-budget` is
+/// quiescence, not deadlock).
+bool isDeadlocked(Machine &M, const std::vector<Move> &Moves);
+
 } // namespace esp
 
 #endif // ESP_MC_PARALLELSEARCH_H

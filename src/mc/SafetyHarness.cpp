@@ -8,6 +8,7 @@
 
 #include "frontend/PatternAnalysis.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace esp;
@@ -115,52 +116,24 @@ Value BoundedEnvModel::makeVariant(const ChannelDecl *Chan, unsigned Index,
   return buildVariant(Chan->ElemType, Index, H);
 }
 
-McResult esp::verifyProcessMemorySafety(const Program &Prog,
-                                        const std::string &ProcessName,
-                                        const SafetyOptions &Options) {
-  // Lower the whole program unoptimized (the paper translates to SPIN
-  // right after type checking, §5.2), then isolate the target process.
+/// Lowers \p Prog unoptimized (the paper translates to SPIN right after
+/// type checking, §5.2), keeps the processes named in \p Names, and checks
+/// them against an environment that drives each channel some kept
+/// process receives from. With \p DriveInternal false it skips the
+/// channels some kept process also writes: those rendezvous between the
+/// kept processes instead.
+static McResult checkIsolated(const Program &Prog,
+                              const std::vector<std::string> &Names,
+                              bool DriveInternal,
+                              const SafetyOptions &Options) {
   ModuleIR Full = lowerProgram(Prog);
   ModuleIR Isolated;
   Isolated.Prog = Full.Prog;
   for (ProcIR &P : Full.Procs)
-    if (P.Proc->Name == ProcessName)
+    if (std::find(Names.begin(), Names.end(), P.Proc->Name) != Names.end())
       Isolated.Procs.push_back(std::move(P));
   assert(!Isolated.Procs.empty() && "no such process");
 
-  // The environment drives every channel the process receives from.
-  std::set<std::string> Driven;
-  for (const Inst &I : Isolated.Procs[0].Insts) {
-    if (I.Kind != InstKind::Block)
-      continue;
-    for (const IRCase &Case : I.Cases)
-      if (Case.IsIn)
-        Driven.insert(Case.Channel->Name);
-  }
-
-  BoundedEnvModel Env(Driven, Options.IntDomain, Options.ArrayLen);
-  McOptions Mc = Options.Mc;
-  Mc.Env = &Env;
-  return checkModel(Isolated, Mc);
-}
-
-McResult esp::verifyProcessClusterMemorySafety(
-    const Program &Prog, const std::vector<std::string> &ProcessNames,
-    const SafetyOptions &Options) {
-  ModuleIR Full = lowerProgram(Prog);
-  ModuleIR Isolated;
-  Isolated.Prog = Full.Prog;
-  for (ProcIR &P : Full.Procs)
-    for (const std::string &Name : ProcessNames)
-      if (P.Proc->Name == Name) {
-        Isolated.Procs.push_back(std::move(P));
-        break;
-      }
-  assert(!Isolated.Procs.empty() && "no such process");
-
-  // The environment drives a channel iff some kept process receives from
-  // it and no kept process writes it; channels written inside the
-  // cluster rendezvous between the kept processes instead.
   std::set<std::string> Read, Written;
   for (const ProcIR &P : Isolated.Procs)
     for (const Inst &I : P.Insts) {
@@ -171,11 +144,23 @@ McResult esp::verifyProcessClusterMemorySafety(
     }
   std::set<std::string> Driven;
   for (const std::string &Name : Read)
-    if (!Written.count(Name))
+    if (DriveInternal || !Written.count(Name))
       Driven.insert(Name);
 
   BoundedEnvModel Env(Driven, Options.IntDomain, Options.ArrayLen);
   McOptions Mc = Options.Mc;
   Mc.Env = &Env;
   return checkModel(Isolated, Mc);
+}
+
+McResult esp::verifyProcessMemorySafety(const Program &Prog,
+                                        const std::string &ProcessName,
+                                        const SafetyOptions &Options) {
+  return checkIsolated(Prog, {ProcessName}, /*DriveInternal=*/true, Options);
+}
+
+McResult esp::verifyProcessClusterMemorySafety(
+    const Program &Prog, const std::vector<std::string> &ProcessNames,
+    const SafetyOptions &Options) {
+  return checkIsolated(Prog, ProcessNames, /*DriveInternal=*/false, Options);
 }

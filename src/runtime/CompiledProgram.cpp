@@ -40,17 +40,7 @@ int stackEffect(XOp::K K) {
   case XOp::K::BinSlot:
     return 0;
   case XOp::K::LoadIndex:
-  case XOp::K::Add:
-  case XOp::K::Sub:
-  case XOp::K::Mul:
-  case XOp::K::Div:
-  case XOp::K::Mod:
-  case XOp::K::Lt:
-  case XOp::K::Le:
-  case XOp::K::Gt:
-  case XOp::K::Ge:
-  case XOp::K::Eq:
-  case XOp::K::Ne:
+  case XOp::K::Bin:
   case XOp::K::AndJump:
   case XOp::K::OrJump:
   case XOp::K::SetElem:
@@ -292,24 +282,9 @@ private:
       if (fuseBinary(B, LBegin, RBegin))
         return;
       XOp Op;
+      Op.Op = XOp::K::Bin;
+      Op.Bin = intOpOf(B->getOp());
       Op.Origin = E;
-      switch (B->getOp()) {
-      case BinaryOp::Add: Op.Op = XOp::K::Add; break;
-      case BinaryOp::Sub: Op.Op = XOp::K::Sub; break;
-      case BinaryOp::Mul: Op.Op = XOp::K::Mul; break;
-      case BinaryOp::Div: Op.Op = XOp::K::Div; break;
-      case BinaryOp::Mod: Op.Op = XOp::K::Mod; break;
-      case BinaryOp::Lt: Op.Op = XOp::K::Lt; break;
-      case BinaryOp::Le: Op.Op = XOp::K::Le; break;
-      case BinaryOp::Gt: Op.Op = XOp::K::Gt; break;
-      case BinaryOp::Ge: Op.Op = XOp::K::Ge; break;
-      case BinaryOp::Eq: Op.Op = XOp::K::Eq; break;
-      case BinaryOp::Ne: Op.Op = XOp::K::Ne; break;
-      case BinaryOp::And:
-      case BinaryOp::Or:
-        assert(false && "handled above");
-        break;
-      }
       emit(Op);
       return;
     }

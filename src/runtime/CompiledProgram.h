@@ -60,17 +60,7 @@ struct XOp {
     LoadIndex,      ///< pop index, pop array ref, push element
     Not,
     Neg,
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Mod,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    Eq,
-    Ne,
+    Bin,          ///< pop r, pop l, push l Bin r; Div/Mod fault on r == 0
     Boolify,      ///< pop v, push bool(v) — RHS of && / ||
     AndJump,      ///< pop v; if !v push false and jump to A
     OrJump,       ///< pop v; if v push true and jump to A
@@ -82,7 +72,7 @@ struct XOp {
     FillArray,    ///< pop init, fill the array ref at stack top
     CastCopy,     ///< pop v, push deep copy
 
-    // Superinstructions. Bin is the binary operator; Div and Mod fuse
+    // Superinstructions. Bin is the operator; Div and Mod fuse
     // only with a nonzero constant divisor. Origin is the fused Binary
     // (Index) expression, whose operand exprs name a faulting slot.
     SlotImm,   ///< push Slots[A] Bin Imm       (LoadSlot; PushInt; op)
@@ -98,7 +88,7 @@ struct XOp {
   /// allocation) and needs a link edge. FillArray/CastCopy: the
   /// operand expression was a fresh allocation.
   uint8_t Flag = 0;
-  IntOp Bin = IntOp::Add; ///< SlotImm/BinImm/BinSlot: the operator.
+  IntOp Bin = IntOp::Add; ///< Bin and the fused ops: the operator.
   uint32_t A = 0;     ///< Slot / field index / arm / elem count / jump target.
   int64_t Imm = 0;    ///< Folded constant; SlotIndex: the index slot.
   const Type *Ty = nullptr;     ///< Allocation type.

@@ -292,10 +292,6 @@ bool Machine::evalStack(unsigned ProcIndex, XRange R, Value &Result) {
     Out = Obj->Elems[Index.Scalar];
     return true;
   };
-  auto binary = [&](IntOp Bin) {
-    --Sp;
-    Sp[-1] = binaryValue(Bin, Sp[-1].Scalar, Sp->Scalar);
-  };
   for (uint32_t IP = R.Begin; IP != R.End;) {
     const XOp &Op = CProc.Code[IP];
     switch (Op.Op) {
@@ -374,39 +370,12 @@ bool Machine::evalStack(unsigned ProcIndex, XRange R, Value &Result) {
     case XOp::K::Neg:
       Sp[-1] = Value::makeInt(wrapNeg(Sp[-1].Scalar));
       break;
-    case XOp::K::Add:
-      binary(IntOp::Add);
-      break;
-    case XOp::K::Sub:
-      binary(IntOp::Sub);
-      break;
-    case XOp::K::Mul:
-      binary(IntOp::Mul);
-      break;
-    case XOp::K::Div:
-    case XOp::K::Mod:
-      if (Sp[-1].Scalar == 0)
+    case XOp::K::Bin:
+      if ((Op.Bin == IntOp::Div || Op.Bin == IntOp::Mod) && Sp[-1].Scalar == 0)
         return failEval(RuntimeErrorKind::DivideByZero, Op.Origin->getLoc(),
                         "division by zero");
-      binary(Op.Op == XOp::K::Div ? IntOp::Div : IntOp::Mod);
-      break;
-    case XOp::K::Lt:
-      binary(IntOp::Lt);
-      break;
-    case XOp::K::Le:
-      binary(IntOp::Le);
-      break;
-    case XOp::K::Gt:
-      binary(IntOp::Gt);
-      break;
-    case XOp::K::Ge:
-      binary(IntOp::Ge);
-      break;
-    case XOp::K::Eq:
-      binary(IntOp::Eq);
-      break;
-    case XOp::K::Ne:
-      binary(IntOp::Ne);
+      --Sp;
+      Sp[-1] = binaryValue(Op.Bin, Sp[-1].Scalar, Sp->Scalar);
       break;
     case XOp::K::Boolify:
       Sp[-1] = Value::makeBool(Sp[-1].asBool());
@@ -1704,17 +1673,6 @@ bool Machine::stuckOnEnvBudget() {
   bool Any = !enumerateMoves().empty();
   EnvSends = std::move(Saved);
   return Any && !Error;
-}
-
-bool Machine::isDeadlocked() {
-  if (Error)
-    return false;
-  bool AnyBlocked = false;
-  for (const ProcState &P : Procs)
-    AnyBlocked |= P.St == ProcState::Status::Blocked;
-  if (!AnyBlocked)
-    return false;
-  return enumerateMoves().empty() && !Error;
 }
 
 //===----------------------------------------------------------------------===//

@@ -381,9 +381,6 @@ public:
   /// keep polling error()).
   StepResult applyMove(const Move &M);
 
-  /// True when no move is enabled and some process is still Blocked.
-  bool isDeadlocked();
-
   /// True when the machine is stuck only because the finite environment
   /// workload (MachineOptions::EnvSendBudget) is spent: lifting the
   /// budget would enable at least one move. Such a state is quiescent

@@ -6,6 +6,8 @@
 
 #include "support/ToolArgs.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -57,17 +59,26 @@ bool ToolArgs::option(const char *Name, std::string &Value) {
   return true;
 }
 
-bool ToolArgs::optionUInt(const char *Name, uint64_t &Value, uint64_t Min) {
+bool ToolArgs::optionRange(const char *Name, uint64_t &Value, uint64_t Min,
+                           uint64_t Max) {
   std::string Text;
   if (!option(Name, Text))
     return false;
   if (Exit)
     return true;
+  // strtoull would skip blanks and accept a sign, reading "-1" as
+  // 2^64 - 1, so the text must start with a digit.
+  errno = 0;
   char *End = nullptr;
-  unsigned long long Parsed = std::strtoull(Text.c_str(), &End, 10);
-  if (End == Text.c_str() || *End != '\0' || Parsed < Min) {
-    usageError(std::string(Name) + " expects a " +
-               (Min > 0 ? "positive integer" : "non-negative integer") +
+  unsigned long long Parsed = 0;
+  const bool Digit =
+      !Text.empty() && std::isdigit(static_cast<unsigned char>(Text[0]));
+  if (Digit)
+    Parsed = std::strtoull(Text.c_str(), &End, 10);
+  if (!Digit || *End != '\0' || errno == ERANGE || Parsed < Min ||
+      Parsed > Max) {
+    usageError(std::string(Name) + " expects an integer from " +
+               std::to_string(Min) + " to " + std::to_string(Max) +
                ", got '" + Text + "'");
     return true;
   }

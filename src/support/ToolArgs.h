@@ -29,10 +29,16 @@
 #define ESP_SUPPORT_TOOLARGS_H
 
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
+#include <type_traits>
 
 namespace esp {
+
+/// The ceiling of every tool's `--jobs`: far above any host's core count,
+/// far below a thread count that would exhaust the process table.
+inline constexpr uint64_t MaxToolJobs = 1024;
 
 class ToolArgs {
 public:
@@ -58,9 +64,20 @@ public:
   /// first repeat (scripted invocations append overrides; see espserve).
   bool option(const char *Name, std::string &Value);
 
-  /// Like option, but the value must parse as an integer (decimal),
-  /// and for optionUInt be >= \p Min. Bad values are usage errors.
-  bool optionUInt(const char *Name, uint64_t &Value, uint64_t Min = 0);
+  /// Like option, but the value must be a decimal integer in [\p Min,
+  /// \p Max], where \p Max defaults to the largest \p T. A sign, or a
+  /// value out of range, is a usage error and leaves \p Value unchanged.
+  template <typename T>
+  bool optionUInt(const char *Name, T &Value, uint64_t Min = 0,
+                  uint64_t Max = std::numeric_limits<T>::max()) {
+    static_assert(std::is_unsigned_v<T>, "optionUInt parses into unsigned");
+    uint64_t Parsed = Value;
+    if (!optionRange(Name, Parsed, Min, Max))
+      return false;
+    Value = static_cast<T>(Parsed);
+    return true;
+  }
+  /// Like option, but the value must parse as a decimal integer.
   bool optionInt(const char *Name, int64_t &Value);
 
   /// True when the current argument does not start with '-'.
@@ -93,6 +110,10 @@ public:
   int exitCode() const { return Code; }
 
 private:
+  /// optionUInt's parser, over the full width.
+  bool optionRange(const char *Name, uint64_t &Value, uint64_t Min,
+                   uint64_t Max);
+
   /// Warns (once per name) when a value-taking option repeats; the later
   /// value overwrites the earlier one in the caller's variable anyway.
   void noteOption(const char *Name);

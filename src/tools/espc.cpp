@@ -80,7 +80,7 @@ int main(int Argc, char **Argv) {
   std::string OutputPath;
   std::string TracePath;
   bool Profile = false;
-  uint64_t Instances = 1;
+  unsigned Instances = 1;
   uint64_t MaxSteps = 1'000'000;
 
   ToolArgs Args(Argc, Argv, "espc", kUsage);
@@ -170,7 +170,7 @@ int main(int Argc, char **Argv) {
     Output = printProgram(*R.Prog);
   } else if (Act == Action::EmitSpin) {
     PromelaGenOptions PGOptions;
-    PGOptions.Instances = static_cast<unsigned>(Instances);
+    PGOptions.Instances = Instances;
     Output = generatePromela(*R.Prog, PGOptions);
   } else {
     const ModuleIR &Module = Optimize ? R.Optimized : R.Module;

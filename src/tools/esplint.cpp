@@ -124,7 +124,6 @@ int main(int Argc, char **Argv) {
   ToolArgs Args(Argc, Argv, "esplint", kUsage);
   while (Args.next()) {
     std::string Format;
-    uint64_t MaxConfigs = 0;
     if (Args.option("--format", Format)) {
       if (Format != "text" && Format != "json")
         Args.usageError("unknown --format '" + Format +
@@ -140,8 +139,8 @@ int main(int Argc, char **Argv) {
       Options.CheckInterference = false;
     else if (Args.flag("--interference"))
       Options.ReportInterference = true;
-    else if (Args.optionUInt("--max-configs", MaxConfigs, 1))
-      Options.MaxConfigs = MaxConfigs;
+    else if (Args.optionUInt("--max-configs", Options.MaxConfigs, 1))
+      ;
     else if (Args.flag("--builtin-vmmc"))
       BuiltinVmmc = true;
     else if (Args.flag("-q"))

@@ -71,19 +71,14 @@ const char kUsage[] =
     "                      visited-state storage for exhaustive search\n"
     "                      (default hash64: 64-bit hash compaction;\n"
     "                      exact stores full state vectors)\n"
-    "  --snapshot-stride N keep one machine snapshot every N DFS levels\n"
-    "                      and replay moves in between (default 0 =\n"
-    "                      auto: snapshot every branching level while\n"
-    "                      snapshots fit in the visited set's memory,\n"
-    "                      every 16th level beyond that)\n"
     "  --bits N            bit-state table log2 size (default 24,\n"
     "                      clamped to [10,28])\n"
     "  --runs N            simulation runs (default 256)\n"
     "  --seed N            simulation / swarm base seed\n"
     "  --jobs N            worker threads of the search (default 1;\n"
-    "                      0 = one per hardware thread). A completed\n"
-    "                      exhaustive search reports the same verdict\n"
-    "                      and state counts at any N\n"
+    "                      0 = one per hardware thread; at most 1024).\n"
+    "                      A completed exhaustive search reports the\n"
+    "                      same verdict and state counts at any N\n"
     "  --swarm             with --mode bitstate --jobs N: independent\n"
     "                      searches per worker with distinct hash seeds\n"
     "                      and randomized move order; coverage is the\n"
@@ -178,13 +173,12 @@ int main(int Argc, char **Argv) {
   std::vector<std::string> Inputs;
   std::vector<int64_t> IntDomain = {0, 1};
   bool Progress = false;
-  uint64_t ProgressSecs = 2;
+  unsigned ProgressSecs = 2;
   std::string StatsJsonPath;
 
   ToolArgs Args(Argc, Argv, "espmc", kUsage);
   while (Args.next()) {
     std::string Text;
-    uint64_t Num = 0;
     if (Args.option("--mode", Text)) {
       if (Text == "exhaustive")
         Mc.Mode = SearchMode::Exhaustive;
@@ -196,15 +190,12 @@ int main(int Argc, char **Argv) {
         Args.usageError("unknown mode '" + Text + "'");
     } else if (Args.option("--process", ProcessName)) {
       ;
-    } else if (Args.optionUInt("--max-states", Num)) {
-      Mc.MaxStates = Num;
-    } else if (Args.optionUInt("--max-depth", Num) ||
-               Args.optionUInt("--maxdepth", Num)) {
-      Mc.MaxDepth = static_cast<unsigned>(Num);
-    } else if (Args.optionUInt("--max-objects", Num)) {
-      Mc.MaxObjects = static_cast<uint32_t>(Num);
-    } else if (Args.optionUInt("--env-budget", Num)) {
-      Mc.EnvSendBudget = static_cast<uint32_t>(Num);
+    } else if (Args.optionUInt("--max-states", Mc.MaxStates) ||
+               Args.optionUInt("--max-depth", Mc.MaxDepth) ||
+               Args.optionUInt("--maxdepth", Mc.MaxDepth) ||
+               Args.optionUInt("--max-objects", Mc.MaxObjects) ||
+               Args.optionUInt("--env-budget", Mc.EnvSendBudget)) {
+      ;
     } else if (Args.option("--visited", Text)) {
       if (Text == "exact")
         Mc.Visited = VisitedKind::Exact;
@@ -212,20 +203,15 @@ int main(int Argc, char **Argv) {
         Mc.Visited = VisitedKind::Hash64;
       else if (!Args.shouldExit())
         Args.usageError("unknown visited kind '" + Text + "'");
-    } else if (Args.optionUInt("--snapshot-stride", Num)) {
-      Mc.SnapshotStride = static_cast<unsigned>(Num);
-    } else if (Args.optionUInt("--bits", Num)) {
-      unsigned Bits = static_cast<unsigned>(Num);
+    } else if (Args.optionUInt("--bits", Mc.BitStateBits)) {
+      unsigned Bits = Mc.BitStateBits;
       if (clampedBitStateBits(Bits) != Bits)
         std::fprintf(stderr, "espmc: --bits %u out of range, clamping to %u\n",
                      Bits, clampedBitStateBits(Bits));
-      Mc.BitStateBits = Bits;
-    } else if (Args.optionUInt("--runs", Num)) {
-      Mc.SimulationRuns = Num;
-    } else if (Args.optionUInt("--seed", Num)) {
-      Mc.Seed = Num;
-    } else if (Args.optionUInt("--jobs", Num)) {
-      Mc.Jobs = static_cast<unsigned>(Num);
+    } else if (Args.optionUInt("--runs", Mc.SimulationRuns) ||
+               Args.optionUInt("--seed", Mc.Seed) ||
+               Args.optionUInt("--jobs", Mc.Jobs, 0, MaxToolJobs)) {
+      ;
     } else if (Args.flag("--swarm")) {
       Mc.Swarm = true;
     } else if (Args.flag("--por")) {
@@ -235,9 +221,8 @@ int main(int Argc, char **Argv) {
       // input filename is never consumed as a value; --progress=N goes
       // through the =value spelling below.
       Progress = true;
-    } else if (Args.optionUInt("--progress", Num)) {
+    } else if (Args.optionUInt("--progress", ProgressSecs)) {
       Progress = true;
-      ProgressSecs = Num;
     } else if (Args.option("--stats-json", StatsJsonPath)) {
       ;
     } else if (Args.flag("--no-deadlock")) {
@@ -328,8 +313,7 @@ int main(int Argc, char **Argv) {
     Mc.Progress = Telemetry.get();
   std::unique_ptr<ProgressTicker> Ticker;
   if (Telemetry)
-    Ticker = std::make_unique<ProgressTicker>(
-        *Telemetry, static_cast<unsigned>(ProgressSecs));
+    Ticker = std::make_unique<ProgressTicker>(*Telemetry, ProgressSecs);
 
   // Validate the --process names against the compiled program so a typo
   // fails with a clear error instead of an assert in the harness.
@@ -347,20 +331,18 @@ int main(int Argc, char **Argv) {
   }
 
   McResult Result;
-  if (ProcessNames.size() > 1) {
-    SafetyOptions SafOptions;
-    SafOptions.IntDomain = IntDomain;
-    SafOptions.Mc = Mc;
-    Result =
-        verifyProcessClusterMemorySafety(*R.Prog, ProcessNames, SafOptions);
-  } else if (!ProcessNames.empty()) {
-    SafetyOptions SafOptions;
-    SafOptions.IntDomain = IntDomain;
-    SafOptions.Mc = Mc;
-    Result = verifyProcessMemorySafety(*R.Prog, ProcessNames[0], SafOptions);
-  } else {
+  if (ProcessNames.empty()) {
     // Whole-system verification: the harness must close the program.
     Result = checkModel(R.Module, Mc);
+  } else {
+    SafetyOptions SafOptions;
+    SafOptions.IntDomain = IntDomain;
+    SafOptions.Mc = Mc;
+    Result = ProcessNames.size() > 1
+                 ? verifyProcessClusterMemorySafety(*R.Prog, ProcessNames,
+                                                    SafOptions)
+                 : verifyProcessMemorySafety(*R.Prog, ProcessNames[0],
+                                             SafOptions);
   }
   if (Ticker)
     Ticker->finish();

@@ -38,7 +38,7 @@ const char kUsage[] =
     "  --requests N        total requests across the fleet\n"
     "                      (default 10000)\n"
     "  --jobs N            worker threads; 1 = deterministic schedule\n"
-    "                      (default 1)\n"
+    "                      (default 1, at most 1024)\n"
     "  --inbox-cap N       per-machine inbox bound (default 64)\n"
     "  --batch N           max burst / event-delivery batch (default 16)\n"
     "  --conn-requests N   recycle a machine after N responses\n"
@@ -58,45 +58,25 @@ int main(int Argc, char **Argv) {
   ToolArgs Args(Argc, Argv, "espserve", kUsage);
 
   serve::ServeOptions Opt;
-  uint64_t Machines = 256, Requests = 10'000, Jobs = 1, InboxCap = 64,
-           Batch = 16, ConnRequests = 0, Seed = 1, TraceMachines = 1;
   std::string StatsPath, TracePath;
 
   while (Args.next()) {
-    if (Args.optionUInt("--machines", Machines, 1))
-      ;
-    else if (Args.optionUInt("--requests", Requests, 1))
-      ;
-    else if (Args.optionUInt("--jobs", Jobs, 1))
-      ;
-    else if (Args.optionUInt("--inbox-cap", InboxCap, 1))
-      ;
-    else if (Args.optionUInt("--batch", Batch, 1))
-      ;
-    else if (Args.optionUInt("--conn-requests", ConnRequests))
-      ;
-    else if (Args.optionUInt("--seed", Seed))
-      ;
-    else if (Args.optionUInt("--trace-machines", TraceMachines, 1))
-      ;
-    else if (Args.option("--stats-json", StatsPath))
-      ;
-    else if (Args.option("--trace", TracePath))
+    if (Args.optionUInt("--machines", Opt.Machines, 1) ||
+        Args.optionUInt("--requests", Opt.Requests, 1) ||
+        Args.optionUInt("--jobs", Opt.Workers, 1, MaxToolJobs) ||
+        Args.optionUInt("--inbox-cap", Opt.InboxCap, 1) ||
+        Args.optionUInt("--batch", Opt.Batch, 1) ||
+        Args.optionUInt("--conn-requests", Opt.ConnRequests) ||
+        Args.optionUInt("--seed", Opt.Seed) ||
+        Args.optionUInt("--trace-machines", Opt.TraceMachines, 1) ||
+        Args.option("--stats-json", StatsPath) ||
+        Args.option("--trace", TracePath))
       ;
     else
       Args.unknownOrBuiltin();
   }
   if (Args.shouldExit())
     return Args.exitCode();
-
-  Opt.Machines = static_cast<uint32_t>(Machines);
-  Opt.Requests = Requests;
-  Opt.Workers = static_cast<unsigned>(Jobs);
-  Opt.InboxCap = static_cast<unsigned>(InboxCap);
-  Opt.Batch = static_cast<uint32_t>(Batch);
-  Opt.ConnRequests = ConnRequests;
-  Opt.Seed = Seed;
-  Opt.TraceMachines = static_cast<uint32_t>(TraceMachines);
 
   obs::MetricsRegistry Metrics;
   obs::TraceWriter Trace;

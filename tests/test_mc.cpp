@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "mc/ParallelSearch.h"
 #include "mc/SafetyHarness.h"
 #include "vmmc/EspFirmwareSource.h"
 #include "TestHelpers.h"
@@ -415,56 +416,10 @@ process q {
   }
 }
 
-TEST(ModelChecker, SnapshotStrideDoesNotChangeExploration) {
-  // The DFS re-derives states by checkpoint + replay; the exploration
-  // must be identical under the auto checkpoint rule and every fixed
-  // stride, on the sequential and the parallel engine.
-  auto C = compile(R"(
-channel c: array of int
-channel d: int
-process p {
-  $i = 0;
-  while (i < 4) {
-    $data: array of int = { 2 -> 5 };
-    out(c, data);
-    unlink(data);
-    i = i + 1;
-  }
-}
-process q {
-  $i = 0;
-  while (i < 4) { in(c, $x); out(d, x[0]); unlink(x); i = i + 1; }
-}
-process r {
-  $i = 0;
-  while (i < 4) { in(d, $v); assert(v == 5); i = i + 1; }
-}
-)");
-  ASSERT_TRUE(C);
-  McOptions Base; // SnapshotStride 0: the auto rule.
-  McResult Reference = checkModel(C->Module, Base);
-  EXPECT_EQ(Reference.Verdict, McVerdict::OK) << Reference.report();
-  EXPECT_GT(Reference.CheckpointBytes, 0u);
-  for (unsigned Jobs : {1u, 4u}) {
-    for (unsigned Stride : {0u, 1u, 2u, 4u, 16u, 64u}) {
-      McOptions Options;
-      Options.SnapshotStride = Stride;
-      Options.Jobs = Jobs;
-      McResult R = checkModel(C->Module, Options);
-      std::string Label =
-          "stride=" + std::to_string(Stride) + " jobs=" + std::to_string(Jobs);
-      EXPECT_EQ(R.Verdict, Reference.Verdict) << Label;
-      EXPECT_EQ(R.StatesExplored, Reference.StatesExplored) << Label;
-      EXPECT_EQ(R.StatesStored, Reference.StatesStored) << Label;
-      EXPECT_EQ(R.Transitions, Reference.Transitions) << Label;
-    }
-  }
-}
-
 TEST(ModelChecker, AutoCheckpointsMakeBacktrackingReplayFree) {
-  // The budgeted VMMC cluster is shallow (depth 21) and bushy: the auto
-  // rule checkpoints every branching frame, where stride 16 replayed 8.6
-  // moves per explored state.
+  // The budgeted VMMC cluster is shallow (depth 21) and bushy: the
+  // checkpoint rule checkpoints every branching frame, where a checkpoint
+  // every 16th level alone replayed 8.6 moves per explored state.
   auto C = compile(vmmc::getVmmcEspSource());
   ASSERT_TRUE(C);
   SafetyOptions Options;
@@ -482,24 +437,74 @@ TEST(ModelChecker, AutoCheckpointsMakeBacktrackingReplayFree) {
 
 TEST(ModelChecker, AutoCheckpointsStayWithinVisitedSetBudget) {
   // A deep, narrow search (50000 states reach depth 30009): dense
-  // checkpoints would cost a snapshot per level, so the auto rule may add
-  // at most the visited set's bytes on top of what the fixed fallback
-  // stride keeps on the stack anyway.
+  // checkpoints would cost a snapshot per level, so the checkpoint rule
+  // may add at most the visited set's bytes on top of the fallback
+  // stride's snapshots. The counts and the bytes of a stride-16 search
+  // are pinned; the backtracking replays, so the counts also pin replay.
   auto C = compile(vmmc::getVmmcEspSource());
   ASSERT_TRUE(C);
   SafetyOptions Options;
   Options.Mc.MaxStates = 50000;
-  McResult Auto = verifyProcessClusterMemorySafety(
+  McResult R = verifyProcessClusterMemorySafety(
       *C->Prog, {"rxDemux", "txWindow"}, Options);
-  Options.Mc.SnapshotStride = 16;
-  McResult Fixed = verifyProcessClusterMemorySafety(
-      *C->Prog, {"rxDemux", "txWindow"}, Options);
-  EXPECT_EQ(Auto.Verdict, McVerdict::StateLimit);
-  EXPECT_EQ(Auto.MaxDepthReached, 30009u);
-  EXPECT_EQ(Auto.StatesStored, Fixed.StatesStored);
-  EXPECT_EQ(Auto.Transitions, Fixed.Transitions);
-  EXPECT_LE(Auto.CheckpointBytes, Fixed.CheckpointBytes + Auto.MemoryBytes)
-      << Auto.report();
+  EXPECT_EQ(R.Verdict, McVerdict::StateLimit);
+  EXPECT_EQ(R.StatesExplored, 50000u);
+  EXPECT_EQ(R.StatesStored, 30009u);
+  EXPECT_EQ(R.Transitions, 49999u);
+  EXPECT_EQ(R.MaxDepthReached, 30009u);
+  EXPECT_GT(R.ReplayedMoves, 0u);
+  constexpr size_t kStride16CheckpointBytes = 7541804;
+  EXPECT_LE(R.CheckpointBytes, kStride16CheckpointBytes + R.MemoryBytes)
+      << R.report();
+}
+
+TEST(ModelChecker, SpentEnvBudgetIsNotADeadlockForSearchOrReplay) {
+  // The verify harness at budget 4, walked along each state's first
+  // move: the walk ends with every process blocked on input and the
+  // budget spent. That is quiescence, so a deadlock claimed there must
+  // not replay.
+  auto C = compile(vmmc::getVmmcEspSource());
+  ASSERT_TRUE(C);
+  Harness H = makeHarness(*C->Prog, {"pageTable", "deliver"});
+  McOptions Mc;
+  Mc.EnvSendBudget = 4;
+  Machine M(H.Module, verifyMachineOptions(Mc));
+  M.setEnvModel(H.Env.get());
+  M.start();
+  McResult Claimed;
+  Claimed.Verdict = McVerdict::Violation;
+  Claimed.Deadlock = true;
+  std::vector<Move> Moves = M.enumerateMoves();
+  for (unsigned Step = 0; !Moves.empty() && Step != 1000; ++Step) {
+    Claimed.TraceMoves.push_back(Moves.front());
+    M.applyMove(Moves.front());
+    ASSERT_FALSE(M.error()) << M.error().Message;
+    Moves = M.enumerateMoves();
+  }
+  ASSERT_TRUE(Moves.empty());
+  ASSERT_TRUE(M.stuckOnEnvBudget());
+  EXPECT_FALSE(isDeadlocked(M, Moves));
+  EXPECT_FALSE(H.replay(Mc, Claimed));
+
+  // A real deadlock one move deep: both rules agree, and the search's
+  // trace replays.
+  auto D = compile(R"(
+channel c: int
+channel a: int
+channel b: int
+process p { out(c, 1); in(a, $x); out(b, 1); }
+process q { in(c, $z); in(b, $y); out(a, 2); }
+)");
+  ASSERT_TRUE(D);
+  McOptions Closed;
+  McResult R = checkModel(D->Module, Closed);
+  ASSERT_TRUE(R.Deadlock) << R.report();
+  EXPECT_EQ(R.TraceMoves.size(), 1u);
+  EXPECT_TRUE(replayTrace(D->Module, Closed, R));
+  Machine Stuck(D->Module, verifyMachineOptions(Closed));
+  Stuck.start();
+  Stuck.applyMove(R.TraceMoves[0]);
+  EXPECT_TRUE(isDeadlocked(Stuck, Stuck.enumerateMoves()));
 }
 
 TEST(ModelChecker, StateCountsAreDeterministic) {

@@ -76,6 +76,48 @@ TEST(ToolArgs, SingleOccurrencesStillParse) {
   EXPECT_EQ(N, 5u);
 }
 
+/// Parses `--n <Text>` into a \p T bounded by [\p Min, \p Max]; returns
+/// the exit code (0 = accepted) and leaves the value in \p Out.
+template <typename T>
+int parseUInt(const std::string &Text, T &Out, uint64_t Min = 0,
+              uint64_t Max = std::numeric_limits<T>::max()) {
+  ArgvFixture Args({"tool", "--n", Text});
+  ToolArgs TA(Args.argc(), Args.argv(), "tool", "usage\n");
+  while (TA.next())
+    if (!TA.optionUInt("--n", Out, Min, Max))
+      TA.unknownOrBuiltin();
+  return TA.exitCode();
+}
+
+TEST(ToolArgs, NumericOptionsRejectSignsAndOutOfRange) {
+  // strtoull reads "-1" as 2^64 - 1; a 32-bit destination used to keep
+  // the low bits of whatever was given. Each is a usage error now, and
+  // the destination keeps its value.
+  uint32_t Narrow = 7;
+  for (const char *Bad : {"-1", "+1", " 1", "", "4294967296", "1x"}) {
+    EXPECT_EQ(parseUInt(Bad, Narrow), 2) << "'" << Bad << "'";
+    EXPECT_EQ(Narrow, 7u) << "'" << Bad << "'";
+  }
+  EXPECT_EQ(parseUInt("4294967295", Narrow), 0);
+  EXPECT_EQ(Narrow, 4294967295u);
+
+  uint64_t Wide = 7;
+  EXPECT_EQ(parseUInt("-1", Wide), 2);
+  EXPECT_EQ(parseUInt("18446744073709551616", Wide), 2); // 2^64.
+  EXPECT_EQ(Wide, 7u);
+  EXPECT_EQ(parseUInt("18446744073709551615", Wide), 0);
+  EXPECT_EQ(Wide, UINT64_MAX);
+
+  // The tools' --jobs ceiling, and a minimum.
+  unsigned Jobs = 1;
+  EXPECT_EQ(parseUInt("1025", Jobs, 1, MaxToolJobs), 2);
+  EXPECT_EQ(parseUInt("4294967295", Jobs, 1, MaxToolJobs), 2);
+  EXPECT_EQ(parseUInt("0", Jobs, 1, MaxToolJobs), 2);
+  EXPECT_EQ(Jobs, 1u);
+  EXPECT_EQ(parseUInt("1024", Jobs, 1, MaxToolJobs), 0);
+  EXPECT_EQ(Jobs, 1024u);
+}
+
 TEST(SourceManager, DecodeLinesAndColumns) {
   SourceManager SM;
   uint32_t Id = SM.addBuffer("a.esp", "one\ntwo\nthree\n");
