@@ -165,21 +165,39 @@ ESPSERVE="$BUILD_DIR/src/tools/espserve"
 echo "== numeric flags: no sign, no wrap, no retired flag =="
 # A sign or a value outside the destination's range is a usage error
 # (exit 2): "-1" once read as 2^64 - 1, and 2^32 as 0 in a 32-bit field.
-# --snapshot-stride is gone. Every command is capped so that it stays
-# small should the check regress.
+# An --int-domain piece must be a whole int64 decimal; atoll once read
+# "foo,-x,99999999999999999999" as {0, 0, INT64_MAX}. --snapshot-stride
+# and the --maxdepth alias are gone. Every command is capped so that it
+# stays small should the check regress.
 expect_exit 2 "$ESPSERVE" --machines 4294967296 --requests 10
 expect_exit 2 "$ESPMC" "$SCRATCH_DIR/vmmc.esp" --process pageTable \
   --max-depth 4294967296 --max-states 1000
 expect_exit 2 "$ESPC" --run --max-steps -1 "$SCRATCH_DIR/overflow_run.esp"
 expect_exit 2 "$ESPMC" "$SCRATCH_DIR/vmmc.esp" --process pageTable \
   --snapshot-stride 4 --max-states 1000
+expect_exit 2 "$ESPMC" "$REPO_ROOT/examples/esp/pagetable.esp" \
+  --process pageTable --int-domain foo,-x,99999999999999999999 \
+  --max-states 1000
+expect_exit 2 "$ESPMC" "$REPO_ROOT/examples/esp/pagetable.esp" \
+  --process pageTable --maxdepth 5 --max-states 1000
 
 echo "== espserve: fleet smoke (single-worker deterministic + 4 workers) =="
 # Exit 0 only when every request completed and the aggregate totals
-# match the load generator's prediction (see docs/serving.md).
+# match the load generator's prediction (see docs/serving.md). The
+# --stats-json report is one "run" object that must carry every
+# quantity a fleet run measures.
 "$ESPSERVE" --machines 256 --requests 20000 --jobs 1 \
   --conn-requests 64 -q
 "$ESPSERVE" --machines 256 --requests 20000 --jobs 4 \
-  --conn-requests 64 -q
+  --conn-requests 64 -q --stats-json "$SCRATCH_DIR/serve.json"
+python3 -c 'import json, sys
+run = json.load(open(sys.argv[1]))["run"]
+missing = set(sys.argv[2:]) - set(run)
+sys.exit("check.sh: espserve --stats-json lacks %s" % sorted(missing) if missing else 0)' \
+  "$SCRATCH_DIR/serve.json" machines requests workers elapsed_ns \
+  requests_per_sec p50_ns p99_ns p999_ns inbox_high_water \
+  heap_high_water_max checksum responses steals parks wakes \
+  backpressure_stalls resets instructions queue_high_water \
+  heap_high_water_p50 heap_high_water_p99
 
 echo "check.sh: all green"

@@ -1,4 +1,4 @@
-//===--- Metrics.cpp - Sharded counters, gauges, and histograms -------------==//
+//===--- Metrics.cpp - Stage counters and sharded histograms ----------------==//
 //
 // Part of the esplang project (ESP, PLDI 2001 reproduction).
 //
@@ -36,13 +36,6 @@ uint64_t Histogram::count() const {
   return N;
 }
 
-uint64_t Histogram::sum() const {
-  uint64_t Sum = 0;
-  for (unsigned S = 0; S != ShardCount; ++S)
-    Sum += Rows[S].Sum.load(std::memory_order_relaxed);
-  return Sum;
-}
-
 uint64_t Histogram::quantile(double Q) const {
   std::vector<uint64_t> Merged(kBucketCount, 0);
   uint64_t Total = 0;
@@ -73,88 +66,36 @@ uint64_t Histogram::quantile(double Q) const {
 // MetricsRegistry
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-template <typename Deque>
-auto &findOrCreate(Deque &D, std::string_view Name, std::mutex &M) {
+Counter &MetricsRegistry::counter(std::string_view Name) {
   std::lock_guard<std::mutex> Lock(M);
-  for (auto &E : D)
+  for (Entry &E : Counters)
     if (E.Name == Name)
       return E.Metric;
-  D.emplace_back();
-  D.back().Name = std::string(Name);
-  return D.back().Metric;
-}
-
-} // namespace
-
-Counter &MetricsRegistry::counter(std::string_view Name) {
-  return findOrCreate(Counters, Name, M);
-}
-
-Gauge &MetricsRegistry::gauge(std::string_view Name) {
-  return findOrCreate(Gauges, Name, M);
-}
-
-Histogram &MetricsRegistry::histogram(std::string_view Name) {
-  return findOrCreate(Histograms, Name, M);
+  Counters.emplace_back();
+  Counters.back().Name = std::string(Name);
+  return Counters.back().Metric;
 }
 
 JsonValue MetricsRegistry::json() const {
   std::lock_guard<std::mutex> Lock(M);
-  JsonValue Root = JsonValue::object();
   JsonValue C = JsonValue::object();
-  for (const auto &E : Counters)
+  for (const Entry &E : Counters)
     C.set(E.Name, JsonValue::integer(static_cast<int64_t>(E.Metric.value())));
+  JsonValue Root = JsonValue::object();
   Root.set("counters", std::move(C));
-  JsonValue G = JsonValue::object();
-  for (const auto &E : Gauges) {
-    JsonValue V = JsonValue::object();
-    V.set("value", JsonValue::integer(E.Metric.value()));
-    V.set("max", JsonValue::integer(E.Metric.max()));
-    G.set(E.Name, std::move(V));
-  }
-  Root.set("gauges", std::move(G));
-  JsonValue H = JsonValue::object();
-  for (const auto &E : Histograms) {
-    JsonValue V = JsonValue::object();
-    V.set("count",
-          JsonValue::integer(static_cast<int64_t>(E.Metric.count())));
-    V.set("sum", JsonValue::integer(static_cast<int64_t>(E.Metric.sum())));
-    V.set("p50",
-          JsonValue::integer(static_cast<int64_t>(E.Metric.quantile(0.50))));
-    V.set("p99",
-          JsonValue::integer(static_cast<int64_t>(E.Metric.quantile(0.99))));
-    H.set(E.Name, std::move(V));
-  }
-  Root.set("histograms", std::move(H));
   return Root;
 }
 
 std::string MetricsRegistry::report() const {
-  struct Line {
-    std::string Name;
-    std::string Text;
-  };
-  std::vector<Line> Lines;
+  std::vector<std::pair<std::string, uint64_t>> Lines;
   {
     std::lock_guard<std::mutex> Lock(M);
-    for (const auto &E : Counters)
-      Lines.push_back({E.Name, std::to_string(E.Metric.value())});
-    for (const auto &E : Gauges)
-      Lines.push_back({E.Name, std::to_string(E.Metric.value()) + " (max " +
-                                   std::to_string(E.Metric.max()) + ")"});
-    for (const auto &E : Histograms)
-      Lines.push_back(
-          {E.Name, "count " + std::to_string(E.Metric.count()) + ", sum " +
-                       std::to_string(E.Metric.sum()) + ", p50 " +
-                       std::to_string(E.Metric.quantile(0.50)) + ", p99 " +
-                       std::to_string(E.Metric.quantile(0.99))});
+    for (const Entry &E : Counters)
+      Lines.emplace_back(E.Name, E.Metric.value());
   }
-  std::sort(Lines.begin(), Lines.end(),
-            [](const Line &A, const Line &B) { return A.Name < B.Name; });
+  std::sort(Lines.begin(), Lines.end());
   std::ostringstream OS;
-  for (const Line &L : Lines)
-    OS << "  " << L.Name << " = " << L.Text << "\n";
+  for (const auto &[Name, Value] : Lines)
+    OS << "  " << Name << " = " << Value << "\n";
   return OS.str();
 }

@@ -1,20 +1,21 @@
-//===--- Metrics.h - Sharded counters, gauges, and histograms ---*- C++ -*-==//
+//===--- Metrics.h - Stage counters and sharded histograms ------*- C++ -*-==//
 //
 // Part of the esplang project (ESP, PLDI 2001 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A registry of named metrics shared by the runtime, the model checker,
-/// and the simulator. Counters and histograms keep one cache-line-padded
-/// shard per thread slot, so `--jobs N` search workers increment without
-/// ever touching the same line; reads aggregate the shards. Totals are
-/// exact once the writers have joined (relaxed atomics: every increment
-/// lands, only the read-while-writing snapshot is approximate), and the
-/// layout is clean under -fsanitize=thread.
+/// Two measurement tools. MetricsRegistry holds the compiler driver's
+/// named stage counters (`driver.*`), which `espc --profile` prints and
+/// the benchmark harness reads; each counter is one relaxed atomic,
+/// written by the one thread that compiles. Histogram is a
+/// standalone log-linear histogram with one cache-line-aligned row per
+/// writer shard: the `espserve` workers record request latencies and
+/// heap watermarks into it without touching each other's lines, and
+/// reads merge the rows once the writers have joined.
 ///
 /// Handles returned by the registry are stable for its lifetime;
-/// registration takes a mutex, the increment paths are lock-free.
+/// registration takes a mutex, increments are lock-free.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,8 +37,8 @@ namespace obs {
 
 class JsonValue;
 
-/// Number of independent shards per counter/histogram. Threads map onto
-/// shards round-robin; two threads share a shard only beyond this many
+/// Number of independent shards per histogram. Threads map onto shards
+/// round-robin; two threads share a shard only beyond this many
 /// concurrent writers (still correct, just contended).
 inline constexpr unsigned kMetricShards = 16;
 
@@ -47,42 +48,13 @@ unsigned metricShard();
 /// Monotone counter.
 class Counter {
 public:
-  void add(uint64_t Delta = 1) { add(Delta, metricShard()); }
-  void add(uint64_t Delta, unsigned Shard) {
-    Cells[Shard % kMetricShards].V.fetch_add(Delta,
-                                             std::memory_order_relaxed);
+  void add(uint64_t Delta = 1) {
+    V.fetch_add(Delta, std::memory_order_relaxed);
   }
-  uint64_t value() const {
-    uint64_t Sum = 0;
-    for (const Cell &C : Cells)
-      Sum += C.V.load(std::memory_order_relaxed);
-    return Sum;
-  }
+  uint64_t value() const { return V.load(std::memory_order_relaxed); }
 
 private:
-  struct alignas(64) Cell {
-    std::atomic<uint64_t> V{0};
-  };
-  std::array<Cell, kMetricShards> Cells;
-};
-
-/// Last-writer-wins instantaneous value (plus a max watermark).
-class Gauge {
-public:
-  void set(int64_t Value) {
-    V.store(Value, std::memory_order_relaxed);
-    int64_t Seen = Max.load(std::memory_order_relaxed);
-    while (Value > Seen &&
-           !Max.compare_exchange_weak(Seen, Value,
-                                      std::memory_order_relaxed))
-      ;
-  }
-  int64_t value() const { return V.load(std::memory_order_relaxed); }
-  int64_t max() const { return Max.load(std::memory_order_relaxed); }
-
-private:
-  std::atomic<int64_t> V{0};
-  std::atomic<int64_t> Max{0};
+  std::atomic<uint64_t> V{0};
 };
 
 /// Log-linear (HdrHistogram-style) histogram. Each power-of-two range
@@ -128,11 +100,9 @@ public:
   void record(uint64_t Sample, unsigned Shard) {
     Row &R = Rows[Shard % ShardCount];
     R.B[bucketOf(Sample)].fetch_add(1, std::memory_order_relaxed);
-    R.Sum.fetch_add(Sample, std::memory_order_relaxed);
   }
 
   uint64_t count() const;
-  uint64_t sum() const;
   /// Value at quantile \p Q in [0, 1]: the midpoint of the bucket holding
   /// that rank, so within 1/32 of the true sample. 0 when empty.
   uint64_t quantile(double Q) const;
@@ -140,38 +110,32 @@ public:
 private:
   struct alignas(64) Row {
     std::array<std::atomic<uint64_t>, kBucketCount> B{};
-    std::atomic<uint64_t> Sum{0};
   };
   unsigned ShardCount;
   std::unique_ptr<Row[]> Rows;
 };
 
-/// Named metrics, grouped by kind. Lookup-or-create is mutex-guarded;
-/// returned references remain valid for the registry's lifetime (deque
-/// storage never moves elements).
+/// Named counters. Lookup-or-create is mutex-guarded; returned
+/// references remain valid for the registry's lifetime (deque storage
+/// never moves elements).
 class MetricsRegistry {
 public:
   Counter &counter(std::string_view Name);
-  Gauge &gauge(std::string_view Name);
-  Histogram &histogram(std::string_view Name);
 
-  /// Snapshot of every metric as JSON:
-  /// {"counters": {...}, "gauges": {...}, "histograms": {...}}.
+  /// Snapshot of every counter as JSON: {"counters": {...}}.
   JsonValue json() const;
 
-  /// Human-readable listing, one metric per line, sorted by name.
+  /// Human-readable listing, one counter per line, sorted by name.
   std::string report() const;
 
 private:
-  template <typename T> struct Entry {
+  struct Entry {
     std::string Name;
-    T Metric;
+    Counter Metric;
   };
 
   mutable std::mutex M;
-  std::deque<Entry<Counter>> Counters;
-  std::deque<Entry<Gauge>> Gauges;
-  std::deque<Entry<Histogram>> Histograms;
+  std::deque<Entry> Counters;
 };
 
 } // namespace obs

@@ -116,12 +116,13 @@ private:
 
 struct Fleet {
   explicit Fleet(const ServeOptions &Options)
-      : Opt(Options), Lat(Options.Workers) {}
+      : Opt(Options), Lat(Options.Workers), HeapHW(Options.Workers) {}
 
   ServeOptions Opt;
   std::vector<std::unique_ptr<Slot>> Slots;
   std::vector<WorkerQueue> Queues;
-  obs::Histogram Lat;
+  obs::Histogram Lat;    ///< Request latency, T0 to response.
+  obs::Histogram HeapHW; ///< Live-heap watermark per connection.
 
   std::atomic<uint64_t> Responses{0};
   std::atomic<uint64_t> QueuedSlots{0};
@@ -254,8 +255,7 @@ void Fleet::runSlot(uint32_t SlotIndex) {
       uint64_t HW = S.M->heap().getHighWater();
       if (HW > S.HeapHighWater)
         S.HeapHighWater = HW;
-      if (Opt.Metrics)
-        Opt.Metrics->histogram("serve.machine_heap_highwater").record(HW);
+      HeapHW.record(HW);
       S.InstrAccum += S.M->stats().Instructions;
       S.M->reset();
       S.M->start();
@@ -365,6 +365,7 @@ ServeResult esp::serve::runServe(const ServeOptions &Options) {
     LoadRequest Req;
     bool Pending = false;
     uint64_t Pushed = 0;
+    uint64_t QueueHighWater = 0;
     while (!F.Done.load(std::memory_order_relaxed)) {
       // Collect one burst: consecutive requests to the same machine.
       Burst.clear();
@@ -400,11 +401,10 @@ ServeResult esp::serve::runServe(const ServeOptions &Options) {
         std::this_thread::yield();
       }
       Pushed += Offset;
-      if (Opt.Metrics)
-        Opt.Metrics->gauge("serve.queue_depth")
-            .set(static_cast<int64_t>(
-                F.QueuedSlots.load(std::memory_order_relaxed)));
+      QueueHighWater = std::max(
+          QueueHighWater, F.QueuedSlots.load(std::memory_order_relaxed));
     }
+    Result.QueueHighWater = QueueHighWater;
 
     // Wait for the fleet to answer everything (or fail). Timed waits:
     // the workers notify without holding IdleM (the counters are
@@ -432,8 +432,9 @@ ServeResult esp::serve::runServe(const ServeOptions &Options) {
     Result.Totals.Checksum += S->Checksum;
     if (S->Inbox.highWater() > Result.InboxHighWater)
       Result.InboxHighWater = S->Inbox.highWater();
-    uint64_t HW = std::max<uint64_t>(S->HeapHighWater,
-                                     S->M->heap().getHighWater());
+    uint64_t LastHW = S->M->heap().getHighWater();
+    F.HeapHW.record(LastHW);
+    uint64_t HW = std::max<uint64_t>(S->HeapHighWater, LastHW);
     if (HW > Result.HeapHighWaterMax)
       Result.HeapHighWaterMax = HW;
     Result.InstrTotal += S->InstrAccum + S->M->stats().Instructions;
@@ -449,26 +450,14 @@ ServeResult esp::serve::runServe(const ServeOptions &Options) {
   Result.P50Ns = F.Lat.quantile(0.50);
   Result.P99Ns = F.Lat.quantile(0.99);
   Result.P999Ns = F.Lat.quantile(0.999);
+  Result.HeapHighWaterSamples = F.HeapHW.count();
+  Result.HeapHighWaterP50 = F.HeapHW.quantile(0.50);
+  Result.HeapHighWaterP99 = F.HeapHW.quantile(0.99);
   Result.Steals = F.Steals.load();
   Result.Parks = F.Parks.load();
   Result.Wakes = F.Wakes.load();
   Result.BackpressureStalls = F.Stalls.load();
   Result.Resets = F.Resets.load();
-
-  if (Opt.Metrics) {
-    obs::MetricsRegistry &M = *Opt.Metrics;
-    M.counter("serve.requests").add(Opt.Requests);
-    M.counter("serve.responses").add(Result.Totals.Responses);
-    M.counter("serve.steals").add(Result.Steals);
-    M.counter("serve.parks").add(Result.Parks);
-    M.counter("serve.wakes").add(Result.Wakes);
-    M.counter("serve.backpressure_stalls").add(Result.BackpressureStalls);
-    M.counter("serve.resets").add(Result.Resets);
-    M.counter("serve.instructions").add(Result.InstrTotal);
-    for (std::unique_ptr<Slot> &S : F.Slots)
-      M.histogram("serve.machine_heap_highwater")
-          .record(S->M->heap().getHighWater());
-  }
 
   {
     std::lock_guard<std::mutex> Lock(F.ErrM);

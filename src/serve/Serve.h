@@ -43,7 +43,6 @@
 namespace esp {
 
 namespace obs {
-class MetricsRegistry;
 class TraceWriter;
 } // namespace obs
 
@@ -67,8 +66,6 @@ struct ServeOptions {
   /// Machine::reset() arena reuse under load.
   uint64_t ConnRequests = 0;
   uint64_t Seed = 1;
-  /// Optional metrics sink (serve.* counters/gauges/histograms).
-  obs::MetricsRegistry *Metrics = nullptr;
   /// Optional per-machine execution tracing; honored only when
   /// Workers == 1 (one TraceWriter is not a concurrent structure, and a
   /// deterministic schedule is the only one worth diffing).
@@ -77,6 +74,7 @@ struct ServeOptions {
   uint32_t TraceMachines = 1;
 };
 
+/// Everything a fleet run measured: the one report of a run.
 struct ServeResult {
   bool Ok = false;
   std::string Error; ///< First machine/runtime error, empty when Ok.
@@ -96,7 +94,13 @@ struct ServeResult {
   uint64_t BackpressureStalls = 0; ///< Producer retries on a full inbox.
   uint64_t Resets = 0;             ///< Machine recycles (ConnRequests).
   uint64_t InboxHighWater = 0;     ///< Max inbox depth over all slots.
+  uint64_t QueueHighWater = 0;     ///< Max queued slots after a burst.
   uint64_t HeapHighWaterMax = 0;   ///< Max per-machine live-heap watermark.
+  /// Live-heap watermarks: one sample per recycle plus one per machine
+  /// at shutdown (Resets + Machines), and their quantiles.
+  uint64_t HeapHighWaterSamples = 0;
+  uint64_t HeapHighWaterP50 = 0;
+  uint64_t HeapHighWaterP99 = 0;
   uint64_t InstrTotal = 0;         ///< ESP instructions over all machines.
 };
 

@@ -6,7 +6,10 @@
 
 #include "support/ToolArgs.h"
 
+#include "support/StringExtras.h"
+
 #include <cctype>
+#include <charconv>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -86,19 +89,27 @@ bool ToolArgs::optionRange(const char *Name, uint64_t &Value, uint64_t Min,
   return true;
 }
 
-bool ToolArgs::optionInt(const char *Name, int64_t &Value) {
+bool ToolArgs::optionIntList(const char *Name, std::vector<int64_t> &Values) {
   std::string Text;
   if (!option(Name, Text))
     return false;
   if (Exit)
     return true;
-  char *End = nullptr;
-  long long Parsed = std::strtoll(Text.c_str(), &End, 10);
-  if (End == Text.c_str() || *End != '\0') {
-    usageError(std::string(Name) + " expects an integer, got '" + Text + "'");
-    return true;
+  std::vector<int64_t> Parsed;
+  for (std::string_view Piece : split(Text, ',')) {
+    // from_chars takes an optional '-' and digits only: no blanks, no
+    // '+', and out-of-range values fail.
+    int64_t V = 0;
+    const char *End = Piece.data() + Piece.size();
+    auto [Stop, Err] = std::from_chars(Piece.data(), End, V);
+    if (Err != std::errc() || Stop != End) {
+      usageError(std::string(Name) +
+                 " expects comma-separated integers, got '" + Text + "'");
+      return true;
+    }
+    Parsed.push_back(V);
   }
-  Value = Parsed;
+  Values = std::move(Parsed);
   return true;
 }
 

@@ -33,6 +33,7 @@
 #include <set>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 namespace esp {
 
@@ -77,8 +78,11 @@ public:
     Value = static_cast<T>(Parsed);
     return true;
   }
-  /// Like option, but the value must parse as a decimal integer.
-  bool optionInt(const char *Name, int64_t &Value);
+  /// Like option, but the value must be a comma-separated list of
+  /// decimal integers, each with an optional '-' and in int64 range. An
+  /// empty piece, stray text, or overflow is a usage error and leaves
+  /// \p Values unchanged.
+  bool optionIntList(const char *Name, std::vector<int64_t> &Values);
 
   /// True when the current argument does not start with '-'.
   bool positional() const {

@@ -16,13 +16,13 @@
 #include "obs/Progress.h"
 #include "support/Diagnostics.h"
 #include "support/SourceManager.h"
+#include "support/StringExtras.h"
 #include "support/ToolArgs.h"
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -192,7 +192,6 @@ int main(int Argc, char **Argv) {
       ;
     } else if (Args.optionUInt("--max-states", Mc.MaxStates) ||
                Args.optionUInt("--max-depth", Mc.MaxDepth) ||
-               Args.optionUInt("--maxdepth", Mc.MaxDepth) ||
                Args.optionUInt("--max-objects", Mc.MaxObjects) ||
                Args.optionUInt("--env-budget", Mc.EnvSendBudget)) {
       ;
@@ -229,16 +228,8 @@ int main(int Argc, char **Argv) {
       Mc.CheckDeadlock = false;
     } else if (Args.flag("--no-leaks")) {
       Mc.CheckLeaks = false;
-    } else if (Args.option("--int-domain", Text)) {
-      IntDomain.clear();
-      size_t Pos = 0;
-      while (Pos < Text.size()) {
-        size_t Comma = Text.find(',', Pos);
-        if (Comma == std::string::npos)
-          Comma = Text.size();
-        IntDomain.push_back(std::atoll(Text.substr(Pos, Comma - Pos).c_str()));
-        Pos = Comma + 1;
-      }
+    } else if (Args.optionIntList("--int-domain", IntDomain)) {
+      ;
     } else if (Args.positional()) {
       Inputs.push_back(Args.arg());
     } else {
@@ -261,13 +252,9 @@ int main(int Argc, char **Argv) {
 
   // Split --process into a cluster and reject duplicates up front.
   std::vector<std::string> ProcessNames;
-  {
-    size_t Pos = 0;
-    while (Pos <= ProcessName.size() && !ProcessName.empty()) {
-      size_t Comma = ProcessName.find(',', Pos);
-      if (Comma == std::string::npos)
-        Comma = ProcessName.size();
-      std::string Name = ProcessName.substr(Pos, Comma - Pos);
+  if (!ProcessName.empty())
+    for (std::string_view Piece : split(ProcessName, ',')) {
+      std::string Name(Piece);
       if (Name.empty()) {
         Args.usageError("--process: empty process name in '" + ProcessName +
                         "'");
@@ -280,11 +267,7 @@ int main(int Argc, char **Argv) {
           return Args.exitCode();
         }
       ProcessNames.push_back(std::move(Name));
-      if (Comma == ProcessName.size())
-        break;
-      Pos = Comma + 1;
     }
-  }
 
   // The program plus its test harness files compile as one buffer
   // (Figure 4); the driver adds the concatenation banners.

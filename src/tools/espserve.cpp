@@ -11,8 +11,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "obs/Json.h"
-#include "obs/Metrics.h"
-#include "obs/Obs.h"
 #include "obs/Trace.h"
 #include "serve/Serve.h"
 #include "support/ToolArgs.h"
@@ -44,7 +42,7 @@ const char kUsage[] =
     "  --conn-requests N   recycle a machine after N responses\n"
     "                      (default 0 = never)\n"
     "  --seed N            load-generator seed (default 1)\n"
-    "  --stats-json FILE   write serve.* metrics as JSON\n"
+    "  --stats-json FILE   write the run's numbers as JSON\n"
     "  --trace FILE        Chrome trace of the first --trace-machines\n"
     "                      machines (implies --jobs 1)\n"
     "  --trace-machines N  how many machines get trace tracks\n"
@@ -78,13 +76,7 @@ int main(int Argc, char **Argv) {
   if (Args.shouldExit())
     return Args.exitCode();
 
-  obs::MetricsRegistry Metrics;
   obs::TraceWriter Trace;
-  const bool Observing = !StatsPath.empty() || !TracePath.empty();
-  if (Observing)
-    obs::setEnabled(true);
-  if (!StatsPath.empty())
-    Opt.Metrics = &Metrics;
   if (!TracePath.empty()) {
     if (Opt.Workers != 1) {
       // Tracing needs the deterministic single-worker schedule; honor
@@ -106,29 +98,32 @@ int main(int Argc, char **Argv) {
   }
 
   if (!StatsPath.empty()) {
-    obs::JsonValue Stats = obs::JsonValue::object();
-    Stats.set("metrics", Metrics.json());
+    auto Int = [](uint64_t V) {
+      return obs::JsonValue::integer(static_cast<int64_t>(V));
+    };
     obs::JsonValue Run = obs::JsonValue::object();
-    Run.set("machines", obs::JsonValue::integer(Opt.Machines));
-    Run.set("requests", obs::JsonValue::integer(
-                            static_cast<int64_t>(Opt.Requests)));
-    Run.set("workers", obs::JsonValue::integer(Opt.Workers));
-    Run.set("elapsed_ns", obs::JsonValue::integer(
-                              static_cast<int64_t>(R.ElapsedNs)));
+    Run.set("machines", Int(Opt.Machines));
+    Run.set("requests", Int(Opt.Requests));
+    Run.set("workers", Int(Opt.Workers));
+    Run.set("elapsed_ns", Int(R.ElapsedNs));
     Run.set("requests_per_sec", obs::JsonValue::number(R.RequestsPerSec));
-    Run.set("p50_ns",
-            obs::JsonValue::integer(static_cast<int64_t>(R.P50Ns)));
-    Run.set("p99_ns",
-            obs::JsonValue::integer(static_cast<int64_t>(R.P99Ns)));
-    Run.set("p999_ns",
-            obs::JsonValue::integer(static_cast<int64_t>(R.P999Ns)));
-    Run.set("inbox_high_water", obs::JsonValue::integer(
-                                    static_cast<int64_t>(R.InboxHighWater)));
-    Run.set("heap_high_water_max",
-            obs::JsonValue::integer(
-                static_cast<int64_t>(R.HeapHighWaterMax)));
-    Run.set("checksum", obs::JsonValue::integer(
-                            static_cast<int64_t>(R.Totals.Checksum)));
+    Run.set("p50_ns", Int(R.P50Ns));
+    Run.set("p99_ns", Int(R.P99Ns));
+    Run.set("p999_ns", Int(R.P999Ns));
+    Run.set("responses", Int(R.Totals.Responses));
+    Run.set("steals", Int(R.Steals));
+    Run.set("parks", Int(R.Parks));
+    Run.set("wakes", Int(R.Wakes));
+    Run.set("backpressure_stalls", Int(R.BackpressureStalls));
+    Run.set("resets", Int(R.Resets));
+    Run.set("instructions", Int(R.InstrTotal));
+    Run.set("inbox_high_water", Int(R.InboxHighWater));
+    Run.set("queue_high_water", Int(R.QueueHighWater));
+    Run.set("heap_high_water_max", Int(R.HeapHighWaterMax));
+    Run.set("heap_high_water_p50", Int(R.HeapHighWaterP50));
+    Run.set("heap_high_water_p99", Int(R.HeapHighWaterP99));
+    Run.set("checksum", Int(R.Totals.Checksum));
+    obs::JsonValue Stats = obs::JsonValue::object();
     Stats.set("run", std::move(Run));
     std::string Text = Stats.dump(2);
     std::FILE *Out = std::fopen(StatsPath.c_str(), "w");

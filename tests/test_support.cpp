@@ -118,6 +118,36 @@ TEST(ToolArgs, NumericOptionsRejectSignsAndOutOfRange) {
   EXPECT_EQ(Jobs, 1024u);
 }
 
+/// Parses `--list <Text>`; returns the exit code (0 = accepted) and
+/// leaves the list in \p Out.
+int parseIntList(const std::string &Text, std::vector<int64_t> &Out) {
+  ArgvFixture Args({"tool", "--list", Text});
+  ToolArgs TA(Args.argc(), Args.argv(), "tool", "usage\n");
+  while (TA.next())
+    if (!TA.optionIntList("--list", Out))
+      TA.unknownOrBuiltin();
+  return TA.exitCode();
+}
+
+TEST(ToolArgs, IntListAcceptsSignedDecimalsOnly) {
+  std::vector<int64_t> List;
+  EXPECT_EQ(parseIntList("-1,0,1", List), 0);
+  EXPECT_EQ(List, (std::vector<int64_t>{-1, 0, 1}));
+  EXPECT_EQ(parseIntList("-9223372036854775808,9223372036854775807", List),
+            0);
+  EXPECT_EQ(List, (std::vector<int64_t>{INT64_MIN, INT64_MAX}));
+
+  // atoll read each of these as some list of zeros and INT64_MAX.
+  std::vector<int64_t> Kept = {7};
+  for (const char *Bad : {"foo", "1,,2", "", "9223372036854775808",
+                          "-9223372036854775809", "1,", "-", "+1", " 1",
+                          "1x"}) {
+    List = Kept;
+    EXPECT_EQ(parseIntList(Bad, List), 2) << "'" << Bad << "'";
+    EXPECT_EQ(List, Kept) << "'" << Bad << "'";
+  }
+}
+
 TEST(SourceManager, DecodeLinesAndColumns) {
   SourceManager SM;
   uint32_t Id = SM.addBuffer("a.esp", "one\ntwo\nthree\n");
