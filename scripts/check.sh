@@ -160,6 +160,19 @@ if [ "$first" != "$second" ]; then
   exit 1
 fi
 
+echo "== espc: the emitted C compiles warning-free =="
+# The C backend's output for the corpus and the VMMC firmware, optimized,
+# at -O0 and with --safety, must build as strict C99: a scalar message
+# passed to esp_unlink or an unused counter fails here.
+for src in "$REPO_ROOT"/examples/esp/*.esp "$SCRATCH_DIR/vmmc.esp"; do
+  for mode in --emit-c "-O0 --emit-c" "--safety --emit-c"; do
+    "$ESPC" $mode "$src" > "$SCRATCH_DIR/gen.c" 2> "$SCRATCH_DIR/espc.log" ||
+      { cat "$SCRATCH_DIR/espc.log" >&2; exit 1; }
+    cc -std=c99 -Wall -Wextra -Wno-unused-function -Werror \
+      -c "$SCRATCH_DIR/gen.c" -o "$SCRATCH_DIR/gen.o"
+  done
+done
+
 ESPSERVE="$BUILD_DIR/src/tools/espserve"
 
 echo "== numeric flags: no sign, no wrap, no retired flag =="

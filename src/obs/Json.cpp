@@ -7,6 +7,7 @@
 #include "obs/Json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +30,13 @@ JsonValue JsonValue::integer(int64_t I) {
   JsonValue V;
   V.K = Kind::Int;
   V.Int = I;
+  return V;
+}
+
+JsonValue JsonValue::uinteger(uint64_t U) {
+  JsonValue V;
+  V.K = Kind::UInt;
+  V.Int = static_cast<int64_t>(U);
   return V;
 }
 
@@ -138,6 +146,13 @@ void dumpTo(const JsonValue &V, std::string &Out, unsigned Indent,
     char Buf[32];
     std::snprintf(Buf, sizeof(Buf), "%lld",
                   static_cast<long long>(V.asInt()));
+    Out += Buf;
+    break;
+  }
+  case JsonValue::Kind::UInt: {
+    char Buf[32];
+    std::snprintf(Buf, sizeof(Buf), "%llu",
+                  static_cast<unsigned long long>(V.asUInt()));
     Out += Buf;
     break;
   }
@@ -334,10 +349,17 @@ private:
     std::string Num(Text.substr(Start, Pos - Start));
     if (Num.empty() || Num == "-")
       return fail("malformed number");
-    if (IsDouble)
-      Out = JsonValue::number(std::strtod(Num.c_str(), nullptr));
+    // An integer is an Int when int64_t holds it and a UInt when only
+    // uint64_t does; past both it is a Double, as any fraction is.
+    const char *Begin = Num.data(), *End = Begin + Num.size();
+    int64_t I;
+    uint64_t U;
+    if (!IsDouble && std::from_chars(Begin, End, I).ec == std::errc())
+      Out = JsonValue::integer(I);
+    else if (!IsDouble && std::from_chars(Begin, End, U).ec == std::errc())
+      Out = JsonValue::uinteger(U);
     else
-      Out = JsonValue::integer(std::strtoll(Num.c_str(), nullptr, 10));
+      Out = JsonValue::number(std::strtod(Num.c_str(), nullptr));
     return true;
   }
 

@@ -26,15 +26,19 @@ namespace esp {
 namespace obs {
 
 /// One JSON value. Numbers keep an integer/double distinction so trace
-/// timestamps round-trip exactly.
+/// timestamps round-trip exactly, and integers a signed/unsigned one so
+/// 64-bit hashes and counters above INT64_MAX do too.
 class JsonValue {
 public:
-  enum class Kind : uint8_t { Null, Bool, Int, Double, String, Array, Object };
+  enum class Kind : uint8_t {
+    Null, Bool, Int, UInt, Double, String, Array, Object
+  };
 
   JsonValue() = default;
   static JsonValue null() { return JsonValue(); }
   static JsonValue boolean(bool B);
   static JsonValue integer(int64_t I);
+  static JsonValue uinteger(uint64_t U);
   static JsonValue number(double D);
   static JsonValue str(std::string S);
   static JsonValue array();
@@ -44,14 +48,24 @@ public:
   bool isNull() const { return K == Kind::Null; }
   bool isBool() const { return K == Kind::Bool; }
   bool isInt() const { return K == Kind::Int; }
-  bool isNumber() const { return K == Kind::Int || K == Kind::Double; }
+  bool isUInt() const { return K == Kind::UInt; }
+  bool isNumber() const {
+    return K == Kind::Int || K == Kind::UInt || K == Kind::Double;
+  }
   bool isString() const { return K == Kind::String; }
   bool isArray() const { return K == Kind::Array; }
   bool isObject() const { return K == Kind::Object; }
 
   bool asBool() const { return Bool; }
   int64_t asInt() const { return K == Kind::Double ? (int64_t)Dbl : Int; }
-  double asDouble() const { return K == Kind::Int ? (double)Int : Dbl; }
+  uint64_t asUInt() const {
+    return K == Kind::Double ? (uint64_t)Dbl : (uint64_t)Int;
+  }
+  double asDouble() const {
+    if (K == Kind::Int)
+      return (double)Int;
+    return K == Kind::UInt ? (double)asUInt() : Dbl;
+  }
   const std::string &asString() const { return Str; }
 
   /// Array access.
@@ -73,7 +87,7 @@ public:
 private:
   Kind K = Kind::Null;
   bool Bool = false;
-  int64_t Int = 0;
+  int64_t Int = 0; // A UInt's bits, too.
   double Dbl = 0;
   std::string Str;
   std::vector<JsonValue> Elems;

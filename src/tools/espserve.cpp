@@ -98,31 +98,29 @@ int main(int Argc, char **Argv) {
   }
 
   if (!StatsPath.empty()) {
-    auto Int = [](uint64_t V) {
-      return obs::JsonValue::integer(static_cast<int64_t>(V));
-    };
+    auto UInt = [](uint64_t V) { return obs::JsonValue::uinteger(V); };
     obs::JsonValue Run = obs::JsonValue::object();
-    Run.set("machines", Int(Opt.Machines));
-    Run.set("requests", Int(Opt.Requests));
-    Run.set("workers", Int(Opt.Workers));
-    Run.set("elapsed_ns", Int(R.ElapsedNs));
+    Run.set("machines", UInt(Opt.Machines));
+    Run.set("requests", UInt(Opt.Requests));
+    Run.set("workers", UInt(Opt.Workers));
+    Run.set("elapsed_ns", UInt(R.ElapsedNs));
     Run.set("requests_per_sec", obs::JsonValue::number(R.RequestsPerSec));
-    Run.set("p50_ns", Int(R.P50Ns));
-    Run.set("p99_ns", Int(R.P99Ns));
-    Run.set("p999_ns", Int(R.P999Ns));
-    Run.set("responses", Int(R.Totals.Responses));
-    Run.set("steals", Int(R.Steals));
-    Run.set("parks", Int(R.Parks));
-    Run.set("wakes", Int(R.Wakes));
-    Run.set("backpressure_stalls", Int(R.BackpressureStalls));
-    Run.set("resets", Int(R.Resets));
-    Run.set("instructions", Int(R.InstrTotal));
-    Run.set("inbox_high_water", Int(R.InboxHighWater));
-    Run.set("queue_high_water", Int(R.QueueHighWater));
-    Run.set("heap_high_water_max", Int(R.HeapHighWaterMax));
-    Run.set("heap_high_water_p50", Int(R.HeapHighWaterP50));
-    Run.set("heap_high_water_p99", Int(R.HeapHighWaterP99));
-    Run.set("checksum", Int(R.Totals.Checksum));
+    Run.set("p50_ns", UInt(R.P50Ns));
+    Run.set("p99_ns", UInt(R.P99Ns));
+    Run.set("p999_ns", UInt(R.P999Ns));
+    Run.set("responses", UInt(R.Totals.Responses));
+    Run.set("steals", UInt(R.Steals));
+    Run.set("parks", UInt(R.Parks));
+    Run.set("wakes", UInt(R.Wakes));
+    Run.set("backpressure_stalls", UInt(R.BackpressureStalls));
+    Run.set("resets", UInt(R.Resets));
+    Run.set("instructions", UInt(R.InstrTotal));
+    Run.set("inbox_high_water", UInt(R.InboxHighWater));
+    Run.set("queue_high_water", UInt(R.QueueHighWater));
+    Run.set("heap_high_water_max", UInt(R.HeapHighWaterMax));
+    Run.set("heap_high_water_p50", UInt(R.HeapHighWaterP50));
+    Run.set("heap_high_water_p99", UInt(R.HeapHighWaterP99));
+    Run.set("checksum", UInt(R.Totals.Checksum));
     obs::JsonValue Stats = obs::JsonValue::object();
     Stats.set("run", std::move(Run));
     std::string Text = Stats.dump(2);

@@ -26,10 +26,12 @@ struct RunResult {
   std::string Output;
 };
 
-/// Writes the generated C and a driver into a temp dir, compiles with the
-/// system cc, runs, and captures stdout.
+/// Writes the generated C, a driver and, when given, the generated
+/// header (as gen.h, for the driver to include) into a temp dir, compiles
+/// with the system cc, runs, and captures stdout.
 RunResult compileAndRunC(const std::string &Generated,
-                         const std::string &Driver) {
+                         const std::string &Driver,
+                         const std::string &Header = "") {
   char Template[] = "/tmp/esp_cg_XXXXXX";
   char *Dir = mkdtemp(Template);
   if (!Dir) {
@@ -42,6 +44,8 @@ RunResult compileAndRunC(const std::string &Generated,
     Gen << Generated;
     std::ofstream Drv(Base + "/driver.c");
     Drv << Driver;
+    if (!Header.empty())
+      std::ofstream(Base + "/gen.h") << Header;
   }
   std::string Compile = "cc -std=c99 -O1 -o " + Base + "/prog " + Base +
                         "/gen.c " + Base + "/driver.c 2> " + Base +
@@ -243,10 +247,9 @@ process consumer {
   EXPECT_NE(R.Output.find("live=0"), std::string::npos) << R.Output;
 }
 
-TEST(CCodeGen, ExternalInterfacesRoundTrip) {
-  // An external writer feeds requests; an external reader consumes
-  // results: the paper's IsReady/per-case C function protocol (§4.5).
-  std::string Gen = genFor(R"(
+/// An external writer feeds requests; an external reader consumes
+/// results: the paper's IsReady/per-case C function protocol (§4.5).
+const char *AdderSource = R"(
 type reqT = record of { a: int, b: int }
 channel reqC: reqT
 channel resC: int
@@ -258,13 +261,14 @@ process adder {
     out(resC, a + b);
   }
 }
-)");
-  ASSERT_FALSE(Gen.empty());
-  const char *Driver = R"(
+)";
+
+/// Posts { i, 10 * i } for i = 0..3 and checks the four sums. It includes
+/// the generated header, so cc checks the interface prototypes against
+/// these definitions.
+const char *AdderDriver = R"(
 #include <stdio.h>
-extern void esp_start(void);
-extern int esp_main_loop(long max_steps);
-extern long long esp_stat_live(void);
+#include "gen.h"
 static int posted = 0;
 static long long results[4];
 static int nresults = 0;
@@ -281,13 +285,104 @@ int main(void) {
   if (nresults != 4) { printf("got %d results\n", nresults); return 1; }
   for (int i = 0; i < 4; i++)
     if (results[i] != 11LL * i) { printf("bad result %d\n", i); return 1; }
-  printf("ok live=%lld\n", esp_stat_live());
+  printf("ok live=%lld rendezvous=%llu ctx_switches=%llu\n", esp_stat_live(),
+         esp_stat_rendezvous(), esp_stat_ctx_switches());
+  return 0;
+}
+)";
+
+RunResult runAdderInC() {
+  OptOptions Options = OptOptions::all();
+  auto C = compile(AdderSource, &Options);
+  if (!C)
+    return {};
+  return compileAndRunC(generateC(C->Module), AdderDriver,
+                        generateCHeader(C->Module));
+}
+
+TEST(CCodeGen, ExternalInterfacesRoundTrip) {
+  RunResult R = runAdderInC();
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_NE(R.Output.find("ok live=0"), std::string::npos) << R.Output;
+}
+
+/// The adder's request source on a Machine: posts { i, 10 * i } for
+/// i = 0..3, as AdderDriver does.
+class AdderRequests : public ExternalWriter {
+public:
+  int Posted = 0;
+  int isReady() override { return Posted < 4 ? 1 : 0; }
+  void produce(int, Heap &, std::vector<Value> &Out) override {
+    Out.push_back(Value::makeInt(Posted));
+    Out.push_back(Value::makeInt(10 * Posted));
+  }
+  void accepted(int) override { ++Posted; }
+};
+
+class AdderResults : public ExternalReader {
+public:
+  std::vector<int64_t> Got;
+  bool isReady() override { return true; }
+  void consume(int, Heap &, const std::vector<Value> &Args) override {
+    Got.push_back(Args[0].Scalar);
+  }
+};
+
+TEST(CCodeGen, CountersMatchTheMachine) {
+  // The generated C keeps the rendezvous and context-switch counts that
+  // the cost model charges; on the same program and inputs they must
+  // equal the machine's. A hand-off to an external reader is no
+  // rendezvous on either side.
+  OptOptions Options = OptOptions::all();
+  auto C = compile(AdderSource, &Options);
+  ASSERT_TRUE(C);
+  Machine M(C->Module, MachineOptions());
+  M.bindWriter("Req", std::make_unique<AdderRequests>());
+  auto Results = std::make_unique<AdderResults>();
+  AdderResults &Got = *Results;
+  M.bindReader("Res", std::move(Results));
+  M.start();
+  ASSERT_EQ(M.run(100000), StepResult::Quiescent);
+  ASSERT_EQ(Got.Got, (std::vector<int64_t>{0, 11, 22, 33}));
+
+  RunResult R = runAdderInC();
+  ASSERT_EQ(R.ExitCode, 0) << R.Output;
+  std::string Expected =
+      "rendezvous=" + std::to_string(M.stats().Rendezvous) +
+      " ctx_switches=" + std::to_string(M.stats().ContextSwitches) + "\n";
+  EXPECT_NE(R.Output.find(Expected), std::string::npos)
+      << "machine: " << Expected << "C: " << R.Output;
+}
+
+TEST(CCodeGen, ScalarExternalMessageRuns) {
+  // Each tick is a bare int: the delivery has no message object to
+  // unlink, and the program runs to quiescence.
+  std::string Gen = genFor(R"(
+channel timerC: int
+channel logC: int
+interface Timer(out timerC) { Tick( $t ) }
+interface Log(in logC) { Print( $v ) }
+process clock { while (true) { in(timerC, $t); out(logC, t + 1); } }
+)");
+  ASSERT_FALSE(Gen.empty());
+  const char *Driver = R"(
+#include <stdio.h>
+extern void esp_start(void);
+extern int esp_main_loop(long max_steps);
+static long long ticks = 1000;
+int TimerIsReady(void) { return ticks <= 1002 ? 1 : 0; }
+void TimerTick(long long *t) { *t = ticks++; }
+int LogIsReady(void) { return 1; }
+void LogPrint(long long v) { printf("%lld\n", v); }
+int main(void) {
+  esp_start();
+  printf("result=%d\n", esp_main_loop(100000));
   return 0;
 }
 )";
   RunResult R = compileAndRunC(Gen, Driver);
   EXPECT_EQ(R.ExitCode, 0) << R.Output;
-  EXPECT_NE(R.Output.find("ok live=0"), std::string::npos) << R.Output;
+  EXPECT_EQ(R.Output, "1001\n1002\n1003\nresult=1\n");
 }
 
 TEST(CCodeGen, UnoptimizedModuleAlsoRuns) {

@@ -74,6 +74,35 @@ TEST(ObsJson, RoundTrip) {
   EXPECT_EQ(JsonValue::number(17.58).dump(), "17.58");
 }
 
+TEST(ObsJson, UnsignedIntegersRoundTrip) {
+  // A uint64 at or above 2^63 prints as its unsigned decimal and parses
+  // back as the same unsigned value; integers int64_t holds stay Int.
+  using obs::JsonValue;
+  for (uint64_t U : {uint64_t(1) << 63, ~uint64_t(0)}) {
+    std::string Text = JsonValue::uinteger(U).dump();
+    EXPECT_EQ(Text, std::to_string(U));
+    JsonValue Back;
+    std::string Error;
+    ASSERT_TRUE(obs::parseJson(Text, Back, Error)) << Error;
+    EXPECT_TRUE(Back.isUInt()) << Text;
+    EXPECT_EQ(Back.asUInt(), U);
+    EXPECT_EQ(Back.dump(), Text);
+  }
+  JsonValue V;
+  std::string Error;
+  ASSERT_TRUE(obs::parseJson("[9223372036854775807, -9223372036854775808, "
+                             "18446744073709551616]",
+                             V, Error))
+      << Error;
+  EXPECT_TRUE(V.at(0).isInt());
+  EXPECT_EQ(V.at(0).asInt(), INT64_MAX);
+  EXPECT_TRUE(V.at(1).isInt());
+  EXPECT_EQ(V.at(1).asInt(), INT64_MIN);
+  // Past uint64_t, an integer literal is read as a double.
+  EXPECT_EQ(V.at(2).kind(), JsonValue::Kind::Double);
+  EXPECT_EQ(V.at(2).asDouble(), 18446744073709551616.0);
+}
+
 TEST(ObsJson, RejectsMalformedInput) {
   obs::JsonValue V;
   std::string Error;
