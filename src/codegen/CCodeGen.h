@@ -20,7 +20,10 @@
 ///  * external interfaces become the paper's C function pairs:
 ///    `<Iface>IsReady()` plus one function per interface case,
 ///  * an idle loop polls external channels and drives the stack-based
-///    non-preemptive scheduler.
+///    non-preemptive scheduler. A case function consumes its message, so
+///    the loop asks an external writer only while some reader waits on
+///    its channel; a message that no waiting reader's pattern accepts is
+///    dropped, where the Machine leaves it with the writer.
 ///
 /// The C keeps four counters, read through `esp_stat_*()`: allocations,
 /// live objects, rendezvous and context switches. The last two count

@@ -365,8 +365,12 @@ struct WorkerCtx {
   WorkerCtx(const ModuleIR &Module, const McOptions &Options,
             const MachineOptions &MO,
             std::shared_ptr<const CompiledProgram> Compiled)
-      : M(Module, MO, std::move(Compiled)), Cache(M) {
-    M.setEnvModel(Options.Env);
+      : M(Module, MO, std::move(Compiled)), Cache(withEnv(M, Options.Env)) {}
+
+  /// \p M with its environment model set, which the cache reads.
+  static const Machine &withEnv(Machine &M, const EnvModel *Env) {
+    M.setEnvModel(Env);
+    return M;
   }
 
   /// Frame \p Depth's parts, with room for \p Depth + 1's.
@@ -520,6 +524,7 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
   // Cooperative workers share one visited set, so each budgets its
   // checkpoints against its share of it; a swarm worker owns its set.
   const size_t Sharers = AllowOffload ? Jobs : 1;
+  const bool Fingerprints = Visited.storesFingerprints();
 
   // Builds the move path / index path from the item prefix plus the
   // local stack (and optionally the final move).
@@ -603,18 +608,35 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
 
 #ifndef NDEBUG
   // Debug builds check every cache hit against the machine: the served
-  // vector must be the one applying the move gives. The check leaves
-  // MachineAt's meaning and the replay count as they were.
-  auto checkHit = [&](const Move &Mv) {
+  // parts must splice into the vector applying the move gives, and their
+  // fingerprint must be the one a fresh cache takes of that state. The
+  // check leaves MachineAt's meaning and the replay count as they were.
+  auto checkHit = [&](const Move &Mv, const uint32_t *Served) {
     const size_t TopIndex = Stack.size() - 1;
     Checkpoints.restore(M, Stack, TopIndex);
     M.applyMove(Mv);
-    const std::string Applied = M.serializeState();
-    assert(Applied == W.Raw && "the transition cache served a wrong vector");
+    std::string Spliced;
+    W.Cache.splice(Served, Spliced);
+    assert(M.serializeState() == Spliced &&
+           "the transition cache served a wrong vector");
+    TransitionCache Fresh(M);
+    std::vector<uint32_t> Captured(Fresh.partsWords());
+    Fresh.capture(M, Captured.data());
+    assert(Fresh.fingerprint(Captured.data()) == W.Cache.fingerprint(Served) &&
+           "the transition cache served a wrong fingerprint");
     if (MachineAt == TopIndex)
       Checkpoints.restore(M, Stack, TopIndex);
   };
 #endif
+
+  // Inserts the state \p Parts into the visited set: by its fingerprint
+  // under hash compaction, else by its spliced vector, left in W.Raw.
+  auto insertVisited = [&](const uint32_t *Parts) {
+    if (Fingerprints)
+      return Visited.insertFingerprint(W.Cache.fingerprint(Parts));
+    W.Cache.splice(Parts, W.Raw);
+    return Visited.insert(W.Raw);
+  };
 
   // Offload heuristic: hand a fresh subtree to the shared queue only
   // when other workers are hungry AND this worker keeps enough local
@@ -676,26 +698,25 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
     }
     uint32_t *ParentParts = W.parts(Stack.size() - 1);
     uint32_t *ChildParts = ParentParts + W.Cache.partsWords();
-    const bool Hit = W.Cache.lookup(ParentParts, Chosen, W.Raw);
+    const bool Hit = W.Cache.lookup(ParentParts, Chosen, ChildParts);
 #ifndef NDEBUG
     if (Hit)
-      checkHit(Chosen);
+      checkHit(Chosen, ChildParts);
 #endif
     if (!Hit) {
       restoreToTop();
       M.applyMove(Chosen);
       MachineAt = Dirty;
       McResult V;
-      size_t Reached = M.error() ? 0
-                                 : W.Cache.successor(M, ParentParts, Chosen,
-                                                     W.Raw, ChildParts);
+      size_t Reached =
+          M.error() ? 0 : W.Cache.successor(M, ParentParts, Chosen, ChildParts);
       if (checkStateViolation(M, Options, V, Reached)) {
         reportViolation(V, &Chosen, ChosenIndex);
         return;
       }
       W.Cache.record(ParentParts, Chosen, ChildParts);
     }
-    if (!Visited.insert(W.Raw))
+    if (!insertVisited(ChildParts))
       continue;
     ++W.Stats.Stored;
     if (W.Stats.Stored % 256 == 0)
@@ -709,7 +730,7 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
       if (W.Stats.Stored % 32768 == 0)
         Prog->VisitedBytes.store(Visited.bytes(), std::memory_order_relaxed);
     }
-    if (UnionTable)
+    if (UnionTable) // Bit-state, so W.Raw holds the vector.
       UnionTable->insert(W.Raw);
     if (BaseDepth + Stack.size() >= Options.MaxDepth) {
       // Depth-bounded prune: the subtree below this state is not
@@ -723,7 +744,7 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
       restoreToTop();
       M.applyMove(Chosen);
       MachineAt = Dirty;
-      W.Cache.successor(M, ParentParts, Chosen, W.Raw, ChildParts);
+      W.Cache.successor(M, ParentParts, Chosen, ChildParts);
     }
     if (AllowOffload && Queue.hungry() && haveLocalReserve()) {
       WorkItem Child;
@@ -761,9 +782,10 @@ void ParallelDfs::workerMain(unsigned Wid, ConcurrentVisitedSet &Visited) {
 }
 
 /// Starts \p Root's machine at the search root, counts the root state and
-/// checks it. A clean root is inserted into \p Table and left serialized
-/// in Root.Raw; false when the root itself violates (\p Result then holds
-/// the violation).
+/// checks it. A clean root is inserted into \p Table, under hash
+/// compaction by the fingerprint its workers give it, and left
+/// serialized in Root.Raw; false when the root itself violates
+/// (\p Result then holds the violation).
 bool ParallelDfs::startRoot(WorkerCtx &Root, ConcurrentVisitedSet &Table,
                             McResult &Result) {
   Machine &M = Root.M;
@@ -776,7 +798,13 @@ bool ParallelDfs::startRoot(WorkerCtx &Root, ConcurrentVisitedSet &Table,
     Result.MemoryBytes = Table.bytes();
     return false;
   }
-  Table.insert(Root.Raw);
+  if (Table.storesFingerprints()) {
+    uint32_t *Parts = Root.parts(0);
+    Root.Cache.capture(M, Parts);
+    Table.insertFingerprint(Root.Cache.fingerprint(Parts));
+  } else {
+    Table.insert(Root.Raw);
+  }
   ++Result.StatesStored;
   if (obs::SearchProgress *Prog = Options.Progress) {
     // Root-state counts live in the scalar fields; workers add deltas in

@@ -109,24 +109,29 @@ bool ConcurrentVisitedSet::insert(std::string_view Key) {
   // bits; the stored fingerprint is the full 64-bit value, so sharding
   // does not change the collision behavior.
   uint64_t Fp = xxHash64(Key.data(), Key.size());
+  if (Kind == Impl::Hash64)
+    return insertFingerprint(Fp);
   Shard &S = *Shards[shardIndex(Fp, ShardBits)];
-  switch (Kind) {
-  case Impl::Exact: {
+  {
     std::lock_guard<std::mutex> Lock(S.M);
     if (S.ExactKeys.find(Key) == S.ExactKeys.end()) {
       S.ExactKeys.emplace(Key);
       S.ExactKeyBytes += exactKeyBytes(Key);
       New = true;
     }
-    break;
   }
-  case Impl::Hash64: {
+  if (New)
+    Stored.fetch_add(1, std::memory_order_relaxed);
+  return New;
+}
+
+bool ConcurrentVisitedSet::insertFingerprint(uint64_t Fp) {
+  assert(Kind == Impl::Hash64 && "only hash compaction stores fingerprints");
+  Shard &S = *Shards[shardIndex(Fp, ShardBits)];
+  bool New;
+  {
     std::lock_guard<std::mutex> Lock(S.M);
     New = S.Fp64.insert(Fp);
-    break;
-  }
-  case Impl::BitState:
-    break; // Handled above.
   }
   if (New)
     Stored.fetch_add(1, std::memory_order_relaxed);

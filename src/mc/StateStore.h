@@ -114,8 +114,18 @@ public:
         BitWords(std::move(O.BitWords)), NumBitWords(O.NumBitWords),
         BitMask(O.BitMask), Seed(O.Seed) {}
 
-  /// Thread-safe insert; true when \p Key was not present before.
+  /// Thread-safe insert; true when \p Key was not present before. A
+  /// hash-compaction set stores the key's xxHash64.
   bool insert(std::string_view Key);
+
+  /// Whether the set keeps only 64-bit fingerprints (hash compaction):
+  /// then a state can be inserted by a fingerprint it was given instead
+  /// of by its vector.
+  bool storesFingerprints() const { return Kind == Impl::Hash64; }
+
+  /// Thread-safe insert into a hash-compaction set of fingerprint \p Fp;
+  /// true when it was not present before.
+  bool insertFingerprint(uint64_t Fp);
 
   /// States recorded via insert() returning true. Exact after all
   /// writers joined.

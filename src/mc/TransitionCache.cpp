@@ -44,7 +44,13 @@ size_t SegmentPool::memoryBytes() const {
 //===----------------------------------------------------------------------===//
 
 TransitionCache::TransitionCache(const Machine &M)
-    : NumProcs(M.numProcesses()), NumEnv(M.envSends().size()) {}
+    : NumProcs(M.numProcesses()), NumEnv(M.envSends().size()) {
+  if (NumEnv != 0) {
+    std::span<const uint32_t> Driven = M.envSendChannels();
+    SendChannels.assign(Driven.begin(), Driven.end());
+  }
+  FpBlock.resize(NumProcs + (SendChannels.size() + 1) / 2);
+}
 
 void TransitionCache::capture(const Machine &M, uint32_t *Parts) {
   for (unsigned P = 0; P != NumProcs; ++P) {
@@ -90,7 +96,7 @@ uint64_t TransitionCache::hash(const Key &K) {
 }
 
 bool TransitionCache::lookup(const uint32_t *Parent, const Move &Mv,
-                             std::string &Vec) {
+                             uint32_t *Child) {
   Key K;
   if (Entries.empty() || !makeKey(Mv, Parent, K))
     return false;
@@ -99,21 +105,19 @@ bool TransitionCache::lookup(const uint32_t *Parent, const Move &Mv,
   if (Id == kNone)
     return false;
   const Entry &E = Entries[Id];
-  Spliced.assign(Parent, Parent + NumProcs + NumEnv);
+  std::copy(Parent, Parent + NumProcs + NumEnv, Child);
   if (Mv.Writer >= 0)
-    Spliced[Mv.Writer] = E.Out[0];
+    Child[Mv.Writer] = E.Out[0];
   if (Mv.Reader >= 0)
-    Spliced[Mv.Reader] = E.Out[1];
+    Child[Mv.Reader] = E.Out[1];
   if (Mv.K == Move::Kind::EnvSend && NumEnv != 0)
-    ++Spliced[NumProcs + Mv.Channel];
-  splice(Spliced.data(), Vec);
+    ++Child[NumProcs + Mv.Channel];
   ++Hits;
   return true;
 }
 
 size_t TransitionCache::successor(const Machine &M, const uint32_t *Parent,
-                                  const Move &Mv, std::string &Vec,
-                                  uint32_t *Child) {
+                                  const Move &Mv, uint32_t *Child) {
   assert(!M.error() && "a faulted successor is not cached");
   std::copy(Parent, Parent + NumProcs, Child);
   for (int P : {Mv.Writer, Mv.Reader}) {
@@ -125,7 +129,10 @@ size_t TransitionCache::successor(const Machine &M, const uint32_t *Parent,
   std::span<const uint32_t> Env = M.envSends();
   std::copy(Env.begin(), Env.end(), Child + NumProcs);
   Child[NumProcs + NumEnv] = M.heap().getLiveCount();
-  return splice(Child, Vec);
+  size_t Reached = 0;
+  for (unsigned P = 0; P != NumProcs; ++P)
+    Reached += Pool.objects(Child[P]);
+  return Reached;
 }
 
 void TransitionCache::record(const uint32_t *Parent, const Move &Mv,
@@ -139,16 +146,26 @@ void TransitionCache::record(const uint32_t *Parent, const Move &Mv,
   Index.insert(hash(New.K), [&](uint32_t Id) { return hash(Entries[Id].K); });
 }
 
-size_t TransitionCache::splice(const uint32_t *Parts, std::string &Vec) const {
+void TransitionCache::splice(const uint32_t *Parts, std::string &Vec) const {
   Vec.clear();
-  size_t Reached = 0;
-  for (unsigned P = 0; P != NumProcs; ++P) {
+  for (unsigned P = 0; P != NumProcs; ++P)
     Vec.append(Pool.bytes(Parts[P]));
-    Reached += Pool.objects(Parts[P]);
-  }
   Machine::appendStateTail(Vec, RuntimeErrorKind::None,
                            {Parts + NumProcs, NumEnv});
-  return Reached;
+}
+
+uint64_t TransitionCache::fingerprint(const uint32_t *Parts) {
+  for (unsigned P = 0; P != NumProcs; ++P)
+    FpBlock[P] = Pool.hash(Parts[P]);
+  // The driven channels' counts, two to a word (an odd last one with a
+  // zero high half). Hashing them as one block with the segment hashes
+  // costs less than folding each into the hash.
+  uint64_t *Counts = FpBlock.data() + NumProcs;
+  const uint32_t *Env = Parts + NumProcs;
+  for (size_t I = 0, N = SendChannels.size(); I < N; I += 2)
+    Counts[I / 2] = Env[SendChannels[I]] |
+                    (I + 1 < N ? uint64_t(Env[SendChannels[I + 1]]) << 32 : 0);
+  return xxHash64(FpBlock.data(), FpBlock.size() * sizeof(uint64_t));
 }
 
 void TransitionCache::enforceBudget(size_t Budget) {

@@ -17,8 +17,13 @@
 /// the move, the participants' segments and the heap's live count, which
 /// decides whether an allocation hits MaxObjects. The cache stores that
 /// function for the transitions that raised no violation; a move it has
-/// seen costs a lookup and a splice of interned segments instead of a
+/// seen costs a lookup of the successor's segment ids instead of a
 /// restore, an apply and a serialize.
+///
+/// A state's fingerprint for hash compaction is one hash over its
+/// segments' hashes, which the pool keeps, and its environment-send
+/// counts, so a hit yields its successor's fingerprint without a vector.
+/// The exact and bit-state stores splice the vector from the pool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,6 +108,8 @@ public:
     return {Arena.data() + S.Offset, S.Length};
   }
   uint32_t objects(uint32_t Id) const { return Segments[Id].Objects; }
+  /// Segment \p Id's xxHash64.
+  uint64_t hash(uint32_t Id) const { return Segments[Id].Hash; }
 
   size_t size() const { return Segments.size(); }
   /// Bytes held: the arena, the segment records and the table.
@@ -134,9 +141,10 @@ private:
 /// after which older parts must be captured again.
 class TransitionCache {
 public:
-  /// A cache for machines shaped like \p M (its process count and
-  /// whether its vectors carry environment-send counts). \p M must use
-  /// DeepCopyTransfers, as every search machine does.
+  /// A cache for machines shaped like \p M (its process count, whether
+  /// its vectors carry environment-send counts, and the channels the
+  /// environment drives). \p M must use DeepCopyTransfers, as every
+  /// search machine does, and have its environment model set.
   explicit TransitionCache(const Machine &M);
 
   size_t partsWords() const { return NumProcs + NumEnv + 1; }
@@ -144,18 +152,29 @@ public:
   /// Fills \p Parts with \p M's current state, interning every segment.
   void capture(const Machine &M, uint32_t *Parts);
 
-  /// The vector of the successor of the state \p Parent under \p Mv,
-  /// when cached, into \p Vec. Such a successor raised no violation.
-  bool lookup(const uint32_t *Parent, const Move &Mv, std::string &Vec);
+  /// When the successor of the state \p Parent under \p Mv is cached,
+  /// writes its segment ids and environment-send counts into \p Child
+  /// (not its live count, which only the machine knows). Such a
+  /// successor raised no violation.
+  bool lookup(const uint32_t *Parent, const Move &Mv, uint32_t *Child);
 
   /// \p M holds the successor of \p Parent under \p Mv and has no runtime
   /// error: after a miss, or after a hit whose successor must be
   /// expanded. Serializes the participants' segments and writes the
-  /// successor's vector into \p Vec and its parts into \p Child. Returns
-  /// the number of heap objects the vector reaches
-  /// (Machine::countLeakedObjects(size_t)).
+  /// successor's parts into \p Child. Returns the number of heap objects
+  /// its vector reaches (Machine::countLeakedObjects(size_t)).
   size_t successor(const Machine &M, const uint32_t *Parent, const Move &Mv,
-                   std::string &Vec, uint32_t *Child);
+                   uint32_t *Child);
+
+  /// Writes the state vector of \p Parts into \p Vec.
+  void splice(const uint32_t *Parts, std::string &Vec) const;
+
+  /// The hash-compaction fingerprint of the state \p Parts: one xxHash64
+  /// over its segments' hashes, in process order, and the send counts of
+  /// the channels the environment drives (every other channel's count is
+  /// 0). It depends on the state alone, not on the pool's ids, so
+  /// workers with different pools agree on it.
+  uint64_t fingerprint(const uint32_t *Parts);
 
   /// Caches \p Parent --\p Mv--> \p Child, a transition whose successor
   /// raised no violation.
@@ -195,14 +214,15 @@ private:
   /// indices do not fit the packing, which is never cached.
   bool makeKey(const Move &Mv, const uint32_t *Parent, Key &K) const;
   static uint64_t hash(const Key &K);
-  /// Writes \p Parts' vector into \p Vec; returns the objects it reaches.
-  size_t splice(const uint32_t *Parts, std::string &Vec) const;
   size_t tableBytes() const {
     return Entries.capacity() * sizeof(Entry) + Index.memoryBytes();
   }
 
   unsigned NumProcs;
   size_t NumEnv;
+  /// The driven channels whose counts a fingerprint covers; empty
+  /// without an environment budget.
+  std::vector<uint32_t> SendChannels;
   SegmentPool Pool;
   std::vector<Entry> Entries;
   IdIndex Index; ///< Of Entries, by key.
@@ -211,7 +231,9 @@ private:
   size_t PeakPool = 0;
   size_t PeakTable = 0;
   std::string Scratch; ///< One segment being serialized.
-  std::vector<uint32_t> Spliced; ///< A hit's successor parts.
+  /// A fingerprint's input: the segment hashes, then the driven
+  /// channels' counts two to a word.
+  std::vector<uint64_t> FpBlock;
 };
 
 } // namespace mc_detail

@@ -371,6 +371,16 @@ CaseDisc discOfPattern(const CompiledProc &P, uint32_t PatIndex) {
   return Disc;
 }
 
+bool patternIsStatic(const CompiledProc &P, uint32_t PatIndex) {
+  const CPat &Pat = P.Pats[PatIndex];
+  if (Pat.Kind == PatternKind::Match)
+    return Pat.IsStatic;
+  for (uint32_t I = 0; I != Pat.NumChildren; ++I)
+    if (!patternIsStatic(P, P.PatChildren[Pat.ChildBegin + I]))
+      return false;
+  return true;
+}
+
 void compileInst(ProcCompiler &PC, CompiledProc &Out, const Inst &I) {
   Out.Insts.emplace_back();
   size_t Index = Out.Insts.size() - 1;
@@ -459,8 +469,10 @@ void compileInst(ProcCompiler &PC, CompiledProc &Out, const Inst &I) {
     }
     // Discriminants need the pattern pool to be final for these cases.
     for (CCase &C : Out.Insts[Index].Cases)
-      if (C.IsIn)
+      if (C.IsIn) {
         C.Disc = discOfPattern(Out, C.Pat);
+        C.StaticPat = patternIsStatic(Out, C.Pat);
+      }
     return;
   }
   }

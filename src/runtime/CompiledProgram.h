@@ -140,6 +140,10 @@ struct CCase {
   bool LazyOut = false;
   bool ElideRecordAlloc = false;
   bool MatchFree = false;
+  /// Reader pattern that reads no process state: no Match node of it
+  /// needs evaluating, so whether it admits a message depends on the
+  /// message alone.
+  bool StaticPat = false;
   bool OutIsAlloc = false; ///< Out expression is a fresh allocation.
   /// Where this case's out values sit in its process's prepared-value
   /// array (ProcState::Prepared): one value per record field when the

@@ -338,6 +338,14 @@ public:
   /// its template into the state heap.
   void setEnvModel(const EnvModel *Model);
 
+  /// Ids of the channels the environment model sends on, ascending (none
+  /// without a model). Only these channels' envSends() can be nonzero.
+  std::span<const uint32_t> envSendChannels() const {
+    if (!EnvTab)
+      return {};
+    return EnvTab->SendChannels;
+  }
+
   /// Installs (or clears, with nullptr) the observation hook. Not owned.
   void setObserver(MachineObserver *O) { Obs = O; }
 
@@ -629,6 +637,11 @@ private:
   /// enumerateMoves without the purity cleanup (the raw probe walk).
   std::vector<Move> enumerateMovesImpl();
 
+  /// The admission bitset of blocked reader case (\p Reader, \p Case) on
+  /// its environment-driven channel, as an offset into
+  /// EnvTables::AdmitWords; built on first use.
+  uint32_t admission(unsigned Reader, unsigned Case);
+
   //===--- Dispatch tables and wait bitmasks --------------------------------===//
 
   /// The top-level discriminant of a concrete message, if it has one.
@@ -761,9 +774,25 @@ private:
     /// Ids of the channels the environment sends on, in declaration
     /// order.
     std::vector<uint32_t> SendChannels;
-    /// Enumeration scratch: the (reader, case) pairs blocked on one
-    /// channel.
-    std::vector<std::pair<unsigned, unsigned>> Readers;
+    /// Admission tables: one bitset over its channel's variants per
+    /// reader pattern on a driven channel. Bit V is set when the case's
+    /// dispatch entry admits variant V and, for a static pattern
+    /// (CCase::StaticPat), its dry run against the template matches too;
+    /// a pattern that reads process state is still dry-run per variant.
+    /// AdmitAt[PatBase[P] + Pat] is 0 until reader pattern Pat of
+    /// process P is first enumerated, then one plus its bitset's offset
+    /// in AdmitWords.
+    std::vector<uint32_t> PatBase;
+    std::vector<uint32_t> AdmitAt;
+    std::vector<uint64_t> AdmitWords;
+    /// Enumeration scratch: the reader cases blocked on one channel, with
+    /// their admission bitsets.
+    struct BlockedReader {
+      unsigned Proc;
+      unsigned Case;
+      uint32_t Admit;
+    };
+    std::vector<BlockedReader> Readers;
   };
   std::unique_ptr<EnvTables> EnvTab;
 

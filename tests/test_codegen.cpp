@@ -385,6 +385,76 @@ int main(void) {
   EXPECT_EQ(R.Output, "1001\n1002\n1003\nresult=1\n");
 }
 
+/// Timer ticks 0-4 pass through a relay to a Log reader that refuses its
+/// first 20 polls, so the relay sits blocked on logC while ticks wait.
+const char *RelaySource = R"(
+channel timerC: int
+channel logC: int
+interface Timer(out timerC) { Tick( $t ) }
+interface Log(in logC) { Print( $v ) }
+process relay { while (true) { in(timerC, $t); out(logC, t); } }
+)";
+
+class RelayTicks : public ExternalWriter {
+public:
+  int Next = 0;
+  int isReady() override { return Next < 5 ? 1 : 0; }
+  void produce(int, Heap &, std::vector<Value> &Out) override {
+    Out.push_back(Value::makeInt(Next));
+  }
+  void accepted(int) override { ++Next; }
+};
+
+class SlowLog : public ExternalReader {
+public:
+  int Polls = 0;
+  std::string Printed;
+  bool isReady() override { return ++Polls > 20; }
+  void consume(int, Heap &, const std::vector<Value> &Args) override {
+    Printed += std::to_string(Args[0].Scalar) + " ";
+  }
+};
+
+TEST(CCodeGen, ExternalMessageWaitsForAReader) {
+  // A tick that arrives while no process waits on timerC stays with the
+  // device until the relay is back at its receive: the generated C, like
+  // the machine, takes a message only when a reader is waiting for it.
+  OptOptions Options = OptOptions::all();
+  auto C = compile(RelaySource, &Options);
+  ASSERT_TRUE(C);
+  Machine M(C->Module, MachineOptions());
+  M.bindWriter("Timer", std::make_unique<RelayTicks>());
+  auto Log = std::make_unique<SlowLog>();
+  SlowLog &Printed = *Log;
+  M.bindReader("Log", std::move(Log));
+  M.start();
+  for (int Round = 0; Round != 50; ++Round)
+    M.run(1000);
+  EXPECT_EQ(Printed.Printed, "0 1 2 3 4 ");
+
+  const char *Driver = R"(
+#include <stdio.h>
+#include "gen.h"
+static long long next = 0;
+static int polls = 0;
+int TimerIsReady(void) { return next < 5 ? 1 : 0; }
+void TimerTick(long long *t) { *t = next++; }
+int LogIsReady(void) { return ++polls > 20; }
+void LogPrint(long long v) { printf("%lld ", v); }
+int main(void) {
+  int round;
+  esp_start();
+  for (round = 0; round != 50; ++round)
+    esp_main_loop(1000);
+  return 0;
+}
+)";
+  RunResult R = compileAndRunC(generateC(C->Module), Driver,
+                               generateCHeader(C->Module));
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_EQ(R.Output, Printed.Printed);
+}
+
 TEST(CCodeGen, UnoptimizedModuleAlsoRuns) {
   std::string Gen = genFor(R"(
 channel c1: int

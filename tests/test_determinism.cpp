@@ -277,27 +277,60 @@ process w { out(c, { 1, 5 }); in(d, $y); out(c, { 2, 6 }); in(d, $y2); }
 
 TEST(MoveOrder, HarnessEnvironmentSendsAndReceives) {
   // translator alone, as its per-process harness: the environment drives
-  // userReqC (the update variants are rejected by the disc table, so only
-  // the two lookup variants are tried) and ptReplyC; it receives on
-  // ptReqC, which no kept process reads, and on resultC, an
-  // external-reader channel.
+  // userReqC (the update variants are rejected by the disc table) and
+  // ptReplyC; it receives on ptReqC, which no kept process reads, and on
+  // resultC, an external-reader channel. translator's patterns read no
+  // process state, so its admission tables answer and no pattern node is
+  // tried.
   std::vector<std::string> Expected = {
       "env[0] -> translator on userReqC [0/0]; "
-      "env[1] -> translator on userReqC [0/0]; tried 6",
+      "env[1] -> translator on userReqC [0/0]; tried 0",
       "translator -> env on ptReqC [0/0]; tried 0",
       "env[0] -> translator on ptReplyC [0/0]; "
-      "env[2] -> translator on ptReplyC [0/0]; tried 10",
+      "env[2] -> translator on ptReplyC [0/0]; tried 0",
       "translator -> env on resultC [0/0]; tried 0",
       "env[0] -> translator on userReqC [0/0]; "
-      "env[1] -> translator on userReqC [0/0]; tried 6",
+      "env[1] -> translator on userReqC [0/0]; tried 0",
       "translator -> env on ptReqC [0/0]; tried 0",
       "env[0] -> translator on ptReplyC [0/0]; "
-      "env[2] -> translator on ptReplyC [0/0]; tried 10",
+      "env[2] -> translator on ptReplyC [0/0]; tried 0",
       "translator -> env on resultC [0/0]; tried 0",
   };
   EXPECT_EQ(moveOrder(readExample("pagetable.esp"), {"translator"},
                       {"userReqC", "ptReplyC"}),
             Expected);
+}
+
+TEST(MoveOrder, StaticAndSlotReadersShareADrivenChannel) {
+  // One environment-driven channel with two readers: `fixed` matches a
+  // constant, so an admission table answers for it; `follow` matches its
+  // slot k, which flips after every receive, so its pattern is dry-run
+  // at every state. The moves list the variants in order and, within a
+  // variant, the readers in process order. Only the moves are compared:
+  // how many pattern nodes are tried depends on which readers the tables
+  // answer for.
+  const char *Source = R"(
+channel c: record of { k: int, v: int }
+process fixed { $n = 0; while (true) { in(c, { 1, $x }); n = n + x; } }
+process follow {
+  $k = 0;
+  while (true) { in(c, { k, $y }); k = 1 - k; }
+}
+)";
+  std::vector<std::string> Moves = moveOrder(Source, {}, {"c"});
+  for (std::string &Line : Moves)
+    Line.erase(Line.rfind("tried "));
+  const std::string AtK0 = "env[0] -> follow on c [0/0]; "
+                           "env[1] -> fixed on c [0/0]; "
+                           "env[2] -> follow on c [0/0]; "
+                           "env[3] -> fixed on c [0/0]; ";
+  const std::string AtK1 = "env[1] -> fixed on c [0/0]; "
+                           "env[1] -> follow on c [0/0]; "
+                           "env[3] -> fixed on c [0/0]; "
+                           "env[3] -> follow on c [0/0]; ";
+  std::vector<std::string> Expected = {AtK0, AtK1, AtK0, AtK1,
+                                       AtK0, AtK1, AtK0, AtK1};
+  EXPECT_EQ(Moves, Expected);
 }
 
 } // namespace

@@ -42,7 +42,8 @@ struct OracleStats {
 
 /// Walks \p Steps seeded steps over \p H's module, offering every enabled
 /// move of each state to one TransitionCache, as the search does. A hit
-/// must serve exactly the vector that applying the move gives; a miss is
+/// must serve the parts of exactly the vector that applying the move
+/// gives, and the fingerprint of the parts the machine yields; a miss is
 /// recorded from the applied machine when it raised no violation (runtime
 /// error, or with \p CheckLeaks a leak). A dead end or a faulted step goes
 /// back to the root. Adds what it saw to \p Stats.
@@ -66,19 +67,24 @@ void oracleWalk(const Harness &H, const MachineOptions &MO, bool CheckLeaks,
       continue;
     }
     for (const Move &Mv : Moves) {
-      const bool Hit = Cache.lookup(Parent.data(), Mv, Served);
+      const bool Hit = Cache.lookup(Parent.data(), Mv, Child.data());
       M.restore(Here);
       M.applyMove(Mv);
       if (Hit) {
         ++Stats.Hits;
         ASSERT_FALSE(M.error()) << Mv.str(H.Module) << ": "
                                 << M.error().Message;
+        Cache.splice(Child.data(), Served);
+        const uint64_t ServedFp = Cache.fingerprint(Child.data());
         size_t Reached = M.serializeState(Full);
         ASSERT_EQ(Served, Full) << Mv.str(H.Module);
         // The search's path when a hit lands on a new state.
-        ASSERT_EQ(Cache.successor(M, Parent.data(), Mv, Again, Child.data()),
+        ASSERT_EQ(Cache.successor(M, Parent.data(), Mv, Child.data()),
                   Reached);
+        Cache.splice(Child.data(), Again);
         ASSERT_EQ(Again, Full) << Mv.str(H.Module);
+        ASSERT_EQ(Cache.fingerprint(Child.data()), ServedFp)
+            << Mv.str(H.Module);
         Stats.RendezvousHit |= Mv.Writer >= 0 && Mv.Reader >= 0;
         Stats.AllocatingHit |= Child[Words - 1] > Parent[Words - 1];
         Stats.LeakedState |= M.heap().getLiveCount() > Reached;
@@ -86,8 +92,8 @@ void oracleWalk(const Harness &H, const MachineOptions &MO, bool CheckLeaks,
       }
       if (M.error())
         continue;
-      size_t Reached =
-          Cache.successor(M, Parent.data(), Mv, Served, Child.data());
+      size_t Reached = Cache.successor(M, Parent.data(), Mv, Child.data());
+      Cache.splice(Child.data(), Served);
       ASSERT_EQ(Reached, M.serializeState(Full)) << Mv.str(H.Module);
       ASSERT_EQ(Served, Full) << Mv.str(H.Module);
       Stats.LeakedState |= M.heap().getLiveCount() > Reached;
@@ -201,13 +207,14 @@ TEST(TransitionCache, LiveCountIsPartOfTheKey) {
 
   Cache.capture(M, Parent.data());
   const Move Take = findEnvSend(M, M.enumerateMoves(), "t", 0);
-  ASSERT_FALSE(Cache.lookup(Parent.data(), Take, Vec));
+  ASSERT_FALSE(Cache.lookup(Parent.data(), Take, Child.data()));
   M.applyMove(Take);
   ASSERT_FALSE(M.error()) << M.error().Message;
-  Cache.successor(M, Parent.data(), Take, Vec, Child.data());
+  Cache.successor(M, Parent.data(), Take, Child.data());
   Cache.record(Parent.data(), Take, Child.data());
   M.restore(Root);
-  ASSERT_TRUE(Cache.lookup(Parent.data(), Take, Vec));
+  ASSERT_TRUE(Cache.lookup(Parent.data(), Take, Child.data()));
+  Cache.splice(Child.data(), Vec);
   EXPECT_EQ(Vec, [&] {
     M.applyMove(Take);
     return M.serializeState();
@@ -221,7 +228,7 @@ TEST(TransitionCache, LiveCountIsPartOfTheKey) {
   EXPECT_EQ(Held[1], Parent[1]) << "taker's segment should not change";
   EXPECT_EQ(Held[Words - 1], Parent[Words - 1] + 1);
   EXPECT_EQ(Held[Words - 1], 2u);
-  EXPECT_FALSE(Cache.lookup(Held.data(), Take, Vec));
+  EXPECT_FALSE(Cache.lookup(Held.data(), Take, Child.data()));
   M.applyMove(Take);
   EXPECT_EQ(M.error().Kind, RuntimeErrorKind::OutOfObjects);
 }
@@ -235,11 +242,10 @@ TEST(TransitionCache, BudgetOverflowStartsANewGeneration) {
   M.start();
   TransitionCache Cache(M);
   std::vector<uint32_t> Parent(Cache.partsWords()), Child(Parent);
-  std::string Vec;
   Cache.capture(M, Parent.data());
   const Move Take = findEnvSend(M, M.enumerateMoves(), "t", 1);
   M.applyMove(Take);
-  Cache.successor(M, Parent.data(), Take, Vec, Child.data());
+  Cache.successor(M, Parent.data(), Take, Child.data());
   Cache.record(Parent.data(), Take, Child.data());
   EXPECT_EQ(Cache.entries(), 1u);
   // Under an environment budget the parts carry every channel's sends.
@@ -252,9 +258,41 @@ TEST(TransitionCache, BudgetOverflowStartsANewGeneration) {
   EXPECT_EQ(Cache.generation(), 1u);
   EXPECT_EQ(Cache.entries(), 0u);
   EXPECT_EQ(Cache.pool().size(), 0u);
-  EXPECT_FALSE(Cache.lookup(Parent.data(), Take, Vec));
+  EXPECT_FALSE(Cache.lookup(Parent.data(), Take, Child.data()));
   EXPECT_GT(Cache.peakPoolBytes(), 0u);
   EXPECT_GT(Cache.peakTableBytes(), 0u);
+}
+
+TEST(TransitionCache, FingerprintIgnoresInternOrder) {
+  // A fingerprint hashes segment bytes, not pool ids: two caches that
+  // numbered the same segments differently agree on it, and an
+  // environment-send count is part of it.
+  auto C = compile(kKeeperTakerSource);
+  ASSERT_TRUE(C);
+  Harness H = makeHarness(*C->Prog, {"keeper", "taker"});
+  Machine M(H.Module, searchOptions(4, 2));
+  M.setEnvModel(H.Env.get());
+  M.start();
+  const Machine::Snapshot Root = M.snapshot();
+  TransitionCache First(M), Second(M);
+  const size_t Words = First.partsWords();
+  std::vector<uint32_t> A(Words), B(Words), Other(Words);
+  // Second meets a successor of the root before the root itself.
+  M.applyMove(findEnvSend(M, M.enumerateMoves(), "k", 1));
+  ASSERT_FALSE(M.error()) << M.error().Message;
+  Second.capture(M, Other.data());
+  M.restore(Root);
+  First.capture(M, A.data());
+  Second.capture(M, B.data());
+  EXPECT_NE(A, B) << "the pools should number keeper's segment differently";
+  EXPECT_EQ(First.fingerprint(A.data()), Second.fingerprint(B.data()));
+  EXPECT_NE(First.fingerprint(A.data()), Second.fingerprint(Other.data()));
+
+  // The root with one more send spent on a driven channel.
+  const uint32_t Driven = M.envSendChannels().front();
+  std::vector<uint32_t> Sent = A;
+  ++Sent[M.numProcesses() + Driven];
+  EXPECT_NE(First.fingerprint(Sent.data()), First.fingerprint(A.data()));
 }
 
 //===----------------------------------------------------------------------===//
