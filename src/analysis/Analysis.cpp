@@ -63,7 +63,7 @@ AnalysisResult esp::analyzeProgram(const Program &Prog, const ModuleIR &Module,
   if (Options.CheckDeadlock)
     detail::checkDeadlock(Graph, Options, Result);
   if (Options.CheckLinkBalance)
-    detail::checkLinkBalance(Prog, Module, Result);
+    detail::checkLinkBalance(Graph, Result);
   if (Options.CheckReachability)
     detail::checkReachability(Prog, Graph, Result);
   if (Options.CheckInterference || Options.ReportInterference)

@@ -8,7 +8,7 @@
 /// The esplint static analyzers: compile-time detection of a useful
 /// subset of the defects the paper finds with SPIN (§5), with no test
 /// harness at all. Four cooperating whole-program passes run over the
-/// instantiated AST and the state-machine IR; three of them share one
+/// instantiated AST and the state-machine IR, and all four share one
 /// communication skeleton (CommGraph), built once per analysis:
 ///
 ///  * deadlock: a reachability search over the product of the per-process
@@ -133,8 +133,7 @@ namespace detail {
 /// \p Result.Findings.
 void checkDeadlock(const CommGraph &Graph, const AnalysisOptions &Options,
                    AnalysisResult &Result);
-void checkLinkBalance(const Program &Prog, const ModuleIR &Module,
-                      AnalysisResult &Result);
+void checkLinkBalance(const CommGraph &Graph, AnalysisResult &Result);
 void checkReachability(const Program &Prog, const CommGraph &Graph,
                        AnalysisResult &Result);
 void checkInterference(const CommGraph &Graph, const AnalysisOptions &Options,

@@ -186,20 +186,20 @@ void collectAggregateBinders(const Pattern *P,
 
 struct ProcLinkAnalysis {
   const ProcIR &Proc;
+  /// Instruction reachability over the pruned CFG (ProcComm).
+  const std::vector<bool> &Reachable;
   AnalysisResult &Result;
 
   std::vector<bool> Tracked;
-  std::vector<bool> Reachable;
   /// IN state per instruction: one count mask per slot; all-zero means
   /// "not yet reached".
   std::vector<std::vector<uint8_t>> In;
 
-  ProcLinkAnalysis(const ProcIR &Proc, AnalysisResult &Result)
-      : Proc(Proc), Result(Result) {}
+  ProcLinkAnalysis(const ProcComm &Comm, AnalysisResult &Result)
+      : Proc(*Comm.IR), Reachable(Comm.ReachableInsts), Result(Result) {}
 
   void run() {
     computeTracked();
-    computeReachable();
     bool AnyTracked = false;
     for (bool T : Tracked)
       AnyTracked |= T;
@@ -248,22 +248,6 @@ struct ProcLinkAnalysis {
     for (unsigned S = 0; S != NumSlots; ++S)
       if (Escaped[S])
         Tracked[S] = false;
-  }
-
-  void computeReachable() {
-    Reachable.assign(Proc.Insts.size(), false);
-    std::vector<unsigned> Worklist = {0};
-    std::vector<unsigned> Succs;
-    while (!Worklist.empty()) {
-      unsigned I = Worklist.back();
-      Worklist.pop_back();
-      if (I >= Proc.Insts.size() || Reachable[I])
-        continue;
-      Reachable[I] = true;
-      prunedSuccessors(Proc, I, Succs);
-      for (unsigned S : Succs)
-        Worklist.push_back(S);
-    }
   }
 
   /// Transfer through the non-communication effect of Insts[Index].
@@ -480,9 +464,8 @@ struct ProcLinkAnalysis {
 
 } // namespace
 
-void esp::detail::checkLinkBalance(const Program &Prog, const ModuleIR &Module,
+void esp::detail::checkLinkBalance(const CommGraph &Graph,
                                    AnalysisResult &Result) {
-  (void)Prog;
-  for (const ProcIR &Proc : Module.Procs)
-    ProcLinkAnalysis(Proc, Result).run();
+  for (const ProcComm &Comm : Graph.Procs)
+    ProcLinkAnalysis(Comm, Result).run();
 }

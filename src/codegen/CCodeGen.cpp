@@ -860,7 +860,6 @@ private:
   /// Polls all external-writer channels, building and delivering one
   /// message if possible.
   void emitPollExternals(std::ostream &Out) {
-    Out << "static int esp_poll_externals(void) {\n";
     TempDecls.str("");
     std::ostringstream Body;
     for (const std::unique_ptr<InterfaceDecl> &Iface :
@@ -874,17 +873,32 @@ private:
       const std::vector<Endpoint> &Readers = InEndpoints[Chan];
       if (Readers.empty())
         continue;
+      // A built message that no waiting reader admitted: its case number
+      // (0 for none) and value. It is offered again, before the external
+      // side is asked for another, as the machine re-offers what its
+      // writer produced until a reader accepts it.
+      const std::string Pend = "esp_pend_" + Iface->Name;
+      Out << "static int " << Pend << " = 0;\n";
+      Out << "static esp_val " << Pend << "_v;\n";
       Body << "  if (";
       for (size_t R = 0; R != Readers.size(); ++R)
         Body << (R ? " ||\n      " : "") << "(" << waitingAt(Readers[R])
              << ")";
-      Body << ") { int c = " << Iface->Name << "IsReady();\n";
+      Body << ") { int c = " << Pend << " ? " << Pend << " : "
+           << Iface->Name << "IsReady();\n";
       for (size_t C = 0; C != Iface->Cases.size(); ++C) {
+        const Type *MsgType = Iface->Cases[C].Pat->getType();
+        const std::string V = std::string("m.") + valField(MsgType);
         Body << "  if (c == " << (C + 1) << ") {\n";
-        std::string V =
+        Body << "    esp_val m;\n";
+        Body << "    if (" << Pend << ") { m = " << Pend << "_v; " << Pend
+             << " = 0; } else {\n";
+        const std::string Built =
             emitBuildFromInterface(Iface.get(), Iface->Cases[C], Body);
+        Body << "    " << V << " = " << Built << ";\n";
+        Body << "    }\n";
         // The built message's creation reference; a scalar has none.
-        bool Fresh = Iface->Cases[C].Pat->getType()->isAggregate();
+        bool Fresh = MsgType->isAggregate();
         // Try every reader endpoint on this channel.
         for (const Endpoint &R : Readers) {
           Body << "    if (" << waitingAt(R) << ") {\n";
@@ -901,13 +915,14 @@ private:
           Body << "    }\n";
           Body << "    }\n";
         }
-        if (Fresh)
-          Body << "    esp_unlink(" << V << "); /* nobody waiting */\n";
+        Body << "    " << Pend << " = " << (C + 1) << "; " << Pend
+             << "_v = m; /* no waiting reader admits it */\n";
         Body << "  }\n";
       }
       Body << "  }\n";
     }
     Body << "  return 0;\n";
+    Out << "static int esp_poll_externals(void) {\n";
     Out << TempDecls.str();
     Out << Body.str();
     Out << "}\n\n";

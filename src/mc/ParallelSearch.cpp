@@ -491,6 +491,8 @@ private:
   std::atomic<uint64_t> GlobalExplored{0};
   std::atomic<bool> Stop{false};
   std::atomic<bool> LimitHit{false};
+  /// The root state's fingerprint, set by startRoot.
+  uint64_t RootFp = 0;
 };
 
 /// One DFS level. Frames do not carry machine snapshots: the state of
@@ -524,7 +526,7 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
   // Cooperative workers share one visited set, so each budgets its
   // checkpoints against its share of it; a swarm worker owns its set.
   const size_t Sharers = AllowOffload ? Jobs : 1;
-  const bool Fingerprints = Visited.storesFingerprints();
+  const bool KeepsBytes = Visited.keepsBytes();
 
   // Builds the move path / index path from the item prefix plus the
   // local stack (and optionally the final move).
@@ -592,8 +594,8 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
     return true;
   };
 
-  // A new state's frame gets its parts from successor(); the item's
-  // root captures them.
+  // A new state's frame gets its parts from the transition that reached
+  // it; the item's root captures them.
   W.Cache.capture(M, W.parts(0));
   if (!expand(Move(), 0))
     return;
@@ -608,9 +610,10 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
 
 #ifndef NDEBUG
   // Debug builds check every cache hit against the machine: the served
-  // parts must splice into the vector applying the move gives, and their
-  // fingerprint must be the one a fresh cache takes of that state. The
-  // check leaves MachineAt's meaning and the replay count as they were.
+  // parts must splice into the vector applying the move gives, carry the
+  // heap's live count, and their fingerprint must be the one a fresh
+  // cache takes of that state. The check leaves MachineAt's meaning and
+  // the replay count as they were.
   auto checkHit = [&](const Move &Mv, const uint32_t *Served) {
     const size_t TopIndex = Stack.size() - 1;
     Checkpoints.restore(M, Stack, TopIndex);
@@ -622,6 +625,8 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
     TransitionCache Fresh(M);
     std::vector<uint32_t> Captured(Fresh.partsWords());
     Fresh.capture(M, Captured.data());
+    assert(Captured.back() == Served[Captured.size() - 1] &&
+           "the transition cache served a wrong live count");
     assert(Fresh.fingerprint(Captured.data()) == W.Cache.fingerprint(Served) &&
            "the transition cache served a wrong fingerprint");
     if (MachineAt == TopIndex)
@@ -629,13 +634,18 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
   };
 #endif
 
-  // Inserts the state \p Parts into the visited set: by its fingerprint
-  // under hash compaction, else by its spliced vector, left in W.Raw.
+  // Inserts the state \p Parts into the visited set by its fingerprint,
+  // with its spliced vector when the set keeps bytes; a new state also
+  // enters a swarm's union table.
   auto insertVisited = [&](const uint32_t *Parts) {
-    if (Fingerprints)
-      return Visited.insertFingerprint(W.Cache.fingerprint(Parts));
-    W.Cache.splice(Parts, W.Raw);
-    return Visited.insert(W.Raw);
+    const uint64_t Fp = W.Cache.fingerprint(Parts);
+    if (KeepsBytes)
+      W.Cache.splice(Parts, W.Raw);
+    if (!Visited.insert(Fp, W.Raw))
+      return false;
+    if (UnionTable)
+      UnionTable->insert(Fp);
+    return true;
   };
 
   // Offload heuristic: hand a fresh subtree to the shared queue only
@@ -688,7 +698,7 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
                                           : Queue.approxSize(),
                                 std::memory_order_relaxed);
     }
-    // The successor's vector: from the transition cache, or by applying
+    // The successor's parts: from the transition cache, or by applying
     // the move, which then gets cached if the successor is clean.
     W.Cache.enforceBudget(std::max(W.CheckpointBudget, kCacheFloorBytes));
     if (Top.CacheGen != W.Cache.generation()) {
@@ -730,8 +740,6 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
       if (W.Stats.Stored % 32768 == 0)
         Prog->VisitedBytes.store(Visited.bytes(), std::memory_order_relaxed);
     }
-    if (UnionTable) // Bit-state, so W.Raw holds the vector.
-      UnionTable->insert(W.Raw);
     if (BaseDepth + Stack.size() >= Options.MaxDepth) {
       // Depth-bounded prune: the subtree below this state is not
       // explored, so an error-free search is only PartialOK.
@@ -739,12 +747,11 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
       continue;
     }
     if (Hit) {
-      // A new state reached through the cache: the machine must hold it
-      // to expand it or hand it off, and its frame needs its parts.
+      // A new state reached through the cache: its parts are complete,
+      // but the machine must hold it to expand it or hand it off.
       restoreToTop();
       M.applyMove(Chosen);
       MachineAt = Dirty;
-      W.Cache.successor(M, ParentParts, Chosen, ChildParts);
     }
     if (AllowOffload && Queue.hungry() && haveLocalReserve()) {
       WorkItem Child;
@@ -782,9 +789,8 @@ void ParallelDfs::workerMain(unsigned Wid, ConcurrentVisitedSet &Visited) {
 }
 
 /// Starts \p Root's machine at the search root, counts the root state and
-/// checks it. A clean root is inserted into \p Table, under hash
-/// compaction by the fingerprint its workers give it, and left
-/// serialized in Root.Raw; false when the root itself violates
+/// checks it. A clean root is inserted into \p Table like any state, and
+/// its fingerprint is left in RootFp; false when the root itself violates
 /// (\p Result then holds the violation).
 bool ParallelDfs::startRoot(WorkerCtx &Root, ConcurrentVisitedSet &Table,
                             McResult &Result) {
@@ -792,19 +798,19 @@ bool ParallelDfs::startRoot(WorkerCtx &Root, ConcurrentVisitedSet &Table,
   M.start();
   ++Result.StatesExplored;
   GlobalExplored.store(1, std::memory_order_relaxed);
-  size_t Reached = M.serializeState(Root.Raw);
-  Result.StateVectorBytes = Root.Raw.size();
+  uint32_t *Parts = Root.parts(0);
+  size_t Reached = 0;
+  if (!M.error()) { // A faulted root has no segments to take.
+    Reached = Root.Cache.capture(M, Parts);
+    Root.Cache.splice(Parts, Root.Raw);
+    Result.StateVectorBytes = Root.Raw.size();
+  }
   if (checkStateViolation(M, Options, Result, Reached)) {
     Result.MemoryBytes = Table.bytes();
     return false;
   }
-  if (Table.storesFingerprints()) {
-    uint32_t *Parts = Root.parts(0);
-    Root.Cache.capture(M, Parts);
-    Table.insertFingerprint(Root.Cache.fingerprint(Parts));
-  } else {
-    Table.insert(Root.Raw);
-  }
+  RootFp = Root.Cache.fingerprint(Parts);
+  Table.insert(RootFp, Root.Raw);
   ++Result.StatesStored;
   if (obs::SearchProgress *Prog = Options.Progress) {
     // Root-state counts live in the scalar fields; workers add deltas in
@@ -884,7 +890,7 @@ McResult ParallelDfs::runSwarm() {
     W.Rng.seed(mix64(Options.Seed + Wid));
     // Insert the root into the private table so the collision
     // behavior matches a standalone search with this seed.
-    Own.insert(Root.Raw);
+    Own.insert(RootFp);
     processItem(W, RootItem, Own, /*AllowOffload=*/false,
                 /*Shuffle=*/Wid != 0, &UnionTable);
     Done[Wid] = W.stats();

@@ -13,8 +13,8 @@
 
 using namespace esp;
 
-// Xored into the seed of the second bit-state probe, so the two probes
-// are independent hash functions for every swarm seed.
+// Xored into the second bit-state probe's input, so the two probes are
+// independent remixes of the fingerprint for every swarm seed.
 static constexpr uint64_t SecondHashSeed = 0x9e3779b97f4a7c15ULL;
 
 /// Estimated memory of one stored exact-mode key: its bytes plus the
@@ -84,15 +84,14 @@ ConcurrentVisitedSet ConcurrentVisitedSet::bitState(unsigned Bits,
   return S;
 }
 
-bool ConcurrentVisitedSet::insert(std::string_view Key) {
-  bool New = false;
+bool ConcurrentVisitedSet::insert(uint64_t Fp, std::string_view Bytes) {
+  bool New;
   if (Kind == Impl::BitState) {
-    // Two independent hash functions over one bit table (SPIN's
-    // supertrace uses the same trick to cut collisions). A swarm seed
-    // perturbs both probes so each worker prunes a different slice.
-    uint64_t H1 = xxHash64(Key.data(), Key.size(), Seed) & BitMask;
-    uint64_t H2 =
-        xxHash64(Key.data(), Key.size(), Seed ^ SecondHashSeed) & BitMask;
+    // Two independent probes over one bit table (SPIN's supertrace uses
+    // the same trick to cut collisions), each a remix of the fingerprint.
+    // A swarm seed perturbs both so each worker prunes a different slice.
+    uint64_t H1 = mix64(Fp ^ Seed) & BitMask;
+    uint64_t H2 = mix64(Fp ^ Seed ^ SecondHashSeed) & BitMask;
     uint64_t Old1 = BitWords[H1 / 64].fetch_or(uint64_t(1) << (H1 % 64),
                                                std::memory_order_relaxed);
     uint64_t Old2 = BitWords[H2 / 64].fetch_or(uint64_t(1) << (H2 % 64),
@@ -100,38 +99,21 @@ bool ConcurrentVisitedSet::insert(std::string_view Key) {
     bool Seen1 = Old1 & (uint64_t(1) << (H1 % 64));
     bool Seen2 = Old2 & (uint64_t(1) << (H2 % 64));
     New = !(Seen1 && Seen2);
-    if (New)
-      Stored.fetch_add(1, std::memory_order_relaxed);
-    return New;
-  }
-
-  // Sharded backends: the shard index comes from the fingerprint's high
-  // bits; the stored fingerprint is the full 64-bit value, so sharding
-  // does not change the collision behavior.
-  uint64_t Fp = xxHash64(Key.data(), Key.size());
-  if (Kind == Impl::Hash64)
-    return insertFingerprint(Fp);
-  Shard &S = *Shards[shardIndex(Fp, ShardBits)];
-  {
+  } else {
+    // The shard comes from the fingerprint's high bits; hash compaction
+    // stores the full 64-bit value, so sharding does not change its
+    // collision behavior.
+    Shard &S = *Shards[shardIndex(Fp, ShardBits)];
     std::lock_guard<std::mutex> Lock(S.M);
-    if (S.ExactKeys.find(Key) == S.ExactKeys.end()) {
-      S.ExactKeys.emplace(Key);
-      S.ExactKeyBytes += exactKeyBytes(Key);
-      New = true;
+    if (Kind == Impl::Hash64) {
+      New = S.Fp64.insert(Fp);
+    } else {
+      New = S.ExactKeys.find(Bytes) == S.ExactKeys.end();
+      if (New) {
+        S.ExactKeys.emplace(Bytes);
+        S.ExactKeyBytes += exactKeyBytes(Bytes);
+      }
     }
-  }
-  if (New)
-    Stored.fetch_add(1, std::memory_order_relaxed);
-  return New;
-}
-
-bool ConcurrentVisitedSet::insertFingerprint(uint64_t Fp) {
-  assert(Kind == Impl::Hash64 && "only hash compaction stores fingerprints");
-  Shard &S = *Shards[shardIndex(Fp, ShardBits)];
-  bool New;
-  {
-    std::lock_guard<std::mutex> Lock(S.M);
-    New = S.Fp64.insert(Fp);
   }
   if (New)
     Stored.fetch_add(1, std::memory_order_relaxed);

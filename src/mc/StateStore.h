@@ -8,13 +8,15 @@
 /// Visited-state storage for the explicit-state model checker,
 /// reproducing SPIN's answers to state explosion. ConcurrentVisitedSet
 /// is thread-safe, since the search's workers share it (SPIN's multicore
-/// mode; one worker is the common case). It stores the canonical flat
-/// state vector (Machine::serializeState) in one of three backends:
-/// exact (the full vector), hash compaction (a 64-bit fingerprint per
-/// state, SPIN's -DHC), and bit-state hashing (two bits per state in a
-/// fixed table, SPIN's supertrace). Exact and hash storage is a
-/// lock-striped sharded table (shard selected by the fingerprint's high
-/// bits); bit-state is an atomic fetch_or bit table.
+/// mode; one worker is the common case). Every store takes a state by
+/// one key: its 64-bit fingerprint (TransitionCache::fingerprint), plus
+/// its canonical vector (Machine::serializeState), which only exact
+/// storage reads. The three backends are exact (the full vector, SPIN's
+/// default), hash compaction (the fingerprint, SPIN's -DHC) and
+/// bit-state hashing (two bits per state in a fixed table, SPIN's
+/// supertrace; both probes derive from the fingerprint). Exact and hash
+/// storage is a lock-striped sharded table (shard selected by the
+/// fingerprint's high bits); bit-state is an atomic fetch_or bit table.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,16 +85,16 @@ private:
   bool HasZero = false;
 };
 
-/// Thread-safe visited-state set. `insert` returns true when the key was
-/// new; a false return in the lossy backends (hash-compaction
+/// Thread-safe visited-state set. `insert` returns true when the state
+/// was new; a false return in the lossy backends (hash-compaction
 /// fingerprint collision, bit-state saturation) can prune an unvisited
 /// state — the probability is negligible for hash-compaction
 /// (~n^2/2^64) and the accepted trade-off of supertrace for bit-state.
 /// Storage is lock-striped by the fingerprint's high bits, and the
-/// bit-state table uses atomic fetch_or. Under concurrent insertion of the *same* bit-state key,
-/// two workers can both observe "new" (the two probe bits live in
-/// different words) — acceptable for the lossy supertrace mode; the
-/// exact/hash backends are linearizable per key.
+/// bit-state table uses atomic fetch_or. Under concurrent insertion of
+/// the *same* bit-state key, two workers can both observe "new" (the two
+/// probe bits live in different words) — acceptable for the lossy
+/// supertrace mode; the exact/hash backends are linearizable per key.
 class ConcurrentVisitedSet {
 public:
   /// Exact storage of full keys (SPIN's default exhaustive storage).
@@ -100,9 +102,9 @@ public:
   /// Hash-compaction: store one 64-bit fingerprint per state.
   static ConcurrentVisitedSet hashCompact(unsigned Log2Shards = 6);
   /// Bit-state hashing over a 2^Bits-bit table with two independent
-  /// hash functions. \p Bits must already be validated (see
-  /// clampedBitStateBits in ModelChecker.h). \p Seed perturbs both probe
-  /// hash functions; swarm workers pass distinct seeds so each covers a
+  /// probes of the fingerprint. \p Bits must already be validated (see
+  /// clampedBitStateBits in ModelChecker.h). \p Seed perturbs both
+  /// probes; swarm workers pass distinct seeds so each covers a
   /// different random slice of a huge state space.
   static ConcurrentVisitedSet bitState(unsigned Bits, uint64_t Seed = 0);
 
@@ -114,18 +116,13 @@ public:
         BitWords(std::move(O.BitWords)), NumBitWords(O.NumBitWords),
         BitMask(O.BitMask), Seed(O.Seed) {}
 
-  /// Thread-safe insert; true when \p Key was not present before. A
-  /// hash-compaction set stores the key's xxHash64.
-  bool insert(std::string_view Key);
+  /// Thread-safe insert of the state with fingerprint \p Fp and vector
+  /// \p Bytes; true when it was not present before. Equal vectors must
+  /// come with equal fingerprints. Only exact storage reads \p Bytes.
+  bool insert(uint64_t Fp, std::string_view Bytes = {});
 
-  /// Whether the set keeps only 64-bit fingerprints (hash compaction):
-  /// then a state can be inserted by a fingerprint it was given instead
-  /// of by its vector.
-  bool storesFingerprints() const { return Kind == Impl::Hash64; }
-
-  /// Thread-safe insert into a hash-compaction set of fingerprint \p Fp;
-  /// true when it was not present before.
-  bool insertFingerprint(uint64_t Fp);
+  /// Whether insert() reads the vector (exact storage).
+  bool keepsBytes() const { return Kind == Impl::Exact; }
 
   /// States recorded via insert() returning true. Exact after all
   /// writers joined.

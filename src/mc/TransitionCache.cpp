@@ -52,7 +52,7 @@ TransitionCache::TransitionCache(const Machine &M)
   FpBlock.resize(NumProcs + (SendChannels.size() + 1) / 2);
 }
 
-void TransitionCache::capture(const Machine &M, uint32_t *Parts) {
+size_t TransitionCache::capture(const Machine &M, uint32_t *Parts) {
   for (unsigned P = 0; P != NumProcs; ++P) {
     size_t Objects = M.serializeProcess(P, Scratch);
     Parts[P] = Pool.intern(Scratch, static_cast<uint32_t>(Objects));
@@ -60,6 +60,14 @@ void TransitionCache::capture(const Machine &M, uint32_t *Parts) {
   std::span<const uint32_t> Env = M.envSends();
   std::copy(Env.begin(), Env.end(), Parts + NumProcs);
   Parts[NumProcs + NumEnv] = M.heap().getLiveCount();
+  return reached(Parts);
+}
+
+size_t TransitionCache::reached(const uint32_t *Parts) const {
+  size_t Reached = 0;
+  for (unsigned P = 0; P != NumProcs; ++P)
+    Reached += Pool.objects(Parts[P]);
+  return Reached;
 }
 
 bool TransitionCache::makeKey(const Move &Mv, const uint32_t *Parent,
@@ -112,6 +120,7 @@ bool TransitionCache::lookup(const uint32_t *Parent, const Move &Mv,
     Child[Mv.Reader] = E.Out[1];
   if (Mv.K == Move::Kind::EnvSend && NumEnv != 0)
     ++Child[NumProcs + Mv.Channel];
+  Child[NumProcs + NumEnv] = E.Live;
   ++Hits;
   return true;
 }
@@ -129,10 +138,7 @@ size_t TransitionCache::successor(const Machine &M, const uint32_t *Parent,
   std::span<const uint32_t> Env = M.envSends();
   std::copy(Env.begin(), Env.end(), Child + NumProcs);
   Child[NumProcs + NumEnv] = M.heap().getLiveCount();
-  size_t Reached = 0;
-  for (unsigned P = 0; P != NumProcs; ++P)
-    Reached += Pool.objects(Child[P]);
-  return Reached;
+  return reached(Child);
 }
 
 void TransitionCache::record(const uint32_t *Parent, const Move &Mv,
@@ -142,6 +148,7 @@ void TransitionCache::record(const uint32_t *Parent, const Move &Mv,
     return;
   New.Out[0] = Mv.Writer >= 0 ? Child[Mv.Writer] : kNone;
   New.Out[1] = Mv.Reader >= 0 ? Child[Mv.Reader] : kNone;
+  New.Live = Child[NumProcs + NumEnv];
   Entries.push_back(New);
   Index.insert(hash(New.K), [&](uint32_t Id) { return hash(Entries[Id].K); });
 }

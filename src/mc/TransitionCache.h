@@ -16,14 +16,14 @@
 /// (Machine::serializeState), so a successor's vector is a function of
 /// the move, the participants' segments and the heap's live count, which
 /// decides whether an allocation hits MaxObjects. The cache stores that
-/// function for the transitions that raised no violation; a move it has
-/// seen costs a lookup of the successor's segment ids instead of a
-/// restore, an apply and a serialize.
+/// function, with the successor's live count, for the transitions that
+/// raised no violation; a move it has seen costs a lookup of the
+/// successor's parts instead of a restore, an apply and a serialize.
 ///
-/// A state's fingerprint for hash compaction is one hash over its
-/// segments' hashes, which the pool keeps, and its environment-send
-/// counts, so a hit yields its successor's fingerprint without a vector.
-/// The exact and bit-state stores splice the vector from the pool.
+/// A state's fingerprint, the key of every visited store, is one hash
+/// over its segments' hashes, which the pool keeps, and its
+/// environment-send counts, so a hit yields its successor's fingerprint
+/// without a vector. Only exact storage splices the vector from the pool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -150,19 +150,19 @@ public:
   size_t partsWords() const { return NumProcs + NumEnv + 1; }
 
   /// Fills \p Parts with \p M's current state, interning every segment.
-  void capture(const Machine &M, uint32_t *Parts);
+  /// Returns the number of heap objects its vector reaches
+  /// (Machine::countLeakedObjects(size_t)).
+  size_t capture(const Machine &M, uint32_t *Parts);
 
   /// When the successor of the state \p Parent under \p Mv is cached,
-  /// writes its segment ids and environment-send counts into \p Child
-  /// (not its live count, which only the machine knows). Such a
-  /// successor raised no violation.
+  /// writes its parts into \p Child. Such a successor raised no
+  /// violation.
   bool lookup(const uint32_t *Parent, const Move &Mv, uint32_t *Child);
 
-  /// \p M holds the successor of \p Parent under \p Mv and has no runtime
-  /// error: after a miss, or after a hit whose successor must be
-  /// expanded. Serializes the participants' segments and writes the
-  /// successor's parts into \p Child. Returns the number of heap objects
-  /// its vector reaches (Machine::countLeakedObjects(size_t)).
+  /// \p M holds the successor of \p Parent under \p Mv, after a miss, and
+  /// has no runtime error. Serializes the participants' segments and
+  /// writes the successor's parts into \p Child. Returns the number of
+  /// heap objects its vector reaches.
   size_t successor(const Machine &M, const uint32_t *Parent, const Move &Mv,
                    uint32_t *Child);
 
@@ -208,12 +208,15 @@ private:
   struct Entry {
     Key K;
     uint32_t Out[2]; ///< The participants' successor segment ids.
+    uint32_t Live;   ///< The successor's heap live count.
   };
 
   /// Packs the key of \p Mv from \p Parent; false for a move whose
   /// indices do not fit the packing, which is never cached.
   bool makeKey(const Move &Mv, const uint32_t *Parent, Key &K) const;
   static uint64_t hash(const Key &K);
+  /// The number of heap objects the vector of \p Parts reaches.
+  size_t reached(const uint32_t *Parts) const;
   size_t tableBytes() const {
     return Entries.capacity() * sizeof(Entry) + Index.memoryBytes();
   }

@@ -124,9 +124,6 @@ void Machine::reset() {
 }
 
 void Machine::setEnvModel(const EnvModel *Model) {
-  // Channels with more variants than this build their templates on first
-  // use instead; the bounded models the checker uses stay far below it.
-  constexpr unsigned MaxTabulatedVariants = 4096;
   Env = Model;
   EnvTab.reset();
   if (!Env)
@@ -143,11 +140,8 @@ void Machine::setEnvModel(const EnvModel *Model) {
     EnvChannel &EC = EnvTab->Channels[Chan->Id];
     EC.Decl = Chan.get();
     EC.NumVariants = Env->numVariants(Chan.get());
-    if (EC.NumVariants == 0)
-      continue;
-    EnvTab->SendChannels.push_back(Chan->Id);
-    if (EC.NumVariants <= MaxTabulatedVariants)
-      envChannel(Chan->Id);
+    if (EC.NumVariants != 0)
+      EnvTab->SendChannels.push_back(Chan->Id);
   }
 }
 

@@ -332,9 +332,9 @@ public:
                   std::unique_ptr<ExternalReader> Reader);
   /// Sets the verification environment model (not owned) and tabulates
   /// it by channel id: variant counts, plus each variant's message, built
-  /// once as a frozen template outside the state heap, and its top-level
-  /// discriminant. Enumeration matches blocked readers against the
-  /// templates and allocates nothing; an applied environment send copies
+  /// on the channel's first use as a frozen template outside the state
+  /// heap, and its top-level discriminant. Enumeration matches blocked
+  /// readers against the templates; an applied environment send copies
   /// its template into the state heap.
   void setEnvModel(const EnvModel *Model);
 
@@ -761,8 +761,8 @@ private:
     const ChannelDecl *Decl = nullptr;
     unsigned NumVariants = 0;
     /// Each variant's message in EnvTables::TemplateHeap, and its
-    /// top-level discriminant. Empty until first use on a channel with
-    /// too many variants to build up front.
+    /// top-level discriminant. Empty until the channel's first use
+    /// (envChannel).
     std::vector<Value> Templates;
     std::vector<MsgDisc> Discs;
   };
@@ -796,8 +796,8 @@ private:
   };
   std::unique_ptr<EnvTables> EnvTab;
 
-  /// The environment channel \p Chan with its templates built (on first
-  /// use, for a channel above setEnvModel's tabulation cap).
+  /// The environment channel \p Chan with its templates built on first
+  /// use.
   EnvChannel &envChannel(uint32_t Chan);
 };
 

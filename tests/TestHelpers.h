@@ -19,9 +19,11 @@
 #include "ir/IR.h"
 #include "ir/Passes.h"
 #include "mc/SafetyHarness.h"
+#include "mc/StateStore.h"
 #include "runtime/Machine.h"
 #include "support/Diagnostics.h"
 #include "support/SourceManager.h"
+#include "support/StringExtras.h"
 
 #include <gtest/gtest.h>
 
@@ -147,6 +149,12 @@ process taker {
   }
 }
 )";
+
+/// Inserts the stand-in state \p Key into \p V, fingerprinted by its
+/// xxHash64 as the search fingerprints a state by its segments.
+inline bool insertKey(ConcurrentVisitedSet &V, std::string_view Key) {
+  return V.insert(xxHash64(Key.data(), Key.size()), Key);
+}
 
 /// The environment send of variant \p Variant on channel \p Chan among
 /// \p Moves, the moves \p M enumerated.

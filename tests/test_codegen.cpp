@@ -455,6 +455,57 @@ int main(void) {
   EXPECT_EQ(R.Output, Printed.Printed);
 }
 
+TEST(CCodeGen, RejectedExternalMessageIsReoffered) {
+  // The relay waits for tick 3 only. Tick 0 arrives first and no waiting
+  // reader admits it; the machine re-offers it on every poll and never
+  // accepts it, so the generated C must keep it too, not consume the
+  // ticks behind it: Tick is called once.
+  OptOptions Options = OptOptions::all();
+  auto C = compile(R"(
+channel timerC: int
+channel logC: int
+interface Timer(out timerC) { Tick( $t ) }
+interface Log(in logC) { Print( $v ) }
+process relay { while (true) { in(timerC, 3); out(logC, 3); } }
+)",
+                   &Options);
+  ASSERT_TRUE(C);
+  Machine M(C->Module, MachineOptions());
+  auto Ticks = std::make_unique<RelayTicks>();
+  RelayTicks &Offered = *Ticks;
+  M.bindWriter("Timer", std::move(Ticks));
+  auto Log = std::make_unique<SlowLog>();
+  SlowLog &Printed = *Log;
+  M.bindReader("Log", std::move(Log));
+  M.start();
+  for (int Round = 0; Round != 10; ++Round)
+    M.run(1000);
+  EXPECT_EQ(Offered.Next, 0);
+
+  const char *Driver = R"(
+#include <stdio.h>
+#include "gen.h"
+static long long next = 0;
+static int calls = 0;
+int TimerIsReady(void) { return next < 5 ? 1 : 0; }
+void TimerTick(long long *t) { ++calls; *t = next++; }
+int LogIsReady(void) { return 1; }
+void LogPrint(long long v) { printf("%lld ", v); }
+int main(void) {
+  int round;
+  esp_start();
+  for (round = 0; round != 10; ++round)
+    esp_main_loop(1000);
+  printf("calls=%d", calls);
+  return 0;
+}
+)";
+  RunResult R = compileAndRunC(generateC(C->Module), Driver,
+                               generateCHeader(C->Module));
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_EQ(R.Output, Printed.Printed + "calls=1");
+}
+
 TEST(CCodeGen, UnoptimizedModuleAlsoRuns) {
   std::string Gen = genFor(R"(
 channel c1: int

@@ -40,20 +40,24 @@ MachineOptions verifyOptions() {
 
 TEST(VisitedSet, ExactDetectsDuplicates) {
   ConcurrentVisitedSet V = ConcurrentVisitedSet::exact();
-  EXPECT_TRUE(V.insert("s1"));
-  EXPECT_TRUE(V.insert("s2"));
-  EXPECT_FALSE(V.insert("s1"));
+  EXPECT_TRUE(insertKey(V, "s1"));
+  EXPECT_TRUE(insertKey(V, "s2"));
+  EXPECT_FALSE(insertKey(V, "s1"));
   EXPECT_EQ(V.size(), 2u);
   EXPECT_GT(V.bytes(), 0u);
 }
 
 TEST(VisitedSet, HashCompactionDistinguishesDistinctKeys) {
   ConcurrentVisitedSet V = ConcurrentVisitedSet::hashCompact();
+  EXPECT_FALSE(V.keepsBytes());
   for (int I = 0; I != 1000; ++I) {
     std::string Key = "state-" + std::to_string(I);
-    EXPECT_TRUE(V.insert(Key)) << "i=" << I;
-    EXPECT_FALSE(V.insert(Key)) << "i=" << I;
+    EXPECT_TRUE(insertKey(V, Key)) << "i=" << I;
+    EXPECT_FALSE(insertKey(V, Key)) << "i=" << I;
   }
+  EXPECT_EQ(V.size(), 1000u);
+  // Only the fingerprint is stored: the bytes are not read.
+  EXPECT_FALSE(V.insert(xxHash64("state-0", 7), "other bytes"));
   EXPECT_EQ(V.size(), 1000u);
   // Fingerprints are fixed-size: far cheaper than the full keys.
   EXPECT_LT(V.bytes(), ConcurrentVisitedSet::exact().bytes() + 1000 * 64);
@@ -64,12 +68,14 @@ TEST(VisitedSet, BitStateUsesFixedTable) {
       ConcurrentVisitedSet::bitState(clampedBitStateBits(10));
   size_t TableBytes = V.bytes();
   EXPECT_EQ(TableBytes, (1u << 10) / 8);
+  EXPECT_FALSE(V.keepsBytes());
   uint64_t Inserted = 0;
   for (int I = 0; I != 200; ++I)
-    if (V.insert("state-" + std::to_string(I)))
+    if (insertKey(V, "state-" + std::to_string(I)))
       ++Inserted;
   // Tiny table: most states insert, a few may collide, memory is flat.
   EXPECT_GT(Inserted, 150u);
+  EXPECT_FALSE(insertKey(V, "state-0")) << "both probes are already set";
   EXPECT_EQ(V.bytes(), TableBytes);
 }
 

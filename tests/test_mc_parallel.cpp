@@ -377,11 +377,18 @@ std::string keyFor(int I) { return "state-" + std::to_string(I); }
 
 TEST(ConcurrentVisitedSet, ExactInsertSemantics) {
   ConcurrentVisitedSet V = ConcurrentVisitedSet::exact();
-  EXPECT_TRUE(V.insert("a"));
-  EXPECT_TRUE(V.insert("b"));
-  EXPECT_FALSE(V.insert("a"));
+  EXPECT_TRUE(V.keepsBytes());
+  EXPECT_TRUE(insertKey(V, "a"));
+  EXPECT_TRUE(insertKey(V, "b"));
+  EXPECT_FALSE(insertKey(V, "a"));
   EXPECT_EQ(V.size(), 2u);
   EXPECT_GT(V.bytes(), 0u);
+  // Exact storage compares the bytes: two vectors that share a
+  // fingerprint are still two states.
+  EXPECT_TRUE(V.insert(7, "c"));
+  EXPECT_TRUE(V.insert(7, "d"));
+  EXPECT_FALSE(V.insert(7, "c"));
+  EXPECT_EQ(V.size(), 4u);
 }
 
 TEST(ConcurrentVisitedSet, HammeredInsertCountsDistinctKeys) {
@@ -397,7 +404,7 @@ TEST(ConcurrentVisitedSet, HammeredInsertCountsDistinctKeys) {
       Threads.emplace_back([&V, &NewCount, T] {
         // Each thread covers 3/4 of the space, offset by thread id.
         for (int I = 0; I < NumKeys * 3 / 4; ++I)
-          if (V.insert(keyFor((I + T * NumKeys / 4) % NumKeys)))
+          if (insertKey(V, keyFor((I + T * NumKeys / 4) % NumKeys)))
             NewCount.fetch_add(1, std::memory_order_relaxed);
       });
     for (std::thread &T : Threads)
@@ -416,8 +423,8 @@ TEST(ConcurrentVisitedSet, BitStateSeedChangesHashes) {
   ConcurrentVisitedSet B = ConcurrentVisitedSet::bitState(10, 0x1234567);
   for (int I = 0; I < 4000; ++I) {
     std::string K = keyFor(I);
-    A.insert(K);
-    B.insert(K);
+    insertKey(A, K);
+    insertKey(B, K);
   }
   EXPECT_NE(A.size(), 0u);
   EXPECT_NE(B.size(), 0u);
@@ -431,8 +438,8 @@ TEST(ConcurrentVisitedSet, BitStateSeedChangesHashes) {
 TEST(VisitedSet, ExactInsertAcceptsStringView) {
   ConcurrentVisitedSet V = ConcurrentVisitedSet::exact();
   std::string Key = "full-state-vector";
-  EXPECT_TRUE(V.insert(std::string_view(Key)));
-  EXPECT_FALSE(V.insert(std::string_view(Key)));
+  EXPECT_TRUE(insertKey(V, std::string_view(Key)));
+  EXPECT_FALSE(insertKey(V, std::string_view(Key)));
   EXPECT_EQ(V.size(), 1u);
 }
 
