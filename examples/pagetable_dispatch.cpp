@@ -23,48 +23,9 @@
 
 using namespace esp;
 
-static const char *Source = R"(
-const PTSIZE = 16;
-type lookupT = record of { vPage: int }
-type updateT = record of { vPage: int, pPage: int }
-type userT = union of { lookup: lookupT, update: updateT }
-
-channel userReqC: userT
-interface UserReq(out userReqC) {
-  Lookup( { lookup |> { $vPage } } ),
-  Update( { update |> { $vPage, $pPage } } )
-}
-channel resultC: int
-interface Result(in resultC) { Translated( $pPage ) }
-
-// Translation requests are dispatched here by the `lookup` pattern.
-process translator {
-  while (true) {
-    in( userReqC, { lookup |> { $vPage } });
-    out( ptReqC, { @, vPage });
-    in( ptReplyC, { @, $pPage });
-    out( resultC, pPage);
-  }
-}
-
-// Updates are dispatched directly to the page table (Appendix B).
-process pageTable {
-  $table: #array of int = #{ PTSIZE -> 0 };
-  while (true) {
-    alt {
-      case( in( ptReqC, { $ret, $vPage })) {
-        out( ptReplyC, { ret, table[vPage % PTSIZE] });
-      }
-      case( in( userReqC, { update |> { $vPage, $pPage }})) {
-        table[vPage % PTSIZE] = pPage;
-      }
-    }
-  }
-}
-
-channel ptReqC: record of { ret: int, vPage: int }
-channel ptReplyC: record of { ret: int, pPage: int }
-)";
+/// The program, examples/esp/pagetable.esp, compiled in by the build
+/// (esp_embed_source in examples/CMakeLists.txt).
+const char *pagetableSource();
 
 namespace {
 
@@ -109,7 +70,8 @@ int main() {
   DiagnosticEngine Diags(SM);
   CompileOptions COpts;
   COpts.Optimize = true;
-  CompileResult R = compileBuffer(SM, Diags, "pagetable.esp", Source, COpts);
+  CompileResult R = compileBuffer(SM, Diags, "pagetable.esp",
+                                  pagetableSource(), COpts);
   if (!R.Success) {
     std::fprintf(stderr, "compilation failed:\n%s",
                  Diags.renderAll().c_str());

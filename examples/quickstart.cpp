@@ -24,25 +24,9 @@
 
 using namespace esp;
 
-static const char *Source = R"(
-// Three processes connected by two rendezvous channels (§4.2/§4.3).
-channel c1: int
-channel c2: int
-
-process producer {
-  $i = 0;
-  while (i < 10) { out(c1, i); i = i + 1; }
-}
-
-process add5 {
-  while (true) { in(c1, $x); out(c2, x + 5); }
-}
-
-process consumer {
-  $n = 0;
-  while (n < 10) { in(c2, $y); assert(y == n + 5); n = n + 1; }
-}
-)";
+/// The program, examples/esp/quickstart.esp, compiled in by the build
+/// (esp_embed_source in examples/CMakeLists.txt).
+const char *quickstartSource();
 
 int main() {
   // 1. Compile: parse + semantic checks (types, patterns, channels).
@@ -50,7 +34,8 @@ int main() {
   DiagnosticEngine Diags(SM);
   CompileOptions COpts;
   COpts.Optimize = true;
-  CompileResult CR = compileBuffer(SM, Diags, "quickstart.esp", Source, COpts);
+  CompileResult CR = compileBuffer(SM, Diags, "quickstart.esp",
+                                   quickstartSource(), COpts);
   if (!CR.Success) {
     std::fprintf(stderr, "compilation failed:\n%s",
                  Diags.renderAll().c_str());

@@ -21,73 +21,31 @@
 #include "support/SourceManager.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 using namespace esp;
 
-/// Stop-and-wait protocol over a lossy wire. With KEEP_UNTIL_ACK == 0
-/// the sender unlinks the payload right after the first transmission —
-/// the injected bug; with 1 it unlinks only once acked.
+/// The fixed protocol, examples/esp/sliding_window.esp, compiled in by
+/// the build (esp_embed_source in examples/CMakeLists.txt).
+const char *slidingWindowSource();
+
+/// Stop-and-wait protocol over a lossy wire. With KEEP == 0 the sender
+/// unlinks the payload right after the first transmission — the
+/// injected bug; with 1 it unlinks only once acked. The file holds the
+/// fixed protocol; the draft is the same text with its KEEP line set to 0.
 static std::string makeProtocol(bool KeepUntilAck) {
-  std::string Source = "const KEEP = ";
-  Source += KeepUntilAck ? "1" : "0";
-  Source += ";\n";
-  Source += R"(
-const NMSG = 2;
-type pktT = record of { seq: int, data: array of int }
-channel toWire: pktT
-channel fromWire: pktT
-channel ackC: int
-channel trash: int
-
-process sender {
-  $seq = 0;
-  while (seq < NMSG) {
-    $payload: array of int = { 2 -> seq };
-    out( toWire, { seq, payload });
-    if (KEEP == 0) { unlink(payload); }   // BUG when the wire drops!
-    $acked = false;
-    while (!acked) {
-      alt {
-        case( in( ackC, $a)) {
-          if (a == seq) { acked = true; }
-        }
-        case( out( toWire, { seq, payload })) {
-          // Retransmission: touches `payload` again.
-        }
-      }
-    }
-    if (KEEP == 1) { unlink(payload); }
-    seq = seq + 1;
+  std::string Source = slidingWindowSource();
+  if (KeepUntilAck)
+    return Source;
+  const std::string Fixed = "\nconst KEEP = 1;\n";
+  size_t At = Source.find(Fixed);
+  if (At == std::string::npos) {
+    std::fprintf(stderr, "sliding_window.esp has no `const KEEP = 1;` line "
+                         "to turn into the draft\n");
+    std::exit(1);
   }
-}
-
-// The wire nondeterministically delivers or drops each packet.
-process wire {
-  while (true) {
-    in( toWire, { $seq, $data });
-    alt {
-      case( out( fromWire, { seq, data })) { unlink(data); }
-      case( out( trash, seq)) { unlink(data); }   // dropped
-    }
-  }
-}
-
-process receiver {
-  $expected = 0;
-  while (true) {
-    in( fromWire, { $seq, $data });
-    assert(data[0] == seq);
-    unlink(data);
-    if (seq == expected) { expected = expected + 1; }
-    out( ackC, seq);
-  }
-}
-
-process sink {
-  while (true) { in( trash, $x); }
-}
-)";
+  Source.replace(At, Fixed.size(), "\nconst KEEP = 0;\n");
   return Source;
 }
 

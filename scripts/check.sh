@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full local CI: strict build, test suite, and static analysis of the
-# example corpus plus the VMMC firmware (which must stay finding-free).
+# example corpus plus the two firmwares, src/vmmc/{vmmc,serve}.esp (which
+# must stay finding-free).
 #
 # Usage: scripts/check.sh [build-dir]
 #   ESP_SANITIZE=asan scripts/check.sh build-asan   # also: ubsan, tsan
@@ -25,11 +26,13 @@ echo "== test =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 
 ESPLINT="$BUILD_DIR/src/tools/esplint"
+VMMC_ESP="$REPO_ROOT/src/vmmc/vmmc.esp"
+SERVE_ESP="$REPO_ROOT/src/vmmc/serve.esp"
 
-echo "== esplint: example corpus =="
-"$ESPLINT" "$REPO_ROOT"/examples/esp/*.esp
+echo "== esplint: example corpus and serve firmware =="
+"$ESPLINT" "$REPO_ROOT"/examples/esp/*.esp "$SERVE_ESP"
 
-echo "== esplint: VMMC firmware =="
+echo "== esplint: VMMC firmware (--builtin-vmmc is the same text) =="
 "$ESPLINT" --builtin-vmmc
 
 SCRATCH_DIR="$(mktemp -d)"
@@ -139,14 +142,8 @@ echo "== espmc: bit-state counts repeat across processes =="
 # depends on every byte of the state vector. Two processes get
 # different ASLR layouts: an address that leaked into the vector (as a
 # heap object's type pointer once did) makes the counts differ.
-python3 - "$REPO_ROOT/src/vmmc/EspFirmwareSource.h" "$SCRATCH_DIR/vmmc.esp" \
-  <<'EOF'
-import sys
-text = open(sys.argv[1]).read()
-open(sys.argv[2], "w").write(text.split('R"ESP(', 1)[1].split(')ESP"', 1)[0])
-EOF
 bitstate_counts() {
-  "$ESPMC" "$SCRATCH_DIR/vmmc.esp" --process pageTable,deliver \
+  "$ESPMC" "$VMMC_ESP" --process pageTable,deliver \
     --env-budget 4 --mode bitstate --bits 14 -q \
     --stats-json "$SCRATCH_DIR/bits.json" > /dev/null 2>&1
   python3 -c 'import json, sys; d = json.load(open(sys.argv[1]));
@@ -161,10 +158,10 @@ if [ "$first" != "$second" ]; then
 fi
 
 echo "== espc: the emitted C compiles warning-free =="
-# The C backend's output for the corpus and the VMMC firmware, optimized,
+# The C backend's output for the corpus and both firmwares, optimized,
 # at -O0 and with --safety, must build as strict C99: a scalar message
 # passed to esp_unlink or an unused counter fails here.
-for src in "$REPO_ROOT"/examples/esp/*.esp "$SCRATCH_DIR/vmmc.esp"; do
+for src in "$REPO_ROOT"/examples/esp/*.esp "$VMMC_ESP" "$SERVE_ESP"; do
   for mode in --emit-c "-O0 --emit-c" "--safety --emit-c"; do
     "$ESPC" $mode "$src" > "$SCRATCH_DIR/gen.c" 2> "$SCRATCH_DIR/espc.log" ||
       { cat "$SCRATCH_DIR/espc.log" >&2; exit 1; }
@@ -183,10 +180,10 @@ echo "== numeric flags: no sign, no wrap, no retired flag =="
 # and the --maxdepth alias are gone. Every command is capped so that it
 # stays small should the check regress.
 expect_exit 2 "$ESPSERVE" --machines 4294967296 --requests 10
-expect_exit 2 "$ESPMC" "$SCRATCH_DIR/vmmc.esp" --process pageTable \
+expect_exit 2 "$ESPMC" "$VMMC_ESP" --process pageTable \
   --max-depth 4294967296 --max-states 1000
 expect_exit 2 "$ESPC" --run --max-steps -1 "$SCRATCH_DIR/overflow_run.esp"
-expect_exit 2 "$ESPMC" "$SCRATCH_DIR/vmmc.esp" --process pageTable \
+expect_exit 2 "$ESPMC" "$VMMC_ESP" --process pageTable \
   --snapshot-stride 4 --max-states 1000
 expect_exit 2 "$ESPMC" "$REPO_ROOT/examples/esp/pagetable.esp" \
   --process pageTable --int-domain foo,-x,99999999999999999999 \

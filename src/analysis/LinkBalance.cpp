@@ -6,8 +6,8 @@
 ///
 /// A forward dataflow over each process's state-machine IR that tracks,
 /// per variable slot, how many references the process holds to the object
-/// the slot owns. The abstract value is a three-bit may-set over the
-/// reference count: {0}, {1}, {>=2}; joins are unions.
+/// the slot owns. The abstract value is a four-bit may-set over the
+/// reference count: {0}, {1}, {2}, {>=3}; joins are unions.
 ///
 /// Only slots whose ownership is unambiguous are tracked: aggregate-typed
 /// slots whose every whole definition is a fresh allocation (record,

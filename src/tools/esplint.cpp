@@ -52,6 +52,7 @@ const char kUsage[] =
     "                      exploits)\n"
     "  --max-configs N     deadlock search state cap (default 1048576)\n"
     "  --builtin-vmmc      also analyze the built-in VMMC firmware\n"
+    "                      (the text of src/vmmc/vmmc.esp)\n"
     "  -q, --quiet         print errors only (warnings still counted)\n";
 
 struct LintStats {

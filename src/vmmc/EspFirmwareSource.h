@@ -24,228 +24,13 @@
 namespace esp {
 namespace vmmc {
 
-/// The complete VMMC firmware in ESP.
-inline const char *getVmmcEspSource() {
-  return R"ESP(
-// ---- VMMC firmware in ESP (decl section) -------------------------------
-const NNODES = 4;        // nodes addressable by this fabric
-const WSIZE = 8;         // sliding-window width (packets)
-const RTO = 4;           // retransmission timeout in watchdog ticks
-const MTU = 4096;        // one packet per page
-const PAGESIZE = 4096;
-const PTSIZE = 64;       // translation-table entries
-const SMALLMSG = 32;     // small messages are inlined (no fetch DMA)
-const DATA = 0;
-const ACK = 1;
+/// The complete VMMC firmware in ESP: the bytes of src/vmmc/vmmc.esp,
+/// compiled in by esp_embed_source (cmake/EspEmbed.cmake).
+const char *getVmmcEspSource();
 
-type sendT = record of { dest: int, vAddr: int, size: int, token: int }
-type updateT = record of { vAddr: int, pAddr: int }
-type userT = union of { send: sendT, update: updateT }
-type pktT = record of { dest: int, seq: int, ack: int, kind: int,
-                        buf: int, size: int, msgBytes: int, token: int,
-                        src: int }
-
-// Host request queue (external C writer: the host library).
-channel userReqC: userT
-interface UserReq(out userReqC) {
-  Send( { send |> { $dest, $vAddr, $size, $token } } ),
-  Update( { update |> { $vAddr, $pAddr } } )
-}
-
-// Virtual-to-physical translation service.
-channel ptReqC: record of { ret: int, vAddr: int }
-channel ptReplyC: record of { ret: int, pAddr: int }
-
-// Host DMA, fetch direction (external C reader programs the engine).
-channel hdmaReqC: record of { pAddr: int, size: int, token: int }
-interface HostFetch(in hdmaReqC) { Fetch( { $pAddr, $size, $token } ) }
-channel hdmaDoneC: record of { token: int, buf: int }
-interface HostFetchDone(out hdmaDoneC) { Done( { $token, $buf } ) }
-
-// Send-side hand-off to the transmit window.
-channel sendMsgC: record of { dest: int, buf: int, size: int,
-                              msgBytes: int, token: int }
-
-// Network transmit / receive (external).
-channel netTxC: pktT
-interface NetTx(in netTxC) {
-  Tx( { $dest, $seq, $ack, $kind, $buf, $size, $msgBytes, $token, $src } )
-}
-channel netRxC: pktT
-interface NetRx(out netRxC) {
-  Rx( { $dest, $seq, $ack, $kind, $buf, $size, $msgBytes, $token, $src } )
-}
-
-// Receive-side plumbing.
-channel txFbC: record of { src: int, theirAck: int, wantAck: int,
-                           ackSeq: int }
-channel deliverC: record of { src: int, size: int, msgBytes: int,
-                              token: int }
-channel rdmaReqC: record of { size: int, token: int }
-interface HostDeliver(in rdmaReqC) { Deliver( { $size, $token } ) }
-channel rdmaDoneC: record of { token: int }
-interface HostDeliverDone(out rdmaDoneC) { Done( { $token } ) }
-channel notifyC: record of { src: int, size: int, token: int }
-interface Notify(in notifyC) { Recv( { $src, $size, $token } ) }
-channel freeBufC: int
-interface FreeBuf(in freeBufC) { Free( $buf ) }
-channel timerC: int
-interface Timer(out timerC) { Tick( $t ) }
-
-// ---- process section ----------------------------------------------------
-
-// SM1 of the paper: handles send requests; splits at page/MTU
-// boundaries; small messages skip the fetch DMA entirely.
-process userReq {
-  while (true) {
-    in( userReqC, { send |> { $dest, $vAddr, $size, $token } });
-    $remaining = size;
-    $off = 0;
-    while (remaining > 0) {
-      $chunk = remaining;
-      if (chunk > MTU) chunk = MTU;
-      out( ptReqC, { @, vAddr + off });
-      in( ptReplyC, { @, $pAddr });
-      if (size <= SMALLMSG) {
-        // Small message: data travels with the request (no fetch DMA).
-        out( sendMsgC, { dest, -1, chunk, size, token });
-      } else {
-        out( hdmaReqC, { pAddr, chunk, token });
-        in( hdmaDoneC, { token, $buf });
-        out( sendMsgC, { dest, buf, chunk, size, token });
-      }
-      remaining = remaining - chunk;
-      off = off + chunk;
-    }
-  }
-}
-
-// The translation table (Appendix B). Update requests arrive on the same
-// user channel and are dispatched here by pattern (§4.2).
-process pageTable {
-  $table: #array of int = #{ PTSIZE -> 0 };
-  while (true) {
-    alt {
-      case( in( ptReqC, { $ret, $vAddr })) {
-        out( ptReplyC,
-             { ret, table[(vAddr / PAGESIZE) % PTSIZE] + vAddr % PAGESIZE });
-      }
-      case( in( userReqC, { update |> { $uVAddr, $uPAddr }})) {
-        table[(uVAddr / PAGESIZE) % PTSIZE] = uPAddr;
-      }
-    }
-  }
-}
-
-// The sliding-window retransmission protocol (§5.3): developed and
-// verified with the model checker before ever running on the simulated
-// card. Window slots are structure-of-arrays so the SPIN translation
-// stays first-order.
-process txWindow {
-  $wUsed: #array of int = #{ WSIZE -> 0 };
-  $wSeq:  #array of int = #{ WSIZE -> 0 };
-  $wDest: #array of int = #{ WSIZE -> 0 };
-  $wBuf:  #array of int = #{ WSIZE -> 0 };
-  $wSize: #array of int = #{ WSIZE -> 0 };
-  $wMsg:  #array of int = #{ WSIZE -> 0 };
-  $wTok:  #array of int = #{ WSIZE -> 0 };
-  $wTick: #array of int = #{ WSIZE -> 0 };
-  $nextSeq: #array of int = #{ NNODES -> 0 };
-  $pbAck:   #array of int = #{ NNODES -> 0 };
-  $inflight = 0;
-  $now = 0;
-  while (true) {
-    alt {
-      case( inflight < WSIZE, in( sendMsgC, { $dest, $buf, $size, $msg, $tok })) {
-        $s = 0;
-        while (wUsed[s] == 1) { s = s + 1; }
-        wUsed[s] = 1; wSeq[s] = nextSeq[dest]; wDest[s] = dest;
-        wBuf[s] = buf; wSize[s] = size; wMsg[s] = msg; wTok[s] = tok;
-        wTick[s] = now;
-        inflight = inflight + 1;
-        out( netTxC, { dest, nextSeq[dest], pbAck[dest], DATA, buf, size,
-                       msg, tok, 0 });
-        nextSeq[dest] = nextSeq[dest] + 1;
-      }
-      case( in( txFbC, { $src, $theirAck, $wantAck, $ackSeq })) {
-        // Retire acknowledged slots and recycle their SRAM buffers.
-        $s = 0;
-        while (s < WSIZE) {
-          if (wUsed[s] == 1 && wDest[s] == src && wSeq[s] < theirAck) {
-            wUsed[s] = 0;
-            inflight = inflight - 1;
-            if (wBuf[s] >= 0) { out( freeBufC, wBuf[s]); }
-          }
-          s = s + 1;
-        }
-        if (wantAck == 1) {
-          pbAck[src] = ackSeq;
-          if (inflight == 0) {
-            // No reverse data to piggyback on: explicit ack (§5.3).
-            out( netTxC, { src, 0, ackSeq, ACK, -1, 0, 0, 0, 0 });
-          }
-        }
-      }
-      case( in( timerC, $t)) {
-        now = now + 1;
-        $s = 0;
-        while (s < WSIZE) {
-          if (wUsed[s] == 1 && now - wTick[s] >= RTO) {
-            out( netTxC, { wDest[s], wSeq[s], pbAck[wDest[s]], DATA,
-                           wBuf[s], wSize[s], wMsg[s], wTok[s], 0 });
-            wTick[s] = now;
-          }
-          s = s + 1;
-        }
-      }
-    }
-  }
-}
-
-// Demultiplexes arriving packets: in-order data goes to delivery;
-// acknowledgement information (piggybacked or explicit) feeds the
-// transmit window.
-process rxDemux {
-  $expSeq: #array of int = #{ NNODES -> 0 };
-  while (true) {
-    in( netRxC, { $dest, $seq, $ack, $kind, $buf, $size, $msg, $tok,
-                  $src });
-    if (kind == DATA) {
-      if (seq == expSeq[src]) {
-        expSeq[src] = expSeq[src] + 1;
-        out( deliverC, { src, size, msg, tok });
-      }
-      // Duplicates and out-of-order packets still force an ack so the
-      // sender resynchronizes.
-      out( txFbC, { src, ack, 1, expSeq[src] });
-    } else {
-      out( txFbC, { src, ack, 0, 0 });
-    }
-  }
-}
-
-// Delivery: host-DMA the payload into application memory (small
-// messages were inlined and skip the DMA), reassemble, and notify.
-process deliver {
-  $got: #array of int = #{ NNODES -> 0 };
-  while (true) {
-    in( deliverC, { $src, $size, $msg, $tok });
-    if (msg > SMALLMSG) {
-      out( rdmaReqC, { size, tok });
-      in( rdmaDoneC, { tok });
-    }
-    got[src] = got[src] + size;
-    if (got[src] >= msg) {
-      got[src] = 0;
-      out( notifyC, { src, msg, tok });
-    }
-  }
-}
-)ESP";
-}
-
-/// The "simple operations" the paper leaves in C (§4.6): in this
-/// reproduction they are the external bindings in EspFirmware.cpp.
+/// Effective lines (countEffectiveLines) of the firmware's declaration
+/// and process sections, split at its `// ---- process section` line,
+/// for the lines-of-code table (§4.6).
 unsigned getVmmcEspDeclLines();
 unsigned getVmmcEspProcessLines();
 

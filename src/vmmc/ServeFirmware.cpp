@@ -16,91 +16,6 @@
 using namespace esp;
 using namespace esp::vmmc;
 
-const char *esp::vmmc::getServeEspSource() {
-  return R"ESP(
-// ---- VMMC serving firmware (one instance per client connection) --------
-const MTU = 4096;        // one fragment per page, like the send path
-const PAGESIZE = 4096;
-const PTSIZE = 16;       // translation-table entries per connection
-
-type reqT = record of { seq: int, vAddr: int, size: int }
-
-// Requests enter from the serve runtime's per-machine inbox.
-channel reqC: reqT
-interface Req(out reqC) { Post( { $seq, $vAddr, $size } ) }
-
-// Virtual-to-physical translation service (internal rendezvous).
-channel ptReqC: int
-channel ptReplyC: int
-
-// Translated fragments on their way to the transmitter.
-channel fragC: record of { seq: int, pAddr: int, size: int, last: int }
-
-// Completions leave to the serve runtime's collector.
-channel respC: record of { seq: int, frags: int, bytes: int, sum: int }
-interface Resp(in respC) { Done( { $seq, $frags, $bytes, $sum } ) }
-
-// ---- process section ----------------------------------------------------
-
-// The send path of the paper's SM1: take a request, translate each page,
-// split at MTU boundaries, hand fragments to the transmitter.
-process server {
-  while (true) {
-    in( reqC, { $seq, $vAddr, $size });
-    $remaining = size;
-    $off = 0;
-    while (remaining > 0) {
-      $chunk = remaining;
-      if (chunk > MTU) chunk = MTU;
-      out( ptReqC, vAddr + off );
-      in( ptReplyC, $pAddr );
-      remaining = remaining - chunk;
-      $last = 0;
-      if (remaining == 0) last = 1;
-      out( fragC, { seq, pAddr, chunk, last });
-      off = off + chunk;
-    }
-  }
-}
-
-// Per-connection translation table. Entries are memoized on first use,
-// but the memoized value is a function of the index alone, so the
-// translation a request sees never depends on lookup order or on the
-// machine being recycled between connections — responses stay a pure
-// function of the request (the aggregate-checksum invariant).
-process pageTable {
-  $table: #array of int = #{ PTSIZE -> 0 };
-  while (true) {
-    in( ptReqC, $va );
-    $idx = (va / PAGESIZE) % PTSIZE;
-    if (table[idx] == 0) { table[idx] = (idx + 1) * PAGESIZE; }
-    out( ptReplyC, table[idx] + va % PAGESIZE );
-  }
-}
-
-// Transmit accounting: collect the fragments of one request and emit the
-// completion record the collector turns into a latency sample.
-process txSender {
-  while (true) {
-    $seq = 0;
-    $frags = 0;
-    $bytes = 0;
-    $sum = 0;
-    $done = 0;
-    while (done == 0) {
-      in( fragC, { $s, $pAddr, $sz, $last });
-      seq = s;
-      frags = frags + 1;
-      bytes = bytes + sz;
-      sum = sum + pAddr % 1048576;
-      if (last == 1) { done = 1; }
-    }
-    out( respC, { seq, frags, bytes, sum });
-  }
-}
-)ESP";
-}
-
 ServeProgram::ServeProgram() = default;
 ServeProgram::~ServeProgram() = default;
 

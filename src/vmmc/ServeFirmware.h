@@ -12,7 +12,7 @@
 /// (src/serve) runs thousands of these over one shared CompiledProgram;
 /// each instance gets its own Heap and channel state.
 ///
-/// Unlike the full firmware (EspFirmwareSource.h), which binds to the
+/// Unlike the full firmware (vmmc.esp), which binds to the
 /// cycle-accurate NIC simulator, this one has exactly two external
 /// interfaces so the serving boundary stays epoll-shaped:
 ///
@@ -47,13 +47,15 @@ class DiagnosticEngine;
 namespace vmmc {
 
 /// Fragment size of the serve firmware; responses report
-/// ceil(size / kServeMtu) fragments. Must match the MTU constant in the
-/// ESP source.
+/// ceil(size / kServeMtu) fragments. Must match the MTU constant in
+/// serve.esp.
 inline constexpr uint32_t kServeMtu = 4096;
 inline constexpr uint32_t kServePageSize = 4096;
 inline constexpr uint32_t kServePtSize = 16;
 
-/// The per-connection serving firmware in ESP.
+/// The per-connection serving firmware in ESP: the bytes of
+/// src/vmmc/serve.esp, compiled in by esp_embed_source
+/// (cmake/EspEmbed.cmake).
 const char *getServeEspSource();
 
 /// The response record the firmware emits for a request (seq, vAddr,

@@ -27,8 +27,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -166,6 +168,21 @@ inline Move findEnvSend(const Machine &M, const std::vector<Move> &Moves,
       return Mv;
   ADD_FAILURE() << "no environment send on " << Chan;
   return Move();
+}
+
+/// The bytes of \p RelPath, a path under the source tree.
+inline std::string readSourceFile(const std::string &RelPath) {
+  std::string Path = std::string(ESP_SOURCE_DIR) + "/" + RelPath;
+  std::ifstream In(Path, std::ios::binary);
+  EXPECT_TRUE(In) << "cannot read " << Path;
+  std::ostringstream Text;
+  Text << In.rdbuf();
+  return Text.str();
+}
+
+/// The example program examples/esp/\p Name.
+inline std::string readExample(const std::string &Name) {
+  return readSourceFile("examples/esp/" + Name);
 }
 
 } // namespace test

@@ -20,27 +20,18 @@
 #include "support/Diagnostics.h"
 #include "support/SourceManager.h"
 #include "vmmc/EspFirmwareSource.h"
+#include "TestHelpers.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 
 using namespace esp;
+using esp::test::readExample;
 
 namespace {
-
-std::string readExample(const std::string &Name) {
-  std::string Path = std::string(ESP_SOURCE_DIR) + "/examples/esp/" + Name;
-  std::ifstream In(Path, std::ios::binary);
-  EXPECT_TRUE(In) << "cannot read " << Path;
-  std::ostringstream Text;
-  Text << In.rdbuf();
-  return Text.str();
-}
 
 struct ProcessGolden {
   const char *Process;

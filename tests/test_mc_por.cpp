@@ -16,22 +16,10 @@
 #include "vmmc/EspFirmwareSource.h"
 #include "TestHelpers.h"
 
-#include <fstream>
-#include <sstream>
-
 using namespace esp;
 using namespace esp::test;
 
 namespace {
-
-std::string readExample(const std::string &Name) {
-  std::string Path = std::string(ESP_SOURCE_DIR) + "/examples/esp/" + Name;
-  std::ifstream In(Path, std::ios::binary);
-  EXPECT_TRUE(In) << "cannot read " << Path;
-  std::ostringstream Text;
-  Text << In.rdbuf();
-  return Text.str();
-}
 
 /// Runs \p H full and reduced and checks the differential contract.
 void expectPorAgrees(const Harness &H, McOptions Mc, const char *Label) {

@@ -7,7 +7,9 @@
 #include "vmmc/EspFirmware.h"
 #include "vmmc/EspFirmwareSource.h"
 #include "vmmc/OrigFirmware.h"
+#include "vmmc/ServeFirmware.h"
 #include "vmmc/Workloads.h"
+#include "TestHelpers.h"
 
 #include <gtest/gtest.h>
 
@@ -138,6 +140,12 @@ TEST(VmmcLoc, EspSourceLineCountsMatchPaperScale) {
   EXPECT_GT(Decl, 30u);
   EXPECT_GT(Proc, 80u);
   EXPECT_LT(Decl + Proc, 600u);
+}
+
+TEST(Sources, EmbeddedTextMatchesTheFile) {
+  // Each firmware has one copy, its .esp file; the library embeds it.
+  EXPECT_EQ(getVmmcEspSource(), test::readSourceFile("src/vmmc/vmmc.esp"));
+  EXPECT_EQ(getServeEspSource(), test::readSourceFile("src/vmmc/serve.esp"));
 }
 
 /// The ESP firmware, handing its machine's final ExecStats to \p Out.
