@@ -16,6 +16,10 @@ using namespace esp;
 
 namespace {
 
+/// The length bound of every array pool (the MAXARR define). §5.2
+/// specifies the bound per type; this generator uses one for all.
+constexpr unsigned MaxArrayLen = 4;
+
 class PromelaGenerator {
 public:
   PromelaGenerator(const Program &Prog, const PromelaGenOptions &Options)
@@ -196,7 +200,7 @@ private:
         << " */\n\n"
         << "#define NINST " << Options.Instances << "\n"
         << "#define MAXOBJ " << Options.MaxObjects << "\n"
-        << "#define MAXARR " << Options.MaxArrayLen << "\n\n";
+        << "#define MAXARR " << MaxArrayLen << "\n\n";
   }
 
   void emitPools(std::ostream &Out) {

@@ -44,9 +44,6 @@ namespace esp {
 struct PromelaGenOptions {
   /// Pool size per aggregate type (the paper's fixed refcount table).
   unsigned MaxObjects = 8;
-  /// Fixed maximum array length (§5.2: "specified per type"; we use one
-  /// default here and allow overrides by type name).
-  unsigned MaxArrayLen = 4;
   /// Number of instances of the whole program to declare.
   unsigned Instances = 1;
 };

@@ -113,7 +113,7 @@ std::string esp::instantiateProgram(const std::string &Source,
   for (unsigned I = 0; I != Options.Instances; ++I) {
     Out += "// ==== instance " + std::to_string(I) + " ====\n";
     Out += emitInstance(Tokens, Names,
-                        Options.Prefix + std::to_string(I) + "_",
+                        std::string("m").append(std::to_string(I)) + "_",
                         Options.StripInterfaces);
   }
   if (!Harness.empty()) {

@@ -32,16 +32,15 @@ namespace esp {
 struct InstantiateOptions {
   /// Number of program copies.
   unsigned Instances = 2;
-  /// Prefix template; instance I gets Prefix + std::to_string(I) + "_".
-  std::string Prefix = "m";
   /// Drop `interface` declarations so the per-instance device channels
   /// become internal and harness processes can read/write them.
   bool StripInterfaces = true;
 };
 
 /// Returns the instantiated source: N renamed copies of \p Source
-/// concatenated (plus \p Harness verbatim at the end). Purely textual /
-/// token-level; the result is parsed and checked like any program.
+/// concatenated (plus \p Harness verbatim at the end). Instance I's
+/// top-level names get the prefix "m<I>_". Purely textual / token-level;
+/// the result is parsed and checked like any program.
 std::string instantiateProgram(const std::string &Source,
                                const InstantiateOptions &Options,
                                const std::string &Harness = "");

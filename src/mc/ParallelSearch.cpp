@@ -735,8 +735,7 @@ void ParallelDfs::processItem(WorkerCtx &W, const WorkItem &Item,
         Prog && W.Wid < obs::kMaxProgressWorkers) {
       Prog->PerWorker[W.Wid].Stored.store(W.Stats.Stored,
                                           std::memory_order_relaxed);
-      // bytes() locks shards and (exact mode) walks keys, so sample it
-      // sparsely.
+      // bytes() locks every shard, so sample it sparsely.
       if (W.Stats.Stored % 32768 == 0)
         Prog->VisitedBytes.store(Visited.bytes(), std::memory_order_relaxed);
     }

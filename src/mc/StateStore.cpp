@@ -12,21 +12,59 @@
 #include <cassert>
 
 using namespace esp;
+using namespace esp::mc_detail;
 
 // Xored into the second bit-state probe's input, so the two probes are
 // independent remixes of the fingerprint for every swarm seed.
 static constexpr uint64_t SecondHashSeed = 0x9e3779b97f4a7c15ULL;
 
-/// Estimated memory of one stored exact-mode key: its bytes plus the
-/// string and hash-node overhead. Summed at insert, so bytes() is O(1).
-static size_t exactKeyBytes(std::string_view Key) {
-  return Key.size() + sizeof(std::string) + 16;
-}
-
 /// The lock stripe of hash \p H among 2^\p Bits stripes: its high bits
 /// (a shift by 64 would be undefined, hence the one-stripe case).
 static size_t shardIndex(uint64_t H, unsigned Bits) {
   return Bits == 0 ? 0 : static_cast<size_t>(H >> (64 - Bits));
+}
+
+//===----------------------------------------------------------------------===//
+// SegmentPool
+//===----------------------------------------------------------------------===//
+
+uint32_t SegmentPool::intern(std::string_view Bytes, uint32_t Objects) {
+  return intern(Bytes, Objects, xxHash64(Bytes.data(), Bytes.size()));
+}
+
+uint32_t SegmentPool::intern(std::string_view Bytes, uint32_t Objects,
+                             uint64_t Hash) {
+  uint32_t Id = Index.find(Hash, [&](uint32_t Id) {
+    return Segments[Id].Hash == Hash && bytes(Id) == Bytes;
+  });
+  if (Id != IdIndex::kNone) {
+    assert(Segments[Id].Objects == Objects && "one segment, two counts");
+    return Id;
+  }
+  Segments.push_back(
+      {Hash, store(Bytes), static_cast<uint32_t>(Bytes.size()), Objects});
+  Index.insert(Hash, [&](uint32_t Id) { return Segments[Id].Hash; });
+  return Index.size() - 1;
+}
+
+const char *SegmentPool::store(std::string_view Bytes) {
+  if (Bytes.size() > TailBytes) {
+    const size_t Size = std::max(NextChunk, Bytes.size());
+    Chunks.push_back(std::make_unique_for_overwrite<char[]>(Size));
+    ChunkBytes += Size;
+    NextChunk = std::min(2 * NextChunk, kMaxChunk);
+    Tail = Chunks.back().get();
+    TailBytes = Size;
+  }
+  const char *Data = Tail;
+  Tail = std::copy(Bytes.begin(), Bytes.end(), Tail);
+  TailBytes -= Bytes.size();
+  return Data;
+}
+
+size_t SegmentPool::memoryBytes() const {
+  return ChunkBytes + Chunks.capacity() * sizeof(Chunks[0]) +
+         Segments.capacity() * sizeof(Segment) + Index.memoryBytes();
 }
 
 //===----------------------------------------------------------------------===//
@@ -108,11 +146,10 @@ bool ConcurrentVisitedSet::insert(uint64_t Fp, std::string_view Bytes) {
     if (Kind == Impl::Hash64) {
       New = S.Fp64.insert(Fp);
     } else {
-      New = S.ExactKeys.find(Bytes) == S.ExactKeys.end();
-      if (New) {
-        S.ExactKeys.emplace(Bytes);
-        S.ExactKeyBytes += exactKeyBytes(Bytes);
-      }
+      // A vector is new exactly when interning it grows the pool.
+      const size_t Before = S.Vectors.size();
+      S.Vectors.intern(Bytes, 0, Fp);
+      New = S.Vectors.size() != Before;
     }
   }
   if (New)
@@ -129,7 +166,7 @@ size_t ConcurrentVisitedSet::bytes() const {
     std::lock_guard<std::mutex> Lock(S.M);
     switch (Kind) {
     case Impl::Exact:
-      Total += S.ExactKeys.bucket_count() * sizeof(void *) + S.ExactKeyBytes;
+      Total += S.Vectors.memoryBytes();
       break;
     case Impl::Hash64:
       Total += S.Fp64.bytes();

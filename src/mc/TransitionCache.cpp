@@ -15,31 +15,6 @@ using namespace esp;
 using namespace esp::mc_detail;
 
 //===----------------------------------------------------------------------===//
-// SegmentPool
-//===----------------------------------------------------------------------===//
-
-uint32_t SegmentPool::intern(std::string_view Bytes, uint32_t Objects) {
-  const uint64_t Hash = xxHash64(Bytes.data(), Bytes.size());
-  uint32_t Id = Index.find(Hash, [&](uint32_t Id) {
-    return Segments[Id].Hash == Hash && bytes(Id) == Bytes;
-  });
-  if (Id != IdIndex::kNone) {
-    assert(Segments[Id].Objects == Objects && "one segment, two counts");
-    return Id;
-  }
-  Segments.push_back(
-      {Hash, Arena.size(), static_cast<uint32_t>(Bytes.size()), Objects});
-  Arena.append(Bytes);
-  Index.insert(Hash, [&](uint32_t Id) { return Segments[Id].Hash; });
-  return Index.size() - 1;
-}
-
-size_t SegmentPool::memoryBytes() const {
-  return Arena.capacity() + Segments.capacity() * sizeof(Segment) +
-         Index.memoryBytes();
-}
-
-//===----------------------------------------------------------------------===//
 // TransitionCache
 //===----------------------------------------------------------------------===//
 

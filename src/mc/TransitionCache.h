@@ -30,109 +30,15 @@
 #ifndef ESP_MC_TRANSITIONCACHE_H
 #define ESP_MC_TRANSITIONCACHE_H
 
+#include "mc/StateStore.h"
 #include "runtime/Machine.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace esp {
 namespace mc_detail {
-
-/// A hash index over records kept densely elsewhere under ids 0, 1, ...:
-/// linear probing in a power-of-two table of 4-byte slots, at most half
-/// full, each holding an id + 1 (0 marks an empty slot).
-class IdIndex {
-public:
-  static constexpr uint32_t kNone = UINT32_MAX;
-
-  /// The first id filed under \p Hash that \p Match accepts, or kNone.
-  template <typename MatchFn>
-  uint32_t find(uint64_t Hash, MatchFn &&Match) const {
-    if (Slots.empty())
-      return kNone;
-    const size_t Mask = Slots.size() - 1;
-    for (size_t I = Hash & Mask; Slots[I] != 0; I = (I + 1) & Mask)
-      if (Match(Slots[I] - 1))
-        return Slots[I] - 1;
-    return kNone;
-  }
-
-  /// Files the next id, size(), under \p Hash. Growing the table re-files
-  /// every id under \p HashOf(id).
-  template <typename HashFn> void insert(uint64_t Hash, HashFn &&HashOf) {
-    const uint32_t Id = Count++;
-    if (2 * Count > Slots.size()) {
-      Slots.assign(std::max<size_t>(64, 2 * Slots.size()), 0);
-      for (uint32_t Old = 0; Old != Id; ++Old)
-        place(HashOf(Old), Old);
-    }
-    place(Hash, Id);
-  }
-
-  uint32_t size() const { return Count; }
-  size_t memoryBytes() const { return Slots.capacity() * sizeof(uint32_t); }
-  /// Drops every id and releases the memory.
-  void clear() {
-    std::vector<uint32_t>().swap(Slots);
-    Count = 0;
-  }
-
-private:
-  void place(uint64_t Hash, uint32_t Id) {
-    const size_t Mask = Slots.size() - 1;
-    size_t I = Hash & Mask;
-    while (Slots[I] != 0)
-      I = (I + 1) & Mask;
-    Slots[I] = Id + 1;
-  }
-
-  std::vector<uint32_t> Slots;
-  uint32_t Count = 0;
-};
-
-/// Interned byte strings: each distinct segment is stored once, in one
-/// arena, under a dense uint32_t id, with the number of heap objects it
-/// reaches.
-class SegmentPool {
-public:
-  /// The id of \p Bytes, interning it with its object count \p Objects on
-  /// first sight.
-  uint32_t intern(std::string_view Bytes, uint32_t Objects);
-
-  /// Segment \p Id's bytes; valid until the next intern().
-  std::string_view bytes(uint32_t Id) const {
-    const Segment &S = Segments[Id];
-    return {Arena.data() + S.Offset, S.Length};
-  }
-  uint32_t objects(uint32_t Id) const { return Segments[Id].Objects; }
-  /// Segment \p Id's xxHash64.
-  uint64_t hash(uint32_t Id) const { return Segments[Id].Hash; }
-
-  size_t size() const { return Segments.size(); }
-  /// Bytes held: the arena, the segment records and the table.
-  size_t memoryBytes() const;
-  /// Drops every segment and releases the memory.
-  void clear() {
-    std::string().swap(Arena);
-    std::vector<Segment>().swap(Segments);
-    Index.clear();
-  }
-
-private:
-  struct Segment {
-    uint64_t Hash;
-    size_t Offset;
-    uint32_t Length;
-    uint32_t Objects;
-  };
-
-  std::string Arena;
-  std::vector<Segment> Segments;
-  IdIndex Index;
-};
 
 /// One worker's transition cache. The search keeps each DFS frame's
 /// *parts*, partsWords() words: one segment id per process, the

@@ -118,8 +118,9 @@ struct CPat {
 
 constexpr uint32_t kNoPattern = UINT32_MAX;
 
-/// The top-level discriminant of a reader pattern, used to reject a
-/// message without a pattern walk (the dispatch-table entry).
+/// The top-level discriminant of a reader pattern (the dispatch-table
+/// entry) or of a concrete message: a union arm or a scalar. Comparing
+/// the two rejects a message without a pattern walk.
 struct CaseDisc {
   enum class K : uint8_t { None, UnionArm, Scalar } Kind = K::None;
   int32_t Arm = -1;

@@ -924,25 +924,24 @@ bool Machine::matchChild(unsigned ReaderIndex, uint32_t PatIndex,
   return matchC(ReaderIndex, PatIndex, V, Mode, From);
 }
 
-Machine::MsgDisc
-Machine::discOfValues(std::span<const Value> Values) const {
+CaseDisc Machine::discOfValues(std::span<const Value> Values) const {
   if (Values.size() != 1)
-    return MsgDisc();
+    return CaseDisc();
   return discOfValue(H, Values[0]);
 }
 
-Machine::MsgDisc Machine::discOfValue(const Heap &H, const Value &V) {
-  MsgDisc D;
+CaseDisc Machine::discOfValue(const Heap &H, const Value &V) {
+  CaseDisc D;
   if (V.isRef()) {
     const HeapObject *Obj = H.deref(V);
     if (Obj && Obj->ObjType->isUnion()) {
-      D.Kind = MsgDisc::K::UnionArm;
+      D.Kind = CaseDisc::K::UnionArm;
       D.Arm = Obj->Arm;
     }
     return D;
   }
   if (V.K == Value::Kind::Int || V.K == Value::Kind::Bool) {
-    D.Kind = MsgDisc::K::Scalar;
+    D.Kind = CaseDisc::K::Scalar;
     D.Scalar = V.Scalar;
   }
   return D;
@@ -976,7 +975,7 @@ void Machine::forEachMatchingReader(uint32_t Chan, int Writer,
                                     const CCase *WCase,
                                     const std::span<const Value> *Values,
                                     Fn &&F) {
-  const MsgDisc D = Values ? discOfValues(*Values) : MsgDisc();
+  const CaseDisc D = Values ? discOfValues(*Values) : CaseDisc();
   // Statically disjoint reader patterns: the first match is provably the
   // only one.
   const bool FirstOnly = WCase && CP.Channels[Chan].Disjoint;
@@ -997,7 +996,7 @@ void Machine::forEachMatchingReader(uint32_t Chan, int Writer,
   });
 }
 
-bool Machine::readerAdmits(unsigned Reader, unsigned Case, const MsgDisc &D,
+bool Machine::readerAdmits(unsigned Reader, unsigned Case, const CaseDisc &D,
                            std::span<const Value> Values, const Heap &From) {
   const CCase &RCase = caseOf(Reader, Case);
   return !discRejects(RCase.Disc, D) &&
@@ -1666,7 +1665,7 @@ uint32_t Machine::admission(unsigned Reader, unsigned Case) {
   // keeps counting the dry runs enumeration does.
   const uint64_t Tried = Stats.PatternMatchesTried;
   for (unsigned Variant = 0; Variant != EC.NumVariants; ++Variant) {
-    const MsgDisc &D = EC.Discs[Variant];
+    const CaseDisc &D = EC.Discs[Variant];
     std::span<const Value> Values(&EC.Templates[Variant], 1);
     const bool Admits =
         RCase.StaticPat

@@ -645,19 +645,14 @@ private:
   //===--- Dispatch tables and wait bitmasks --------------------------------===//
 
   /// The top-level discriminant of a concrete message, if it has one.
-  struct MsgDisc {
-    enum class K : uint8_t { None, UnionArm, Scalar } Kind = K::None;
-    int32_t Arm = -1;
-    int64_t Scalar = 0;
-  };
-  static MsgDisc discOfValue(const Heap &H, const Value &V);
-  MsgDisc discOfValues(std::span<const Value> Values) const;
+  static CaseDisc discOfValue(const Heap &H, const Value &V);
+  CaseDisc discOfValues(std::span<const Value> Values) const;
   /// True when the dispatch table proves \p Case cannot match a message
   /// with discriminant \p D (so the pattern walk is skipped entirely).
-  static bool discRejects(const CaseDisc &Case, const MsgDisc &D) {
-    if (Case.Kind == CaseDisc::K::UnionArm && D.Kind == MsgDisc::K::UnionArm)
+  static bool discRejects(const CaseDisc &Case, const CaseDisc &D) {
+    if (Case.Kind == CaseDisc::K::UnionArm && D.Kind == CaseDisc::K::UnionArm)
       return Case.Arm != D.Arm;
-    if (Case.Kind == CaseDisc::K::Scalar && D.Kind == MsgDisc::K::Scalar)
+    if (Case.Kind == CaseDisc::K::Scalar && D.Kind == CaseDisc::K::Scalar)
       return Case.Scalar != D.Scalar;
     return false;
   }
@@ -666,7 +661,7 @@ private:
   /// \p Values, whose discriminant is \p D: the dispatch-table prefilter,
   /// then a dry run of the pattern. False with the machine error set when
   /// the dry run faults.
-  bool readerAdmits(unsigned Reader, unsigned Case, const MsgDisc &D,
+  bool readerAdmits(unsigned Reader, unsigned Case, const CaseDisc &D,
                     std::span<const Value> Values, const Heap &From);
 
   /// Sets/clears process \p ProcIndex's bit in the wait mask of every
@@ -764,7 +759,7 @@ private:
     /// top-level discriminant. Empty until the channel's first use
     /// (envChannel).
     std::vector<Value> Templates;
-    std::vector<MsgDisc> Discs;
+    std::vector<CaseDisc> Discs;
   };
   struct EnvTables {
     std::vector<EnvChannel> Channels; ///< Indexed by channel id.

@@ -185,7 +185,6 @@ public:
   EventQueue &events() { return Events; }
   const CostModel &costs() const { return Costs; }
   Nic &nic(unsigned Node) { return *Nics[Node]; }
-  unsigned numNodes() const { return static_cast<unsigned>(Nics.size()); }
   SimTime now() const { return Events.now(); }
 
   /// Transmits \p P from its source NIC: occupies the send DMA and the

@@ -45,22 +45,6 @@ private:
   bool Valid = false;
 };
 
-/// A half-open range [Begin, End) of source text.
-class SourceRange {
-public:
-  SourceRange() = default;
-  SourceRange(SourceLoc Begin, SourceLoc End) : Begin(Begin), End(End) {}
-  explicit SourceRange(SourceLoc Loc) : Begin(Loc), End(Loc) {}
-
-  bool isValid() const { return Begin.isValid(); }
-  SourceLoc getBegin() const { return Begin; }
-  SourceLoc getEnd() const { return End; }
-
-private:
-  SourceLoc Begin;
-  SourceLoc End;
-};
-
 } // namespace esp
 
 #endif // ESP_SUPPORT_SOURCELOC_H

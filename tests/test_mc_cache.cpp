@@ -110,21 +110,38 @@ void oracleWalk(const Harness &H, const MachineOptions &MO, bool CheckLeaks,
 //===----------------------------------------------------------------------===//
 
 TEST(TransitionCache, SegmentPoolInternsEachSegmentOnce) {
+  // Longer than a std::string's inline buffer, so each one is stored on
+  // the heap.
+  auto Segment = [](unsigned I) {
+    return "interned segment " + std::to_string(I);
+  };
   SegmentPool Pool;
   std::vector<uint32_t> Ids;
-  for (unsigned I = 0; I != 1000; ++I)
-    Ids.push_back(Pool.intern("segment " + std::to_string(I), I % 7));
-  EXPECT_EQ(Pool.size(), 1000u);
+  Ids.push_back(Pool.intern(Segment(0), 0));
+  // Chunks never move: a view stays valid across later interns, among
+  // them one longer than any chunk.
+  const std::string_view First = Pool.bytes(Ids[0]);
+  for (unsigned I = 1; I != 1000; ++I)
+    Ids.push_back(Pool.intern(Segment(I), I % 7));
+  const std::string Long(100000, 'x');
+  const uint32_t LongId = Pool.intern(Long, 0);
+  EXPECT_EQ(First, Segment(0));
+  EXPECT_EQ(Pool.bytes(LongId), Long);
+  EXPECT_EQ(Pool.size(), 1001u);
+  EXPECT_GE(Pool.memoryBytes(), Long.size() + 1000 * 18);
   for (unsigned I = 0; I != 1000; ++I) {
-    std::string Bytes = "segment " + std::to_string(I);
-    EXPECT_EQ(Pool.intern(Bytes, I % 7), Ids[I]);
-    EXPECT_EQ(Pool.bytes(Ids[I]), Bytes);
+    EXPECT_EQ(Pool.intern(Segment(I), I % 7), Ids[I]);
+    EXPECT_EQ(Pool.bytes(Ids[I]), Segment(I));
     EXPECT_EQ(Pool.objects(Ids[I]), I % 7);
   }
-  EXPECT_EQ(Pool.size(), 1000u);
-  EXPECT_EQ(Pool.intern(std::string("\0\1", 2), 0), 1000u);
-  EXPECT_EQ(Pool.intern(std::string("\0\2", 2), 0), 1001u);
-  EXPECT_GT(Pool.memoryBytes(), 0u);
+  EXPECT_EQ(Pool.size(), 1001u);
+  EXPECT_EQ(Pool.intern(std::string("\0\1", 2), 0), 1001u);
+  EXPECT_EQ(Pool.intern(std::string("\0\2", 2), 0), 1002u);
+  // Filed under a caller's hash: two strings under one hash are two ids.
+  EXPECT_EQ(Pool.intern("a", 0, 7), 1003u);
+  EXPECT_EQ(Pool.intern("b", 0, 7), 1004u);
+  EXPECT_EQ(Pool.intern("a", 0, 7), 1003u);
+  EXPECT_EQ(Pool.hash(1003), 7u);
   Pool.clear();
   EXPECT_EQ(Pool.size(), 0u);
   EXPECT_EQ(Pool.memoryBytes(), SegmentPool().memoryBytes());

@@ -389,6 +389,17 @@ TEST(ConcurrentVisitedSet, ExactInsertSemantics) {
   EXPECT_TRUE(V.insert(7, "d"));
   EXPECT_FALSE(V.insert(7, "c"));
   EXPECT_EQ(V.size(), 4u);
+  // bytes() measures the vectors held; a repeated insert adds nothing.
+  size_t Distinct = 4;
+  for (int I = 0; I != 1000; ++I) {
+    std::string Key = std::string(200, 'v') + keyFor(I);
+    EXPECT_TRUE(insertKey(V, Key));
+    Distinct += Key.size();
+  }
+  EXPECT_GE(V.bytes(), Distinct);
+  const size_t Held = V.bytes();
+  EXPECT_FALSE(insertKey(V, std::string(200, 'v') + keyFor(0)));
+  EXPECT_EQ(V.bytes(), Held);
 }
 
 TEST(ConcurrentVisitedSet, HammeredInsertCountsDistinctKeys) {
@@ -432,7 +443,7 @@ TEST(ConcurrentVisitedSet, BitStateSeedChangesHashes) {
 }
 
 //===----------------------------------------------------------------------===//
-// Transparent lookup: string_view probes allocate only on first insert
+// Exact storage takes a string_view and copies it only on first insert
 //===----------------------------------------------------------------------===//
 
 TEST(VisitedSet, ExactInsertAcceptsStringView) {
